@@ -93,7 +93,7 @@ class DhRow:
 @dataclass(frozen=True)
 class DhTable:
     scenario: str
-    bound_kind: str  # "equality" for elementary abelian, "lower-bound" otherwise
+    bound_kind: str  # "equality" for a fully certified elementary abelian table, else "lower-bound"
     rows: tuple[DhRow, ...]
 
     def certified_rows(self) -> list[DhRow]:
@@ -471,7 +471,10 @@ def dh_table(scenario: Scenario, cap: int | None = None) -> DhTable:
         cert = search_witness(scenario, cand)
         witness = cert.sequence if cert.verdict == NOT_IN_STRONG_CONIVEAU else None
         rows.append(DhRow(cand.label, degree, witness, cert))
-    bound = "equality" if scenario.kind == "elementary" else "lower-bound"
+    # an elementary abelian table is an equality only when every row is
+    # certified; a row without a witness leaves it a lower bound
+    complete = all(r.witness is not None for r in rows)
+    bound = "equality" if scenario.kind == "elementary" and complete else "lower-bound"
     return DhTable(scenario=scenario.name, bound_kind=bound, rows=tuple(rows))
 
 
@@ -700,7 +703,8 @@ def pgl_detect(module: QModuleScenario) -> Certificate:
     the top label, identified with the polynomial generator x_(2p+2)."""
     p = module.p
     value = module.apply(1, {"Q0u2": 1})
-    assert value == {"Q1Q0u2": 1}
+    if value != {"Q1Q0u2": 1}:
+        raise ScenarioError(f"Q1(Q0u2) = {value}, expected the top label Q1Q0u2")
     witness = f"x{2 * p + 2}"
     return Certificate(
         scenario=module.name,

@@ -3,10 +3,23 @@ classes.
 
 A rank-n split ring is F_2[t_1..t_n] with |t_k| = 1; the class w_i is the
 i-th elementary symmetric polynomial e_i(t).  On degree-1 classes the
-operations act by Q_j(t) = t^(2^(j+1)), so Q_j on a w-polynomial is:
-expand into t-variables, apply the derivation, convert the (symmetric)
-result back to w-variables by greedy leading-term elimination, and reduce
-modulo w_1 when the special-orthogonal flag is set.
+operations act by Q_j(t) = t^(2^(j+1)), so over F_2
+
+    Q_j(w_k) = sum_l t_l^(2^(j+1)) e_(k-1)(t without t_l)
+             = sum_(i<k) p_(2^(j+1)+i) w_(k-1-i),
+
+since e_(k-1)(t without t_l) = sum_(i<k) t_l^i e_(k-1-i)(t) mod 2.  Here
+p_n is the n-th power sum, itself a w-polynomial by Newton's identities
+mod 2: p_n = sum_(0<i<n) w_i p_(n-i) + (n mod 2) w_n, with w_i = 0 above
+the rank.  ``SplitRing.q_on_w`` evaluates this closed form in the
+w-ring and extends it to w-polynomials by the derivation rule; it never
+builds a t-polynomial.  The special-orthogonal flag sets w_1 = 0, a ring
+map, so it is applied to the power sums from the start.
+
+The t-ring path (expand into t-variables, apply the derivation, convert
+the symmetric result back by greedy leading-term elimination) is kept as
+the reference: ``expand_w``, ``q_on_t``, ``is_symmetric`` and
+``symmetrize_to_w``.
 """
 
 from __future__ import annotations
@@ -35,8 +48,12 @@ class SplitRing:
         )
         self._e_cache: dict[int, Element] = {}
         self._e_pow: dict[tuple[int, int], Element] = {}
+        # w-polynomials over F_2 as sets of exponent tuples (+ is symmetric
+        # difference); p_0 is a placeholder, Newton's identities never use it
+        self._power_sums: list[frozenset] = [frozenset()]
+        self._gen_values: dict[tuple[int, int], frozenset] = {}
 
-    # -- symmetric-function plumbing ----------------------------------------
+    # -- the t-ring reference path (tests compare q_on_w against it) --------
 
     def elementary(self, i: int) -> Element:
         """e_i(t_1..t_n)."""
@@ -64,10 +81,7 @@ class SplitRing:
 
     def expand_w(self, e: Element) -> Element:
         """Substitute w_i -> e_i(t); input is a polynomial in the w-ring."""
-        if e.pres is not self.w_pres and e.pres is not self.w_pres.free:
-            raise ValueError("expected an element of the w-presentation")
-        if self.so and any(m[0] for m in e.terms):
-            raise ValueError("w1 is not available when the SO flag is set")
+        self._check_w(e)
         out = self.t_pres.zero()
         for m, c in e.terms.items():
             piece = c * self.t_pres.one()
@@ -116,8 +130,6 @@ class SplitRing:
             out = _drop_w1(out)
         return out
 
-    # -- the operations -------------------------------------------------------
-
     def q_on_t(self, j: int, e: Element) -> Element:
         """Derivation with Q_j(t_k) = t_k^(2^(j+1)) on the t-ring."""
         jump = 2 ** (j + 1)
@@ -138,13 +150,71 @@ class SplitRing:
             raise DegreeCapError(f"splitting computation exceeds cap {self.cap}")
         return Element(self.t_pres, terms)
 
+    # -- the operations -------------------------------------------------------
+
     def q_on_w(self, j: int, e: Element) -> Element:
-        value = self.q_on_t(j, self.expand_w(e))
-        assert self.is_symmetric(value)
-        return self.symmetrize_to_w(value)
+        """Q_j on a w-polynomial: the closed form on each generator, extended
+        by the derivation rule.  Refuses when a term's image lies above the
+        cap, even if the images of several terms would cancel."""
+        self._check_w(e)
+        if j < 0:
+            raise ValueError("operation index must be >= 0")
+        shift = 2 ** (j + 1) - 1
+        out: set = set()
+        for m in e.terms:  # coefficients are 1 over F_2
+            odd = [k for k, exp in enumerate(m) if exp % 2]
+            if odd and self.w_pres.monomial_degree(m) + shift > self.cap:
+                raise DegreeCapError(f"splitting computation exceeds cap {self.cap}")
+            for k in odd:
+                rest = m[:k] + (m[k] - 1,) + m[k + 1:]
+                out.symmetric_difference_update(
+                    tuple(a + b for a, b in zip(rest, v)) for v in self._q_on_gen(j, k + 1)
+                )
+        return Element(self.w_pres, dict.fromkeys(out, 1))
+
+    def _q_on_gen(self, j: int, k: int) -> frozenset:
+        """Q_j(w_k) = sum_(i<k) p_(2^(j+1)+i) w_(k-1-i)."""
+        key = (j, k)
+        if key not in self._gen_values:
+            value: set = set()
+            for i in range(k):
+                value.symmetric_difference_update(
+                    self._times_w(self._power_sum(2 ** (j + 1) + i), k - 1 - i)
+                )
+            self._gen_values[key] = frozenset(value)
+        return self._gen_values[key]
+
+    def _power_sum(self, n: int) -> frozenset:
+        """p_n = sum_(0<i<n) w_i p_(n-i) + (n mod 2) w_n (Newton mod 2)."""
+        sums = self._power_sums
+        while len(sums) <= n:
+            m = len(sums)
+            value: set = set()
+            for i in range(1, min(m - 1, self.rank) + 1):
+                value.symmetric_difference_update(self._times_w(sums[m - i], i))
+            if m % 2:
+                value.symmetric_difference_update(self._times_w({(0,) * self.rank}, m))
+            sums.append(frozenset(value))
+        return sums[n]
+
+    def _times_w(self, value, i: int) -> set:
+        """w_i times a w-polynomial; w_0 = 1, and w_i = 0 above the rank and
+        for i = 1 under the SO flag."""
+        if i == 0:
+            return set(value)
+        if i > self.rank or (self.so and i == 1):
+            return set()
+        k = i - 1
+        return {m[:k] + (m[k] + 1,) + m[k + 1:] for m in value}
 
     def w(self, i: int) -> Element:
         return self.w_pres.gen(f"w{i}")
+
+    def _check_w(self, e: Element) -> None:
+        if e.pres is not self.w_pres and e.pres is not self.w_pres.free:
+            raise ValueError("expected an element of the w-presentation")
+        if self.so and any(m[0] for m in e.terms):
+            raise ValueError("w1 is not available when the SO flag is set")
 
 
 def _drop_w1(e: Element) -> Element:
@@ -155,18 +225,6 @@ def _subsets(n: int, k: int):
     from itertools import combinations
 
     return combinations(range(n), k)
-
-
-def expand_w(e: Element, ring: SplitRing) -> Element:
-    return ring.expand_w(e)
-
-
-def symmetrize_to_w(e: Element, ring: SplitRing) -> Element:
-    return ring.symmetrize_to_w(e)
-
-
-def q_on_w(j: int, e: Element, ring: SplitRing) -> Element:
-    return ring.q_on_w(j, e)
 
 
 @lru_cache(maxsize=None)

@@ -95,6 +95,14 @@ def test_dh_table_elementary_counts(p, n):
     assert len(table.certified_rows()) == 2**n - n - 1
 
 
+def test_dh_table_elementary_uncertified_row_is_lower_bound():
+    # the top row Q0(x1*..*x4) needs an index sequence the table does not reach
+    table = C.dh_table(C.elementary_abelian(5, 4))
+    assert len(table.rows) == 11
+    assert len(table.certified_rows()) == 10
+    assert table.bound_kind == "lower-bound"
+
+
 def test_dh_table_so3_single_row():
     table = C.dh_table(C.so_odd(1))
     assert [r.label for r in table.rows] == ["w3"]
@@ -275,6 +283,12 @@ def test_pgl_detect(p):
     cert = C.pgl_detect(module)
     assert cert.verdict == C.NOT_IN_STRONG_CONIVEAU
     assert cert.value == f"x{2 * p + 2}"
+
+
+def test_pgl_detect_refuses_wrong_top_label(monkeypatch):
+    monkeypatch.setattr(C.QModuleScenario, "apply", lambda self, i, labels: {"Q1u2": 1})
+    with pytest.raises(C.ScenarioError):
+        C.pgl_detect(C.pgl_module(3))
 
 
 def test_pgl_label_module_nilpotence():

@@ -3,7 +3,7 @@
 import pytest
 
 from coniveau.charclasses import SplitRing, g2_q_action, so_q_action
-from coniveau.fp import NonHomogeneousError
+from coniveau.fp import DegreeCapError, NonHomogeneousError
 from coniveau.milnor import validate_q_axioms
 
 from helpers import TotalSquareOracle
@@ -65,8 +65,8 @@ def test_degree_one_operation_rule_against_total_square_oracle():
 
 
 def test_q0_on_even_classes_special_orthogonal():
-    # Q_0(w_{2k}) = w_{2k+1} for every rank <= 7 (zero above the rank)
-    for rank in range(2, 8):
+    # Q_0(w_{2k}) = w_{2k+1} for every rank <= 13 (zero above the rank)
+    for rank in range(2, 14):
         r = SplitRing(rank, so=True, cap=40)
         for two_k in range(2, rank + 1, 2):
             value = r.q_on_w(0, r.w(two_k))
@@ -84,6 +84,57 @@ def test_q0_w2_bso3():
 def test_q0_w4_bso5():
     r = SplitRing(5, so=True, cap=40)
     assert r.q_on_w(0, r.w(4)) == r.w(5)
+
+
+def _reference_q_on_w(r, j, e):
+    return r.symmetrize_to_w(r.q_on_t(j, r.expand_w(e)))
+
+
+@pytest.mark.parametrize("so", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_closed_form_matches_t_ring_on_generators(rank, so):
+    r = SplitRing(rank, so=so, cap=24)
+    for j in range(4):
+        for k in range(2 if so else 1, rank + 1):
+            assert r.q_on_w(j, r.w(k)) == _reference_q_on_w(r, j, r.w(k)), (j, k)
+
+
+@pytest.mark.parametrize("so", [False, True])
+def test_closed_form_derivation_rule_matches_t_ring(so):
+    r = SplitRing(4, so=so, cap=24)
+    w1, w2, w3, w4 = (r.w(i) for i in range(1, 5))
+    elements = [w2 * w3, w3**3 + w2 * w4, w2**2 * w3 * w4, w4**2]
+    if not so:
+        elements += [w1 * w3, w1**3 * w2 + w4]
+    for e in elements:
+        for j in range(3):
+            assert r.q_on_w(j, e) == _reference_q_on_w(r, j, e), (j, e)
+
+
+def test_wu_rule_through_rank_13():
+    # Sq^1 = Q_0, and Wu's formula gives Sq^1 w_m = w_1 w_m + (m - 1) w_(m+1)
+    for rank in range(1, 14):
+        r = SplitRing(rank, cap=40)
+        for m in range(1, rank + 1):
+            upper = r.w(m + 1) if m < rank else r.w_pres.zero()
+            assert r.q_on_w(0, r.w(m)) == r.w(1) * r.w(m) + (m - 1) * upper, (rank, m)
+
+
+def test_q_on_w_refusals():
+    r = SplitRing(5, so=True, cap=12)
+    assert r.q_on_w(2, r.w(5)).degree() == 12  # 5 + 2^3 - 1, at the cap
+    with pytest.raises(DegreeCapError):
+        r.q_on_w(3, r.w(2))  # 2 + 2^4 - 1 = 17
+    with pytest.raises(DegreeCapError):
+        r.q_on_w(2, r.w(2) * r.w(4))  # 6 + 2^3 - 1 = 13
+    with pytest.raises(ValueError, match="w1"):
+        r.q_on_w(0, r.w(1))
+    with pytest.raises(ValueError, match="index"):
+        r.q_on_w(-1, r.w(2))
+    with pytest.raises(ValueError, match="w-presentation"):
+        r.q_on_w(0, SplitRing(5, so=True, cap=12).w(2))
+    with pytest.raises(ValueError, match="w-presentation"):
+        r.q_on_w(0, r.t_pres.gen("t1"))
 
 
 def test_q_on_w_symmetric_before_conversion():

@@ -40,6 +40,15 @@ def test_dh_table_elementary(capsys):
     code, body = run_json(capsys, "dh-table", "elementary", "--p", "2", "--n", "3")
     assert code == EXIT_OK
     assert len(body["dh_table"]["rows"]) == 4
+    assert body["dh_table"]["bound_kind"] == "equality"
+
+
+def test_dh_table_elementary_with_uncertified_row(capsys):
+    code, body = run_json(capsys, "dh-table", "elementary", "--p", "5", "--n", "4")
+    assert code == EXIT_OK
+    rows = body["dh_table"]["rows"]
+    assert sum(r["witness"] is not None for r in rows) == len(rows) - 1
+    assert body["dh_table"]["bound_kind"] == "lower-bound"
 
 
 def test_stable_quotient(capsys):
