@@ -464,16 +464,19 @@ def dh_table(scenario: Scenario, cap: int | None = None) -> DhTable:
     """Certificate table over the scenario's candidate family."""
     rows = []
     limit = cap if cap is not None else scenario.detect_pres.degree_cap
+    skipped = False
     for cand in scenario.dh_candidates:
         degree = cand.element.degree()
         if degree > limit:
+            skipped = True
             continue
         cert = search_witness(scenario, cand)
         witness = cert.sequence if cert.verdict == NOT_IN_STRONG_CONIVEAU else None
         rows.append(DhRow(cand.label, degree, witness, cert))
-    # an elementary abelian table is an equality only when every row is
-    # certified; a row without a witness leaves it a lower bound
-    complete = all(r.witness is not None for r in rows)
+    # an elementary abelian table is an equality only when it has a row for
+    # every candidate and every row is certified; a candidate left out above
+    # the cap, or a row without a witness, leaves it a lower bound
+    complete = not skipped and all(r.witness is not None for r in rows)
     bound = "equality" if scenario.kind == "elementary" and complete else "lower-bound"
     return DhTable(scenario=scenario.name, bound_kind=bound, rows=tuple(rows))
 
@@ -755,10 +758,8 @@ def elementary_abelian(p: int, n: int, cap: int = 40) -> Scenario:
         top = top * pres.gen(f"x{i}")
     aliases["alpha"] = action.apply(0, top)
     candidates = []
-    from itertools import combinations as _comb
-
     for size in range(2, n + 1):
-        for subset in _comb(range(1, n + 1), size):
+        for subset in combinations(range(1, n + 1), size):
             mono = pres.one()
             for i in subset:
                 mono = mono * pres.gen(f"x{i}")
@@ -1113,8 +1114,4 @@ def get_scenario(family: str, **params):
     canonical = family
     if params:
         canonical += "(" + ",".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
-    try:
-        ctor = _constructor_for(canonical)
-    except ScenarioError:
-        raise
-    return ctor()
+    return _constructor_for(canonical)()

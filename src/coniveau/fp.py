@@ -52,10 +52,18 @@ class MorphismError(FpAlgebraError):
     """An algebra morphism failed validation."""
 
 
+# The largest prime below 2**20.  The eliminator works on Python ints, but
+# ``_kernels.reduce_vector`` sums up to rank * (p - 1)**2 in int64, which this
+# bound keeps far below 2**63; it also keeps the trial division short.
+MAX_PRIME = 1048573
+
+
 def check_prime(p) -> int:
-    """Validate primality (trial division; the primes here are tiny)."""
+    """Validate primality and the bound ``MAX_PRIME`` (trial division)."""
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"not a prime: {p!r}")
+    if p > MAX_PRIME:
+        raise ValueError(f"prime {p} above the supported maximum {MAX_PRIME}")
     d = 2
     while d * d <= p:
         if p % d == 0:
@@ -237,25 +245,36 @@ class GradedPresentation:
     def _build_degree(self, degree: int) -> "_DegreeData":
         monos = tuple(self._enumerate_monomials(degree, 0))
         index = {m: i for i, m in enumerate(monos)}
+        p = self.prime
+        # one sparse {column: value} row per nonzero (cofactor x relation)
+        # product; the matrix is filled once from their entries
         rows = []
         for rel in self._relation_terms:
             rel_deg = self.monomial_degree(next(iter(rel)))
             if rel_deg > degree:
                 continue
             for cof in self._enumerate_monomials(degree - rel_deg, 0):
-                row = np.zeros(len(monos), dtype=np.int64)
-                hit = False
+                row: dict[int, int] = {}
                 for m, c in rel.items():
                     prod = self._mul_monomials(cof, m)
                     if prod is None:
                         continue
                     mono, sign = prod
-                    row[index[mono]] = (row[index[mono]] + sign * c) % self.prime
-                    hit = True
-                if hit and row.any():
+                    j = index[mono]
+                    v = (row.get(j, 0) + sign * c) % p
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                if row:
                     rows.append(row)
         if rows:
-            R, pivots = _kernels.rref(_kernels.as_matrix(rows, len(monos)), self.prime)
+            mat = np.zeros((len(rows), len(monos)), dtype=np.int64)
+            mat[
+                [i for i, row in enumerate(rows) for _ in row],
+                [j for row in rows for j in row],
+            ] = [v for row in rows for v in row.values()]
+            R, pivots = _kernels.rref(mat, p)
         else:
             R, pivots = np.zeros((0, len(monos)), dtype=np.int64), []
         pivot_set = set(pivots)
@@ -505,33 +524,6 @@ class Element:
         return f"<{self}>"
 
 
-# -- module-level operation names matching the public surface ---------------
-
-
-def add(a: Element, b: Element) -> Element:
-    return a + b
-
-
-def mul(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def normal_form(e: Element) -> Element:
-    return e.normal_form()
-
-
-def is_zero(e: Element) -> bool:
-    return e.is_zero()
-
-
-def graded_basis(pres: GradedPresentation, degree: int) -> list[Element]:
-    return pres.graded_basis(degree)
-
-
-def hilbert_series(pres: GradedPresentation, cap: int | None = None) -> list[int]:
-    return pres.hilbert_series(cap)
-
-
 def span_rows(elements, degree: int):
     """Coefficient matrix of homogeneous elements in one degree's monomial
     coordinates, plus the degree data (shared helper for membership tests)."""
@@ -681,10 +673,6 @@ class AlgebraMorphism:
         if e.pres is not self.source and e.pres is not self.source.free:
             raise PresentationMismatchError("element not in the morphism's source")
         return self._apply_terms(e.terms)
-
-
-def apply_morphism(m: AlgebraMorphism, e: Element) -> Element:
-    return m(e)
 
 
 def tensor(a: GradedPresentation, b: GradedPresentation, degree_cap: int | None = None) -> GradedPresentation:

@@ -1,22 +1,25 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately naive and shares no code with the package
-kernels: plain-list Gaussian elimination for ranks and memberships, and a
-one-variable total-Steenrod-square model for the degree-1 operation rule.
+kernels: plain-list Gauss-Jordan elimination for reduced echelon forms,
+ranks and memberships, and a one-variable total-Steenrod-square model for
+the degree-1 operation rule.
 """
 
 from __future__ import annotations
 
 
-def oracle_rank(rows: list[list[int]], p: int) -> int:
-    """Row-reduce a copy of ``rows`` over F_p the slow way."""
-    mat = [list(r) for r in rows]
+def oracle_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of a copy of ``rows`` over F_p, the slow
+    dense way: (nonzero reduced rows, pivot columns)."""
+    mat = [[x % p for x in r] for r in rows]
     rank = 0
+    pivots = []
     ncols = len(mat[0]) if mat else 0
     for col in range(ncols):
         piv = None
         for r in range(rank, len(mat)):
-            if mat[r][col] % p:
+            if mat[r][col]:
                 piv = r
                 break
         if piv is None:
@@ -25,11 +28,16 @@ def oracle_rank(rows: list[list[int]], p: int) -> int:
         inv = pow(mat[rank][col], p - 2, p)
         mat[rank] = [(x * inv) % p for x in mat[rank]]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
+            if r != rank and mat[r][col]:
                 f = mat[r][col]
                 mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
         rank += 1
-    return rank
+    return mat[:rank], pivots
+
+
+def oracle_rank(rows: list[list[int]], p: int) -> int:
+    return len(oracle_rref(rows, p)[1])
 
 
 def oracle_in_span(vec: list[int], rows: list[list[int]], p: int) -> bool:

@@ -1,5 +1,6 @@
 """Exit-code contract, determinism, user scenario files."""
 
+import hashlib
 import json
 
 import pytest
@@ -41,6 +42,23 @@ def test_dh_table_elementary(capsys):
     assert code == EXIT_OK
     assert len(body["dh_table"]["rows"]) == 4
     assert body["dh_table"]["bound_kind"] == "equality"
+
+
+def test_dh_table_elementary_capped_is_lower_bound(capsys):
+    # --cap 3 leaves out the degree-4 candidate Q0(x1*x2*x3), so the three
+    # certified rows bound the table from below only
+    code, body = run_json(capsys, "dh-table", "elementary", "--p", "2", "--n", "3", "--cap", "3")
+    assert code == EXIT_OK
+    rows = body["dh_table"]["rows"]
+    assert len(rows) == 3
+    assert all(r["witness"] is not None for r in rows)
+    assert body["dh_table"]["bound_kind"] == "lower-bound"
+
+
+def test_dh_table_prime_above_bound(capsys):
+    code, body = run_json(capsys, "dh-table", "elementary", "--p", "4294967311", "--n", "2")
+    assert code == EXIT_USAGE
+    assert "maximum" in body["error"]
 
 
 def test_dh_table_elementary_with_uncertified_row(capsys):
@@ -171,6 +189,14 @@ def test_user_scenario_validation_failure(tmp_path, capsys):
     assert "validation" in body["error"]
 
 
+def test_user_scenario_prime_above_bound(tmp_path, capsys):
+    path = tmp_path / "big.pres"
+    path.write_text(USER_SCENARIO.replace("prime 3", "prime 4294967311"))
+    code, body = run_json(capsys, "hilbert", str(path), "--cap", "4")
+    assert code == EXIT_USAGE
+    assert "maximum" in body["error"]
+
+
 def test_user_scenario_parse_error_position(tmp_path, capsys):
     path = tmp_path / "broken.pres"
     path.write_text("prime 3\ncap 8\ngen x 1\nrel x + ?\n")
@@ -199,3 +225,14 @@ def test_markdown_dh_table(capsys):
     code, out = run(capsys, "dh-table", "so", "--m", "2", "--format", "markdown")
     assert code == EXIT_OK
     assert "| " in out and "w3" in out and "w5" in out
+
+
+GOLDEN_REPORT_SHA256 = "eb010dc1fd7b9f2dacc685050c8fad228301d5860211b566ae0fcd7b4dee9b45"
+
+
+def test_report_all_golden_hash(capsys):
+    # the reproduction's correctness gate: every certificate, table, quotient
+    # and quadric verdict of `report --all`, byte for byte
+    code, out = run(capsys, "report", "--all")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORT_SHA256

@@ -3,6 +3,7 @@
 import pytest
 
 from coniveau.fp import (
+    MAX_PRIME,
     AlgebraMorphism,
     DegreeCapError,
     Element,
@@ -36,6 +37,18 @@ def test_check_prime():
     for bad in (1, 4, 9, -3, 0):
         with pytest.raises(ValueError):
             check_prime(bad)
+
+
+def test_prime_bound():
+    # MAX_PRIME is the largest prime the int64 reduce_vector product sum
+    # is sized for; the next prime and 2**32 + 15 are refused
+    assert check_prime(MAX_PRIME) == MAX_PRIME
+    assert MAX_PRIME < 2**20 < 1048583
+    for big in (1048583, 4294967311):
+        with pytest.raises(ValueError, match="maximum"):
+            check_prime(big)
+    with pytest.raises(ValueError):
+        GradedPresentation(4294967311, [Generator("x", 2)], 8)
 
 
 def test_parity_rules():

@@ -1,37 +1,79 @@
-"""Backend parity and contract tests for the row-reduction kernel."""
+"""The row-reduction kernel against an independent oracle, and its contract."""
 
 import numpy as np
 import pytest
 
 from coniveau import _kernels
-from coniveau._kernels import _pyref
+from coniveau.fp import MAX_PRIME
 
-from helpers import oracle_rank
-
-try:
-    from coniveau._kernels import _gfcore
-
-    HAVE_EXT = True
-except ImportError:
-    HAVE_EXT = False
+from helpers import oracle_rank, oracle_rref
 
 
 def random_matrix(rng, m, n, p):
     return rng.integers(0, p, size=(m, n)).astype(np.int64)
 
 
+def assert_matches_oracle(mat, p):
+    R, pivots = _kernels.rref(mat, p)
+    want_rows, want_pivots = oracle_rref(mat.tolist(), p)
+    assert pivots == want_pivots
+    assert R.dtype == np.int64
+    assert R.shape == (len(want_pivots), mat.shape[1])
+    assert R.tolist() == want_rows
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_backends_agree(p):
+def test_rref_matches_oracle_dense(p):
     rng = np.random.default_rng(17 * p)
     for _ in range(20):
         m, n = rng.integers(1, 30, size=2)
-        mat = random_matrix(rng, m, n, p)
-        a, b = mat.copy(), mat.copy()
-        piv_py = _pyref.rref_inplace(a, p)
-        if HAVE_EXT:
-            piv_cy = _gfcore.rref_inplace(b, p)
-            assert piv_py == piv_cy
-            assert np.array_equal(a, b)
+        assert_matches_oracle(random_matrix(rng, m, n, p), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rref_matches_oracle_macaulay_shaped(p):
+    # about 1% nonzeros, with more rows than rank: sparse rows plus sums of
+    # pairs of them, as the multiples of a few relations overlap
+    rng = np.random.default_rng(31 * p)
+    m, n = 120, 300
+    base = np.zeros((m, n), dtype=np.int64)
+    for r in range(m):
+        cols = rng.choice(n, size=3, replace=False)
+        base[r, cols] = rng.integers(1, p, size=3)
+    pairs = rng.integers(0, m, size=(60, 2))
+    mixed = (base[pairs[:, 0]] + rng.integers(1, p) * base[pairs[:, 1]]) % p
+    mat = np.vstack([base, mixed])
+    assert np.count_nonzero(mat) < 0.015 * mat.size
+    assert_matches_oracle(mat, p)
+    assert _kernels.rank(mat, p) < mat.shape[0]
+
+
+def test_rref_zero_duplicate_and_empty_rows():
+    mat = np.array(
+        [[0, 0, 0, 0], [0, 2, 1, 0], [0, 0, 0, 0], [0, 2, 1, 0], [1, 0, 0, 2], [0, 4, 2, 0]],
+        dtype=np.int64,
+    )
+    assert_matches_oracle(mat, 5)
+    assert _kernels.rref(mat, 5)[1] == [0, 1]
+    for shape in ((0, 4), (3, 0), (0, 0), (4, 3)):
+        R, pivots = _kernels.rref(np.zeros(shape, dtype=np.int64), 3)
+        assert pivots == [] and R.shape == (0, shape[1])
+
+
+def test_rref_at_the_largest_prime():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        m, n = rng.integers(2, 20, size=2)
+        mat = random_matrix(rng, m, n, MAX_PRIME)
+        assert_matches_oracle(mat, MAX_PRIME)
+        R, pivots = _kernels.rref(mat, MAX_PRIME)
+        v = random_matrix(rng, 1, n, MAX_PRIME)[0]
+        red = _kernels.reduce_vector(v, R, pivots, MAX_PRIME)
+        # the reduced vector is v minus a row-space vector, zero on the pivots
+        assert all(red[c] == 0 for c in pivots)
+        want = oracle_rref(mat.tolist() + [v.tolist()], MAX_PRIME)
+        got = oracle_rref(mat.tolist() + [red.tolist()], MAX_PRIME)
+        assert want == got
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -81,4 +123,4 @@ def test_empty_matrix():
 
 
 def test_backend_name():
-    assert _kernels.backend_name() in ("cython", "numpy")
+    assert _kernels.backend_name() == "sparse"
