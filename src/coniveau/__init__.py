@@ -36,7 +36,6 @@ from .motivic import (
     RostBasis,
     decomposition_ranks,
     dh_quadric_check,
-    laurent_mul,
     laurent_q0,
     n1_membership,
     quadric_etale_ring,
@@ -72,7 +71,6 @@ __all__ = [
     "detect",
     "dh_quadric_check",
     "dh_table",
-    "laurent_mul",
     "laurent_q0",
     "n1_membership",
     "pgl_detect",

@@ -241,25 +241,27 @@ def quadric_report(n: int, force=()) -> dict:
     quadric = motivic.quadric_etale_ring(n)  # validates ranks, raises on mismatch
     unram = motivic.unramified_quotient_quadric(n)
     check = motivic.dh_quadric_check(n, force_n1=force)
-    degrees = list(range(0, quadric.max_degree() + 1, 2))
+    flags: dict[int, list[str]] = {}
+    for name, deg in quadric.free_basis + quadric.torsion_basis:
+        if name in quadric.algebraic:
+            flags.setdefault(deg, []).append(name)
+    rank_table = []
+    for d in range(0, quadric.max_degree() + 1, 2):
+        free_rank, torsion_dim = quadric.ranks(d)
+        rank_table.append(
+            {
+                "degree": d,
+                "free_rank": free_rank,
+                "torsion_dim": torsion_dim,
+                "flags": sorted(flags.get(d, ())),
+            }
+        )
     return {
         "n": n,
         "rost_ring": _ring_dict(rost),
         "quadric_ring": _ring_dict(quadric),
         "rank_check": "ok",
-        "rank_table": [
-            {
-                "degree": d,
-                "free_rank": quadric.ranks(d)[0],
-                "torsion_dim": quadric.ranks(d)[1],
-                "flags": sorted(
-                    name
-                    for name, deg in quadric.free_basis + quadric.torsion_basis
-                    if deg == d and name in quadric.algebraic
-                ),
-            }
-            for d in degrees
-        ],
+        "rank_table": rank_table,
         "unramified_quotient": {
             "free": [list(b) for b in unram.free_basis],
             "torsion": [list(b) for b in unram.torsion_basis],
@@ -452,7 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
         with_element=True,
     )
     p = sub.add_parser("rost", help="quadric / motive reconstruction and checks", parents=[common])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--n",
+        type=int,
+        required=True,
+        help=f"quadric parameter, 2 <= n <= {motivic.MAX_QUADRIC_N} (dimension 2^n - 1)",
+    )
     p.add_argument("--force-n1", dest="force_n1", help="testing hook: force membership")
     p = sub.add_parser("report", help="full reproduction run", parents=[common])
     p.add_argument("--all", action="store_true")

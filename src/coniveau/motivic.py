@@ -15,11 +15,26 @@ torsion with 2x = 0): every ring reconstructed here has exponent-2 torsion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+
+# Largest motive parameter the quadric layer accepts.  Each step costs about
+# 4x: the quadric's torsion basis has about 4^n / 8 classes (130,816 at
+# n = 10, a 14 MB `rost` report) and the reachability pass takes about 4^n
+# big-int shifts.
+MAX_QUADRIC_N = 10
 
 
 class MotivicError(Exception):
     pass
+
+
+def _check_quadric_n(n: int, low: int) -> None:
+    if n < low:
+        raise ValueError(f"n must be >= {low}")
+    if n > MAX_QUADRIC_N:
+        raise ValueError(f"n = {n} above the supported maximum {MAX_QUADRIC_N}")
 
 
 class LaurentElement:
@@ -112,10 +127,6 @@ def laurent(n: int, a: int = 0, b: int = 0) -> LaurentElement:
     return LaurentElement(n, {(a, b): 1})
 
 
-def laurent_mul(x: LaurentElement, y: LaurentElement) -> LaurentElement:
-    return x * y
-
-
 def laurent_q0(e: LaurentElement) -> LaurentElement:
     """The derivation with Q_0(rho) = 0, Q_0(tau) = rho, Q_0(tau^-1) =
     rho tau^-2; on a monomial: rho^a tau^b -> (b mod 2) rho^(a+1) tau^(b-1)."""
@@ -137,13 +148,13 @@ class RostBasis:
     nonempty ascending index set I in {0..n-1} the class obtained from a'
     by the operations in I; its exponents are forced by the bidegree:
     rho-exponent n+1 + sum(2^(i+1)-1), tau-exponent -1 - sum(2^i).
-    Membership per bidegree is decided by a reachability table over the
-    additive monoid spanned by the generator exponent vectors.
+    Membership per bidegree is decided by reachability over the additive
+    monoid spanned by the generator exponent vectors, kept as one bitset
+    row per rho-exponent (see ``_reachability``).
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        _check_quadric_n(n, 1)
         self.n = n
         self.rho_bound = 2 ** (n + 1) - 2  # largest surviving rho-exponent
         gens: dict[str, tuple[int, int]] = {
@@ -159,32 +170,40 @@ class RostBasis:
             if s <= self.rho_bound:
                 gens["Q" + "Q".join(str(i) for i in I) + "(a')"] = (s, t)
         self.generators = gens
-        self._table = self._reachability()
+        self._reach = self._reachability()
 
-    def _reachability(self):
-        """reach[s][-t] over non-tau generators (all have t <= 0); a pair
-        (s, t) is in the subalgebra iff reach[s][-t'] for some t' <= t."""
+    def _reachability(self) -> list[int]:
+        """reach[s] is a bitset over -t: bit mt is set iff rho^s tau^-mt is
+        a product of non-tau generators (all have t <= 0), with s and mt at
+        most the rho bound S.
+
+        Every non-tau generator has rho-exponent ds >= 1, so one ascending
+        pass closes the monoid: reach[s] is the OR of reach[s - ds] shifted
+        up by -dt over the generators with ds <= s.  Exponents only grow
+        along a product, so masking each row to S + 1 bits drops exactly
+        the products that leave the bound (none in practice: every
+        generator has -dt <= ds, so mt <= s <= S).  Cost: O(S * G) big-int
+        operations for G generators, not the O(S^2 * G) of a cell table.
+        """
         S = self.rho_bound
-        reach = [[False] * (S + 1) for _ in range(S + 1)]
-        reach[0][0] = True
-        vecs = [v for k, v in self.generators.items() if k != "tau"]
-        for s in range(S + 1):
-            for mt in range(S + 1):
-                if not reach[s][mt]:
-                    continue
-                for (ds, dt) in vecs:
-                    s2, mt2 = s + ds, mt - dt
-                    if s2 <= S and mt2 <= S:
-                        reach[s2][mt2] = True
+        mask = (1 << (S + 1)) - 1
+        vecs = [(ds, -dt) for k, (ds, dt) in self.generators.items() if k != "tau"]
+        reach = [1]
+        for s in range(1, S + 1):
+            row = 0
+            for ds, mt in vecs:
+                if ds <= s:
+                    row |= reach[s - ds] << mt
+            reach.append(row & mask)
         return reach
 
     def contains_monomial(self, a: int, b: int) -> bool:
         """Is rho^a tau^b a product of generators (without truncating)?"""
         if a < 0 or a > self.rho_bound:
             return False
-        # tau powers can raise b arbitrarily; everything else lowers it.
-        start = max(0, -b)
-        return any(self._table[a][mt] for mt in range(start, self.rho_bound + 1))
+        # tau powers can raise b arbitrarily; everything else lowers it, so
+        # any reachable rho^a tau^-mt with mt >= -b will do.
+        return bool(self._reach[a] >> max(0, -b))
 
     def element(self, name: str) -> LaurentElement:
         s, t = self.generators[name]
@@ -265,13 +284,23 @@ class EtaleRing:
     notes: tuple[str, ...] = ()
 
     def ranks(self, degree: int) -> tuple[int, int]:
-        free = sum(1 for _, d in self.free_basis if d == degree)
-        torsion = sum(1 for _, d in self.torsion_basis if d == degree)
-        return free, torsion
+        return self._rank_table.get(degree, (0, 0))
 
     def max_degree(self) -> int:
-        degs = [d for _, d in self.free_basis + self.torsion_basis]
-        return max(degs) if degs else 0
+        return max(self._rank_table, default=0)
+
+    @cached_property
+    def _rank_table(self) -> dict[int, tuple[int, int]]:
+        """(free rank, torsion dimension) per degree, counted once."""
+        return _rank_counts(
+            (d for _, d in self.free_basis), (d for _, d in self.torsion_basis)
+        )
+
+
+def _rank_counts(free_degrees, torsion_degrees) -> dict[int, tuple[int, int]]:
+    free = Counter(free_degrees)
+    torsion = Counter(torsion_degrees)
+    return {d: (free[d], torsion[d]) for d in free.keys() | torsion.keys()}
 
 
 class RankMismatchError(MotivicError):
@@ -286,8 +315,7 @@ class RankMismatchError(MotivicError):
 def rost_etale_ring(n: int) -> EtaleRing:
     """Free part Z_2{1, pi}, torsion F_2{rho4^m : 1 <= m < 2^(n-1)}, with
     the cycle-map image flags on 1, pi and the top n-1 torsion classes."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_quadric_n(n, 1)
     top = 2 ** (n + 1) - 2
     free = (("1", 0), ("pi", top))
     torsion = tuple(
@@ -316,22 +344,25 @@ def _rho_power_name(m: int) -> str:
 
 def decomposition_ranks(n: int, degree: int) -> tuple[int, int]:
     """Additive ranks of the quadric of dimension 2^n - 1 in one even
-    degree, from the motive decomposition: the parameter-n motive plus the
-    parameter-(n-1) motive shifted by 2, 4, ..., 2(2^(n-1) - 1)."""
+    degree, from the motive decomposition (see ``_decomposition_table``)."""
     if degree % 2:
         raise ValueError("even degrees only")
+    return _decomposition_table(n).get(degree, (0, 0))
+
+
+def _decomposition_table(n: int) -> dict[int, tuple[int, int]]:
+    """(free rank, torsion dimension) per degree of the quadric of
+    dimension 2^n - 1, from the motive decomposition: the parameter-n motive
+    plus the parameter-(n-1) motive shifted by 2, 4, ..., 2(2^(n-1) - 1)."""
     base = rost_etale_ring(n)
-    free, torsion = base.ranks(degree)
+    free = [d for _, d in base.free_basis]
+    torsion = [d for _, d in base.torsion_basis]
     if n >= 2:
         lower = rost_etale_ring(n - 1)
         for shift in range(2, 2**n - 1, 2):
-            d = degree - shift
-            if d < 0:
-                continue
-            f, t = lower.ranks(d)
-            free += f
-            torsion += t
-    return free, torsion
+            free += [d + shift for _, d in lower.free_basis]
+            torsion += [d + shift for _, d in lower.torsion_basis]
+    return _rank_counts(free, torsion)
 
 
 def quadric_etale_ring(n: int) -> EtaleRing:
@@ -339,18 +370,18 @@ def quadric_etale_ring(n: int) -> EtaleRing:
     quadric: Z_2[h, rho4] / (h^(2^n), 2 rho4, h rho4^(2^(n-2)),
     rho4 h^(2^(n-1)), rho4^(2^(n-1))), validated degreewise against the
     motive decomposition."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_quadric_n(n, 2)
     hmax = 2**n - 1
     free = tuple((f"h^{j}" if j > 1 else ("h" if j == 1 else "1"), 2 * j) for j in range(hmax + 1))
-    torsion_monos = []
-    for i in range(1, 2 ** (n - 1)):
-        torsion_monos.append((0, i))
-    for j in range(1, 2 ** (n - 1)):
-        for i in range(1, 2 ** (n - 2)):
-            torsion_monos.append((j, i))
-    torsion_monos.sort(key=lambda ji: (2 * ji[0] + 4 * ji[1], _quadric_name(*ji)))
-    torsion = [(_quadric_name(j, i), 2 * j + 4 * i) for j, i in torsion_monos]
+    torsion_monos = [(0, i) for i in range(1, 2 ** (n - 1))]
+    torsion_monos += [
+        (j, i) for j in range(1, 2 ** (n - 1)) for i in range(1, 2 ** (n - 2))
+    ]
+    # (degree, name, j, i), ordered by degree and then name
+    torsion_classes = sorted(
+        (2 * j + 4 * i, _quadric_name(j, i), j, i) for j, i in torsion_monos
+    )
+    torsion = tuple((name, d) for d, name, _, _ in torsion_classes)
     relations = (
         f"h^{2 ** n}",
         "2*rho4",
@@ -364,24 +395,24 @@ def quadric_etale_ring(n: int) -> EtaleRing:
     # parameter-n motive.
     motive_flags = rost_etale_ring(n).algebraic
     algebraic = set(name for name, _ in free)
-    for j, i in torsion_monos:
+    for _, name, j, i in torsion_classes:
         if j >= 1 or _rho_power_name(i) in motive_flags:
-            algebraic.add(_quadric_name(j, i))
+            algebraic.add(name)
     ring = EtaleRing(
         n=n,
         free_basis=free,
-        torsion_basis=tuple(torsion),
+        torsion_basis=torsion,
         relations=relations,
         minimal_relations=minimal,
         algebraic=frozenset(algebraic),
         notes=(f"pi = h^{hmax}",),
     )
+    want = _decomposition_table(n)
     diffs = []
     for d in range(0, ring.max_degree() + 1, 2):
-        got = ring.ranks(d)
-        want = decomposition_ranks(n, d)
-        if got != want:
-            diffs.append((d, got, want))
+        got, expected = ring.ranks(d), want.get(d, (0, 0))
+        if got != expected:
+            diffs.append((d, got, expected))
     if diffs:
         raise RankMismatchError(n, diffs)
     return ring
@@ -429,8 +460,7 @@ class UnramifiedQuotient:
 def unramified_quotient_quadric(n: int) -> UnramifiedQuotient:
     """Quotient of the quadric ring by the hyperplane ideal: rank-1 free
     part plus the truncated polynomial torsion on rho4."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_quadric_n(n, 1)
     if n == 1:
         return UnramifiedQuotient(1, (("1", 0),), ())
     torsion = tuple((_rho_power_name(i), 4 * i) for i in range(1, 2 ** (n - 1)))
@@ -457,8 +487,7 @@ def dh_quadric_check(n: int, force_n1: tuple[int, ...] = ()) -> QuadricCertifica
     listed exponents (negative control); any injected or genuine membership
     yields "cannot conclude", never a silent pass.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_quadric_n(n, 2)
     basis = RostBasis(n)
     checks = []
     detail = []

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the package
 kernels: plain-list Gauss-Jordan elimination for reduced echelon forms,
-ranks and memberships, and a one-variable total-Steenrod-square model for
-the degree-1 operation rule.
+ranks and memberships, a one-variable total-Steenrod-square model for
+the degree-1 operation rule, and closed forms for the Rost motive's
+subalgebra and the quadric's additive ranks.
 """
 
 from __future__ import annotations
@@ -117,3 +118,58 @@ class TotalSquareOracle:
                 for e2 in self.sq(second, e):
                     out[e2] = out.get(e2, 0) ^ 1
         return {e: 1 for e, c in out.items() if c}
+
+
+def rost_generator_exponents(n: int) -> list[tuple[int, int]]:
+    """Exponent vectors (rho, tau) of the motive's generators from their
+    bidegrees: rho, tau, a = rho^(n+1), a' = a tau^-1, and for each nonempty
+    index set I in {0..n-1} the image of a' under the operations in I, with
+    rho-exponent n+1 + sum(2^(i+1)-1) and tau-exponent -1 - sum(2^i)."""
+    gens = [(1, 0), (0, 1), (n + 1, 0), (n + 1, -1)]
+    for mask in range(1, 2**n):
+        I = [i for i in range(n) if mask >> i & 1]
+        gens.append((n + 1 + sum(2 ** (i + 1) - 1 for i in I), -1 - sum(2**i for i in I)))
+    return gens
+
+
+def brute_reachable(n: int) -> set[tuple[int, int]]:
+    """All subalgebra monomials rho^s tau^t with s, |t| <= 2^(n+1) - 2, by
+    depth-first enumeration of generator products."""
+    gens = rost_generator_exponents(n)
+    bound = 2 ** (n + 1) - 2
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        s, t = frontier.pop()
+        for (ds, dt) in gens:
+            nxt = (s + ds, t + dt)
+            if nxt[0] <= bound and -bound <= nxt[1] <= bound and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def rost_ranks(n: int) -> dict[int, tuple[int, int]]:
+    """(free rank, torsion dimension) per degree of the parameter-n Rost
+    motive: Z_2 in degrees 0 and 2^(n+1) - 2, F_2 in degrees 4m for
+    1 <= m < 2^(n-1)."""
+    out: dict[int, tuple[int, int]] = {}
+    for d in (0, 2 ** (n + 1) - 2):
+        f, t = out.get(d, (0, 0))
+        out[d] = (f + 1, t)
+    for m in range(1, 2 ** (n - 1)):
+        f, t = out.get(4 * m, (0, 0))
+        out[4 * m] = (f, t + 1)
+    return out
+
+
+def quadric_ranks(n: int) -> dict[int, tuple[int, int]]:
+    """Ranks of the anisotropic quadric of dimension 2^n - 1: the
+    parameter-n motive plus the parameter-(n-1) motive shifted by
+    2, 4, ..., 2^n - 2."""
+    out = dict(rost_ranks(n))
+    for shift in range(2, 2**n - 1, 2):
+        for d, (f, t) in rost_ranks(n - 1).items():
+            f0, t0 = out.get(d + shift, (0, 0))
+            out[d + shift] = (f0 + f, t0 + t)
+    return out

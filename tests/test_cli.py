@@ -105,6 +105,13 @@ def test_rost_ok_and_negative_control(capsys):
     assert body["dh_check"]["verdict"] == "cannot conclude"
 
 
+def test_rost_parameter_above_bound(capsys):
+    code, body = run_json(capsys, "rost", "--n", "11")
+    assert code == EXIT_USAGE
+    assert "maximum 10" in body["error"]
+    assert "rost_ring" not in body
+
+
 def test_verify_pgl(capsys):
     code, body = run_json(capsys, "verify", "pgl", "--p", "3")
     assert code == EXIT_OK
@@ -236,3 +243,18 @@ def test_report_all_golden_hash(capsys):
     code, out = run(capsys, "report", "--all")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORT_SHA256
+
+
+# `rost --n k` stdout for parameters above the report's n = 2, 3, 4
+GOLDEN_ROST_SHA256 = {
+    6: "9d7d7da11fdf14c15c8c46c7c596c4cb98501094870eda01965cfa652ed9fd91",
+    7: "e185d16a21a3aaf661797f7eecae92c31398d8386d129dfe7eea0bb5f4195389",
+    8: "96b22a30e875d81d7623480efa93cf5938f57147d0db56fa1fa437476b1bb462",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_ROST_SHA256))
+def test_rost_golden_hash(capsys, n):
+    code, out = run(capsys, "rost", "--n", str(n))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ROST_SHA256[n]

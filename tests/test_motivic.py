@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from helpers import brute_reachable, quadric_ranks
+
 from coniveau.motivic import (
+    MAX_QUADRIC_N,
     MotivicElementaryAbelian,
     MotivicError,
     RankMismatchError,
@@ -13,7 +16,6 @@ from coniveau.motivic import (
     decomposition_ranks,
     dh_quadric_check,
     laurent,
-    laurent_mul,
     laurent_q0,
     n1_membership,
     quadric_etale_ring,
@@ -42,20 +44,20 @@ def _from_terms(n, terms):
 
 
 def test_tau_times_inverse():
-    assert laurent_mul(laurent(3, 0, 1), laurent(3, 0, -1)) == laurent(3, 0, 0)
+    assert laurent(3, 0, 1) * laurent(3, 0, -1) == laurent(3, 0, 0)
 
 
 def test_rho_truncation():
     n = 3
     top = 2 ** (n + 1) - 2
-    assert laurent_mul(laurent(n, top, 0), laurent(n, 1, 0)).is_zero()
+    assert (laurent(n, top, 0) * laurent(n, 1, 0)).is_zero()
 
 
 def test_a_prime_is_a_times_tau_inverse():
     n = 3
     basis = RostBasis(n)
     a = basis.element("a")
-    assert laurent_mul(a, laurent(n, 0, -1)) == basis.element("a'")
+    assert a * laurent(n, 0, -1) == basis.element("a'")
 
 
 def test_bidegrees():
@@ -112,24 +114,7 @@ def test_q0_leibniz_randomized():
 # -- motive membership ----------------------------------------------------------------
 
 
-def brute_reachable(n):
-    """Oracle: all subalgebra monomials by bounded product enumeration."""
-    basis = RostBasis(n)
-    gens = list(basis.generators.values())
-    bound = 2 ** (n + 1) - 2
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        s, t = frontier.pop()
-        for (ds, dt) in gens:
-            nxt = (s + ds, t + dt)
-            if nxt[0] <= bound and nxt[1] <= bound and nxt[1] >= -bound and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_membership_against_brute_oracle(n):
     basis = RostBasis(n)
     reachable = brute_reachable(n)
@@ -249,12 +234,43 @@ def test_quadric_ranks_match_decomposition():
             assert ring.ranks(d) == decomposition_ranks(n, d), (n, d)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_quadric_ranks_match_closed_form(n):
+    ring = quadric_etale_ring(n)
+    want = quadric_ranks(n)
+    top = 2 ** (n + 1) - 2
+    assert ring.max_degree() == top == max(want)
+    for d in range(top + 3):
+        assert ring.ranks(d) == want.get(d, (0, 0)), (n, d)
+
+
 def test_decomposition_examples():
     assert decomposition_ranks(3, 0) == (1, 0)
     assert decomposition_ranks(3, 8) == (1, 2)
     assert decomposition_ranks(3, 14) == (1, 0)
     with pytest.raises(ValueError):
         decomposition_ranks(3, 5)
+
+
+def test_quadric_parameter_bound():
+    # the reachability rows, the rings and the rank tables grow like 2^n;
+    # above the bound each entry point refuses before building anything
+    n = MAX_QUADRIC_N + 1
+    for build in (RostBasis, rost_etale_ring, quadric_etale_ring, dh_quadric_check,
+                  unramified_quotient_quadric):
+        with pytest.raises(ValueError, match="maximum"):
+            build(n)
+    with pytest.raises(ValueError, match="maximum"):
+        decomposition_ranks(n, 4)
+
+
+def test_quadric_check_at_parameter_bound():
+    basis = RostBasis(MAX_QUADRIC_N)
+    assert basis.contains_monomial(basis.rho_bound, 0)
+    assert not basis.contains_monomial(basis.rho_bound + 1, 0)
+    cert = dh_quadric_check(MAX_QUADRIC_N)
+    assert cert.verdict == "DH=0"
+    assert len(cert.torsion_checks) == 2 ** (MAX_QUADRIC_N - 1) - 1
 
 
 def test_unramified_quotient():
