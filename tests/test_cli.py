@@ -258,3 +258,31 @@ def test_rost_golden_hash(capsys, n):
     code, out = run(capsys, "rost", "--n", str(n))
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ROST_SHA256[n]
+
+
+# exit code and stdout sha256 of the CLI paths that touch each scenario view:
+# the label module's answers and refusals, a restriction scenario, the
+# optional parameter of extraspecial-e, and the usage errors
+GOLDEN_CLI = {
+    "list": (0, "b0efe10899b27bb55b454ccb6c2d59076155bfcfea522fcb1514251023fc9266"),
+    "verify pgl --p 3": (0, "c8fa24ca929c21af2c77b735ad79e6296679bdff58395bb21f56df5bc34f76a2"),
+    "dh-table pgl --p 3": (0, "702b45c90db2748bbd3b0680e4d5a97e0c5ab2be9f286626300274deeab947a1"),
+    "stable-quotient pgl --p 3": (2, "59a972864a7bb2a67e38f5cdc55f67bdceab5e36bae05e9bffe86be05d5af1a3"),
+    "hilbert pgl --p 3": (2, "04cdcf6a5c9cf5fd29f5bca1302dcde646edfdfea87771218af48d89acf9b73e"),
+    "qop pgl --p 3 --I 1 --element u2": (2, "7749708ffcd863518462f81b1e5d512dae251c2f37072a0c733315f9da7428ab"),
+    "verify pgl --p 2": (2, "4b34321b6944c5bf7ad2597c8c51f103e733cbf2af73a776116afd2cfbee75c8"),
+    "verify simply-connected --p 3": (0, "ecad22340e6bd9acf12a4b013ebd5e998b027917704b2d9d9795422b84a3b31c"),
+    "verify extraspecial-e --n 2": (0, "4d77f5046b9b002eb1e2445cf0f4fee2350c0dd001a83dfdae4a7d0e3015087c"),
+    "dh-table extraspecial-d --n 2": (0, "025c00f6c9789dfbf79d5103b5965a7a7fb3b6d93774c1fb0e55aa60d06e5062"),
+    "stable-quotient g2": (2, "f0359a41489659e9a5c62a7704fd50fd184eb9775ee8a418c9fc0cc0fa60b53b"),
+    "hilbert g2 --cap 99": (2, "a5d5f5595f6a38d523b2d118326591169eb92b6c6f776442fe70d916a993bdf8"),
+    "verify elementary --n 3": (2, "74074e748d9b84875db352e8d17a5db57e42a310134e47528d345f186edbe2ef"),
+    "verify no-such-scenario": (2, "87a22af0f774242fa754000f2de5522d021519d0270e04c37184f134a8be4672"),
+    "dh-table so --m 2 --format markdown": (0, "229afb6f1eb6f79e02935f3e83f7f1de565a03d97ad43766a89201c808d4b355"),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_CLI))
+def test_cli_golden_hash(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_CLI[command]
