@@ -16,7 +16,6 @@ from .certificates import (
     detect,
     dh_table,
     pgl_detect,
-    reciprocity_flags,
     stable_quotient,
 )
 from .charclasses import SplitRing
@@ -29,7 +28,7 @@ from .fp import (
     GradedPresentation,
     regular_sequence_check,
 )
-from .milnor import QAction, apply_q, apply_q_sequence, validate_q_axioms
+from .milnor import QAction, validate_q_axioms
 from .motivic import (
     EtaleRing,
     LaurentElement,
@@ -41,7 +40,6 @@ from .motivic import (
     quadric_etale_ring,
     rost_etale_ring,
     rost_membership,
-    tau_quotient_kernel,
     unramified_quotient_quadric,
 )
 
@@ -63,8 +61,6 @@ __all__ = [
     "RostBasis",
     "Scenario",
     "SplitRing",
-    "apply_q",
-    "apply_q_sequence",
     "backend_name",
     "builtin_scenarios",
     "decomposition_ranks",
@@ -75,12 +71,10 @@ __all__ = [
     "n1_membership",
     "pgl_detect",
     "quadric_etale_ring",
-    "reciprocity_flags",
     "regular_sequence_check",
     "rost_etale_ring",
     "rost_membership",
     "stable_quotient",
-    "tau_quotient_kernel",
     "unramified_quotient_quadric",
     "validate_q_axioms",
 ]

@@ -2,7 +2,11 @@
 
 A scenario packages a presented cohomology ring, an operation table, the
 Chern-class flags and the declared coniveau inputs for one family of
-classifying-space approximations.  ``detect`` issues machine-checkable
+classifying-space approximations.  ``Scenario`` and the projective-linear
+label module ``QModuleScenario`` answer one protocol (``header``, ``verify``,
+``dh_table``, ``stable_quotient``, ``hilbert``, ``qop``, ``report_section``),
+and the ``FAMILIES`` table names each family's builder, its parameters and
+its canonical instances.  ``detect`` issues machine-checkable
 certificates: a class is certified outside the strong coniveau filtration
 when a strictly increasing operation sequence of the right length has a
 nonzero value and the class survives the Chern-ideal test.
@@ -145,7 +149,6 @@ class Scenario:
     default_target: tuple[str, tuple[int, ...] | None] = ("", None)
     max_search_index: int = 3
     restriction: tuple | None = None  # (target Scenario, AlgebraMorphism, note)
-    extras: dict = field(default_factory=dict)
 
     def resolve(self, text: str) -> Element:
         """An element of the detection ring from a name or expression."""
@@ -176,6 +179,77 @@ class Scenario:
         )
         text += f"kind {self.kind}\nprime {self.prime}\nmax_index {self.max_search_index}\n"
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    # -- the scenario protocol: the views the CLI and the report ask for ------
+
+    def header(self) -> dict:
+        return {
+            "name": self.name,
+            "group": self.group,
+            "prime": self.prime,
+            "cap": self.presentation.degree_cap,
+            "hash": self.content_hash(),
+        }
+
+    def verify(self, element: str | None, sequence) -> Certificate:
+        """Certificate for a named class, or for the flagship target."""
+        if element:
+            if sequence is None:
+                raise ScenarioError("--element requires --I")
+            return detect(self, element, sequence)
+        if not self.default_target[0]:
+            raise ScenarioError("scenario has no default target; pass --element and --I")
+        return default_certificate(self, sequence)
+
+    def dh_table(self, cap: int | None = None) -> DhTable:
+        if not self.dh_candidates:
+            raise ScenarioError(f"scenario {self.name} has no candidate family")
+        return dh_table(self, cap=cap)
+
+    def stable_quotient(self) -> StableQuotient:
+        return stable_quotient(self)
+
+    def hilbert(self, cap: int | None = None) -> dict:
+        pres = self.presentation
+        cap = cap if cap is not None else min(pres.degree_cap, 12)
+        if cap > pres.degree_cap:
+            raise ScenarioError(f"cap {cap} exceeds the scenario maximum {pres.degree_cap}")
+        return {"cap": cap, "dimensions": pres.hilbert_series(cap)}
+
+    def qop(self, element: str | None, sequence) -> dict:
+        """Q-operation sequence applied to a class, with the intermediates."""
+        if self.q_action is None:
+            raise ScenarioError("scenario carries no operation table")
+        if not element or sequence is None:
+            raise ScenarioError("qop requires --element and --I")
+        e = self.resolve(element)
+        value, trail = self.q_action.apply_sequence(sequence, e)
+        return {
+            "element": str(e),
+            "sequence": list(sequence),
+            "value": str(value),
+            "intermediates": [str(t) for t in trail],
+        }
+
+    def report_section(self) -> tuple[dict, list[str]]:
+        """The scenario's part of the full report, and its failed checks."""
+        cert = default_certificate(self)
+        section = {"scenario": self.header(), "verify": cert.to_dict()}
+        problems = []
+        if cert.verdict != NOT_IN_STRONG_CONIVEAU:
+            problems.append("flagship certificate not issued")
+        if self.dh_candidates:
+            section["dh_table"] = dh_table(self).to_dict()
+        if self.stable_pres is not None:
+            sq = stable_quotient(self)
+            section["stable_quotient"] = sq.to_dict()
+            if sq.declared is not None:
+                if tuple(b for layer in sq.basis for b in layer) != sq.declared:
+                    problems.append("stable quotient differs from declared basis")
+        if self.restriction is None:
+            hcap = min(self.presentation.degree_cap, 10)
+            section["hilbert"] = self.presentation.hilbert_series(hcap)
+        return section, problems
 
 
 def required_length(degree: int) -> int | None:
@@ -254,34 +328,6 @@ def chern_survival(scenario: Scenario, e: Element) -> bool:
     if not span:
         return True
     return not fp.in_span(e, span)
-
-
-@dataclass(frozen=True)
-class FlaggedIdeal:
-    """The multiplicative strong-coniveau flag: everything in the mod-p
-    ideal of the flagged classes (Frobenius reciprocity closure)."""
-
-    scenario: str
-    flag_names: tuple[str, ...]
-
-    def describe(self) -> str:
-        return (
-            f"ideal({', '.join(self.flag_names)}) carries the strong-coniveau flag "
-            "by Frobenius reciprocity"
-        )
-
-
-def reciprocity_flags(scenario: Scenario):
-    """Flag descriptor plus the membership predicate for ideal(chern_flags)."""
-    if not scenario.chern_flags:
-        raise ScenarioError("scenario declares no Chern flags")
-    ideal = FlaggedIdeal(scenario.name, tuple(sorted(scenario.chern_flags)))
-    gens = list(scenario.chern_flags.values())
-
-    def is_flagged(e: Element) -> bool:
-        return fp.in_ideal(e, gens)
-
-    return ideal, is_flagged
 
 
 # -- detection -----------------------------------------------------------------
@@ -650,26 +696,17 @@ def comparison_regular_pair(p: int = 3, cap: int = 40):
 @dataclass(frozen=True)
 class QModuleScenario:
     """Free module over Z/p[x_(2p+2), x_(2p^2-2p)] on the labels u2, Q0u2,
-    Q1u2, Q1Q0u2, with the top label identified with x_(2p+2)."""
+    Q1u2, Q1Q0u2, with the top label identified with x_(2p+2).
+
+    It answers the same calls as ``Scenario``; the views it lacks (stable
+    quotient, Hilbert series, free operation sequences) raise ScenarioError.
+    """
 
     p: int
 
     @property
     def name(self) -> str:
         return f"pgl(p={self.p})"
-
-    def label_degrees(self) -> dict:
-        p = self.p
-        return {"u2": 2, "Q0u2": 3, "Q1u2": 2 * p + 1, "Q1Q0u2": 2 * p + 2}
-
-    def sd_generators(self) -> tuple[tuple[str, int], ...]:
-        p = self.p
-        return ((f"x{2 * p + 2}", 2 * p + 2), (f"x{2 * p * p - 2 * p}", 2 * p * p - 2 * p))
-
-    def sd_presentation(self) -> GradedPresentation:
-        """The polynomial coefficient ring of the label module."""
-        gens = [Generator(name, degree) for name, degree in self.sd_generators()]
-        return GradedPresentation(self.p, gens, 4 * self.p * self.p)
 
     def apply(self, i: int, labels: dict) -> dict:
         """Q_i on an F_p combination of labels (coefficients mod p)."""
@@ -699,6 +736,42 @@ class QModuleScenario:
 
     def identification(self) -> str:
         return f"Q1Q0u2 = x{2 * self.p + 2}"
+
+    # -- the scenario protocol: only the Q0u2 certificate and its table row ----
+
+    def header(self) -> dict:
+        return {"name": self.name, "prime": self.p, "hash": f"pgl-{self.p}"}
+
+    def verify(self, element: str | None, sequence) -> Certificate:
+        if element not in (None, "Q0u2"):
+            raise ScenarioError(f"the label-module scenario certifies Q0u2 only, not {element!r}")
+        if sequence not in (None, (1,)):
+            raise ScenarioError("the label-module certificate uses the sequence 1 only")
+        return pgl_detect(self)
+
+    def dh_table(self, cap: int | None = None) -> DhTable:
+        rows = ()
+        if cap is None or cap >= 3:
+            cert = pgl_detect(self)
+            rows = (DhRow("Q0u2", 3, cert.sequence, cert),)
+        return DhTable(scenario=self.name, bound_kind="lower-bound", rows=rows)
+
+    def stable_quotient(self):
+        raise ScenarioError("the label-module scenario has no stable quotient")
+
+    def hilbert(self, cap=None):
+        raise ScenarioError("the label-module scenario has no graded presentation")
+
+    def qop(self, element, sequence):
+        raise ScenarioError("use `verify` for the label-module scenario")
+
+    def report_section(self) -> tuple[dict, list[str]]:
+        # the flagship certificate only: no table, quotient or series
+        cert = pgl_detect(self)
+        problems = []
+        if cert.verdict != NOT_IN_STRONG_CONIVEAU:
+            problems.append("flagship certificate not issued")
+        return {"scenario": self.header(), "verify": cert.to_dict()}, problems
 
 
 def pgl_detect(module: QModuleScenario) -> Certificate:
@@ -959,7 +1032,7 @@ def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
         raise ScenarioError("n must be >= 2 (the rank-1 case has no degree-3 table)")
     cover = extraspecial_cover(n, p, cap)
     action = _abelian_q_action(cover, 2)
-    page, diffs = extraspecial_e4(n, p)
+    page, _ = extraspecial_e4(n, p)
     candidates = []
     for i in range(1, 2 * n + 1):
         for j in range(i + 1, 2 * n + 1):
@@ -987,7 +1060,6 @@ def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
         dh_candidates=tuple(candidates),
         default_target=("Q0(x1*x3)", (1,)),
         max_search_index=2,
-        extras={"page_differentials": {k: str(v) for k, v in diffs.items()}},
     )
 
 
@@ -1009,7 +1081,7 @@ def extraspecial_d(n: int, cap: int | None = None) -> Scenario:
     cap = cap if cap is not None else (12 if n <= 2 else 8)
     cover = extraspecial_cover(n, 2, cap)
     action = _abelian_q_action(cover, max(1, min(2, n)))
-    page, meta = quillen_d_ring(n, cap)
+    page, _ = quillen_d_ring(n, cap)
     candidates = []
     for i in range(1, 2 * n + 1):
         for j in range(i + 1, 2 * n + 1):
@@ -1035,7 +1107,6 @@ def extraspecial_d(n: int, cap: int | None = None) -> Scenario:
         dh_candidates=tuple(candidates),
         default_target=("Q0(x1*x3)", (1,)),
         max_search_index=min(2, max(1, n)),
-        extras={"sw_degrees": meta["sw_degrees"]},
     )
 
 
@@ -1047,71 +1118,69 @@ def pgl_module(p: int) -> QModuleScenario:
     return QModuleScenario(p)
 
 
-BUILTIN_DEFAULTS = (
-    "elementary(p=2,n=2)",
-    "elementary(p=2,n=3)",
-    "elementary(p=2,n=4)",
-    "elementary(p=3,n=2)",
-    "elementary(p=3,n=3)",
-    "extraspecial-d(n=2)",
-    "extraspecial-d(n=3)",
-    "extraspecial-e(n=2,p=3)",
-    "extraspecial-e(n=3,p=3)",
-    "g2",
-    "pgl(p=3)",
-    "pgl(p=5)",
-    "simply-connected(p=2)",
-    "simply-connected(p=3)",
-    "simply-connected(p=5)",
-    "so(m=1)",
-    "so(m=2)",
-)
+@dataclass(frozen=True)
+class Family:
+    """One scenario family: its builder, the parameters it takes in the
+    builder's positional order, and its canonical instances.
+
+    The builder is named, not stored, and is looked up among the module
+    globals at call time, so a rebinding of ``certificates.<builder>`` is
+    honoured.
+    """
+
+    name: str
+    builder: str
+    required: tuple[str, ...]
+    builtins: tuple[tuple[int, ...], ...]
+    optional: tuple[str, ...] = ()
+
+    def key(self, values: tuple[int, ...]) -> str:
+        """Canonical instance name, e.g. ``elementary(p=2,n=3)``."""
+        if not values:
+            return self.name
+        params = zip(self.required + self.optional, values)
+        return f"{self.name}(" + ",".join(f"{k}={v}" for k, v in params) + ")"
+
+    def build(self, *values):
+        return globals()[self.builder](*values)
+
+    def instance(self, params: dict):
+        """The instance for keyword parameters, refusing missing or foreign ones."""
+        for key in self.required:
+            if params.get(key) is None:
+                raise ScenarioError(f"scenario {self.name!r} requires --{key}")
+        for key in sorted(params):
+            if key not in self.required + self.optional:
+                raise ScenarioError(f"scenario {self.name!r} takes no --{key}")
+        return self.build(*(params[k] for k in self.required + self.optional if k in params))
+
+
+FAMILIES = {
+    f.name: f
+    for f in (
+        Family("elementary", "elementary_abelian", ("p", "n"),
+               ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))),
+        Family("extraspecial-d", "extraspecial_d", ("n",), ((2,), (3,))),
+        Family("extraspecial-e", "extraspecial_e", ("n",), ((2, 3), (3, 3)), optional=("p",)),
+        Family("g2", "g2_scenario", (), ((),)),
+        Family("pgl", "pgl_module", ("p",), ((3,), (5,))),
+        Family("simply-connected", "simply_connected", ("p",), ((2,), (3,), (5,))),
+        Family("so", "so_odd", ("m",), ((1,), (2,))),
+    )
+}
+
+BUILTIN_DEFAULTS = tuple(f.key(v) for f in FAMILIES.values() for v in f.builtins)
 
 
 def builtin_scenarios() -> dict:
     """name -> zero-argument constructor for every canonical instance."""
-    registry = {}
-    for key in BUILTIN_DEFAULTS:
-        registry[key] = _constructor_for(key)
-    return registry
-
-
-def _constructor_for(key: str):
-    family, params = _parse_key(key)
-    if family == "elementary":
-        return lambda: elementary_abelian(params["p"], params["n"])
-    if family == "so":
-        return lambda: so_odd(params["m"])
-    if family == "g2":
-        return lambda: g2_scenario()
-    if family == "simply-connected":
-        return lambda: simply_connected(params["p"])
-    if family == "extraspecial-e":
-        return lambda: extraspecial_e(params["n"], params.get("p", 3))
-    if family == "extraspecial-d":
-        return lambda: extraspecial_d(params["n"])
-    if family == "pgl":
-        return lambda: pgl_module(params["p"])
-    raise ScenarioError(f"unknown scenario family {family!r}")
-
-
-def _parse_key(key: str):
-    if "(" not in key:
-        return key, {}
-    family, rest = key.split("(", 1)
-    rest = rest.rstrip(")")
-    params = {}
-    for bit in rest.split(","):
-        if not bit:
-            continue
-        k, v = bit.split("=")
-        params[k.strip()] = int(v)
-    return family, params
+    return {
+        f.key(v): (lambda f=f, v=v: f.build(*v)) for f in FAMILIES.values() for v in f.builtins
+    }
 
 
 def get_scenario(family: str, **params):
     """Resolve a family name plus parameters to a canonical instance."""
-    canonical = family
-    if params:
-        canonical += "(" + ",".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
-    return _constructor_for(canonical)()
+    if family not in FAMILIES:
+        raise ScenarioError(f"unknown scenario family {family!r}")
+    return FAMILIES[family].instance(params)

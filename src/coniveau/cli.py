@@ -16,7 +16,7 @@ import sys
 
 from . import certificates as certs
 from . import motivic
-from .fp import DegreeCapError, FpAlgebraError
+from .fp import FpAlgebraError
 from .milnor import QAction, validate_q_axioms
 from .parser import ParseError, parse_presentation
 
@@ -25,16 +25,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
-
-_FAMILY_PARAMS = {
-    "elementary": ("p", "n"),
-    "so": ("m",),
-    "g2": (),
-    "simply-connected": ("p",),
-    "extraspecial-e": ("n",),
-    "extraspecial-d": ("n",),
-    "pgl": ("p",),
-}
 
 
 class UsageError(Exception):
@@ -45,20 +35,10 @@ def _resolve_scenario(args):
     sel = args.scenario
     if os.sep in sel or sel.endswith(".pres") or os.path.exists(sel):
         return _load_user_scenario(sel)
-    if sel not in _FAMILY_PARAMS:
+    if sel not in certs.FAMILIES:
         raise UsageError(f"unknown scenario {sel!r} (see `coniveau list`)")
-    params = {}
-    for key in _FAMILY_PARAMS[sel]:
-        value = getattr(args, key, None)
-        if value is None:
-            raise UsageError(f"scenario {sel!r} requires --{key}")
-        params[key] = value
-    if sel == "extraspecial-e" and getattr(args, "p", None):
-        params["p"] = args.p
-    try:
-        return certs.get_scenario(sel, **params)
-    except (certs.ScenarioError, ValueError) as exc:
-        raise UsageError(str(exc))
+    params = {k: getattr(args, k) for k in ("p", "n", "m") if getattr(args, k) is not None}
+    return certs.get_scenario(sel, **params)
 
 
 def _load_user_scenario(path: str) -> certs.Scenario:
@@ -106,29 +86,12 @@ def _load_user_scenario(path: str) -> certs.Scenario:
     )
 
 
-def _scenario_header(s) -> dict:
-    if isinstance(s, certs.QModuleScenario):
-        return {"name": s.name, "prime": s.p, "hash": f"pgl-{s.p}"}
-    return {
-        "name": s.name,
-        "group": s.group,
-        "prime": s.prime,
-        "cap": s.presentation.degree_cap,
-        "hash": s.content_hash(),
-    }
-
-
 # -- commands -------------------------------------------------------------------
 
 
 def _cmd_list(args) -> tuple[int, dict]:
-    entries = []
-    for key in certs.BUILTIN_DEFAULTS:
-        s = certs.builtin_scenarios()[key]()
-        entry = _scenario_header(s)
-        entries.append(entry)
     body = {
-        "scenarios": entries,
+        "scenarios": [build().header() for build in certs.builtin_scenarios().values()],
         "quadrics": [f"rost --n {n}" for n in (2, 3, 4)],
     }
     return EXIT_OK, body
@@ -137,93 +100,33 @@ def _cmd_list(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     scenario = _resolve_scenario(args)
     sequence = _parse_indices(args.I) if args.I else None
-    if isinstance(scenario, certs.QModuleScenario):
-        cert = certs.pgl_detect(scenario)
-    elif args.element:
-        if sequence is None:
-            raise UsageError("--element requires --I")
-        cert = certs.detect(scenario, args.element, sequence)
-    else:
-        if not scenario.default_target[0]:
-            raise UsageError("scenario has no default target; pass --element and --I")
-        cert = certs.default_certificate(scenario, sequence)
-    body = {"scenario": _scenario_header(scenario), "certificate": cert.to_dict()}
+    cert = scenario.verify(args.element, sequence)
+    body = {"scenario": scenario.header(), "certificate": cert.to_dict()}
     ok = cert.verdict == certs.NOT_IN_STRONG_CONIVEAU
     return (EXIT_OK if ok else EXIT_MATH_FAIL), body
 
 
 def _cmd_dh_table(args) -> tuple[int, dict]:
     scenario = _resolve_scenario(args)
-    if isinstance(scenario, certs.QModuleScenario):
-        cert = certs.pgl_detect(scenario)
-        table = {
-            "scenario": scenario.name,
-            "bound_kind": "lower-bound",
-            "rows": [
-                {
-                    "label": "Q0u2",
-                    "degree": 3,
-                    "witness": [1],
-                    "certificate": cert.to_dict(),
-                }
-            ],
-        }
-        return EXIT_OK, {"scenario": _scenario_header(scenario), "dh_table": table}
-    if not scenario.dh_candidates:
-        raise UsageError(f"scenario {scenario.name} has no candidate family")
-    table = certs.dh_table(scenario, cap=args.cap)
-    return EXIT_OK, {"scenario": _scenario_header(scenario), "dh_table": table.to_dict()}
+    table = scenario.dh_table(args.cap)
+    return EXIT_OK, {"scenario": scenario.header(), "dh_table": table.to_dict()}
 
 
 def _cmd_stable_quotient(args) -> tuple[int, dict]:
     scenario = _resolve_scenario(args)
-    if isinstance(scenario, certs.QModuleScenario):
-        raise UsageError("the label-module scenario has no stable quotient")
-    try:
-        sq = certs.stable_quotient(scenario)
-    except certs.ScenarioError as exc:
-        raise UsageError(str(exc))
-    return EXIT_OK, {"scenario": _scenario_header(scenario), "stable_quotient": sq.to_dict()}
+    sq = scenario.stable_quotient()
+    return EXIT_OK, {"scenario": scenario.header(), "stable_quotient": sq.to_dict()}
 
 
 def _cmd_hilbert(args) -> tuple[int, dict]:
     scenario = _resolve_scenario(args)
-    if isinstance(scenario, certs.QModuleScenario):
-        raise UsageError("the label-module scenario has no graded presentation")
-    pres = scenario.presentation
-    cap = args.cap if args.cap is not None else min(pres.degree_cap, 12)
-    if cap > pres.degree_cap:
-        raise UsageError(f"cap {cap} exceeds the scenario maximum {pres.degree_cap}")
-    series = pres.hilbert_series(cap)
-    return EXIT_OK, {
-        "scenario": _scenario_header(scenario),
-        "hilbert": {"cap": cap, "dimensions": series},
-    }
+    return EXIT_OK, {"scenario": scenario.header(), "hilbert": scenario.hilbert(args.cap)}
 
 
 def _cmd_qop(args) -> tuple[int, dict]:
     scenario = _resolve_scenario(args)
-    if isinstance(scenario, certs.QModuleScenario):
-        raise UsageError("use `verify` for the label-module scenario")
-    if scenario.q_action is None:
-        raise UsageError("scenario carries no operation table")
-    if not args.element or args.I is None:
-        raise UsageError("qop requires --element and --I")
-    sequence = _parse_indices(args.I)
-    try:
-        e = scenario.resolve(args.element)
-        value, trail = scenario.q_action.apply_sequence(sequence, e)
-    except DegreeCapError as exc:
-        raise UsageError(str(exc))
-    return EXIT_OK, {
-        "scenario": _scenario_header(scenario),
-        "qop": {
-            "element": str(e),
-            "sequence": list(sequence),
-            "value": str(value),
-            "intermediates": [str(t) for t in trail],
-        },
-    }
+    sequence = _parse_indices(args.I) if args.I is not None else None
+    return EXIT_OK, {"scenario": scenario.header(), "qop": scenario.qop(args.element, sequence)}
 
 
 def _cmd_rost(args) -> tuple[int, dict]:
@@ -296,32 +199,9 @@ def _cmd_report(args) -> tuple[int, dict]:
         raise UsageError("report currently supports --all only")
     failures = []
     sections = []
-    for key in sorted(certs.BUILTIN_DEFAULTS):
-        scenario = certs.builtin_scenarios()[key]()
-        section = {"scenario": _scenario_header(scenario)}
-        if isinstance(scenario, certs.QModuleScenario):
-            cert = certs.pgl_detect(scenario)
-            section["verify"] = cert.to_dict()
-            if cert.verdict != certs.NOT_IN_STRONG_CONIVEAU:
-                failures.append(f"{key}: flagship certificate not issued")
-        else:
-            cert = certs.default_certificate(scenario)
-            section["verify"] = cert.to_dict()
-            if cert.verdict != certs.NOT_IN_STRONG_CONIVEAU:
-                failures.append(f"{key}: flagship certificate not issued")
-            if scenario.dh_candidates:
-                table = certs.dh_table(scenario)
-                section["dh_table"] = table.to_dict()
-            if scenario.stable_pres is not None:
-                sq = certs.stable_quotient(scenario)
-                section["stable_quotient"] = sq.to_dict()
-                if sq.declared is not None:
-                    flat = tuple(b for layer in sq.basis for b in layer)
-                    if flat != sq.declared:
-                        failures.append(f"{key}: stable quotient differs from declared basis")
-            if scenario.restriction is None:
-                hcap = min(scenario.presentation.degree_cap, 10)
-                section["hilbert"] = scenario.presentation.hilbert_series(hcap)
+    for key, build in sorted(certs.builtin_scenarios().items()):
+        section, problems = build().report_section()
+        failures += [f"{key}: {problem}" for problem in problems]
         sections.append(section)
 
     regular, _, pair = certs.comparison_regular_pair(3, 40)

@@ -168,7 +168,7 @@ class GradedPresentation:
         return Element(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {(0,) * len(self.generators): 1})
+        return Element(self, {(0,) * len(self.generators): 1}).normal_form()
 
     def gen(self, name: str) -> "Element":
         i = self._index.get(name)
@@ -176,7 +176,7 @@ class GradedPresentation:
             raise KeyError(f"unknown generator {name!r}")
         exps = [0] * len(self.generators)
         exps[i] = 1
-        return Element(self, {tuple(exps): 1})
+        return Element(self, {tuple(exps): 1}).normal_form()
 
     def gens(self) -> tuple["Element", ...]:
         return tuple(self.gen(g.name) for g in self.generators)
@@ -555,33 +555,6 @@ def in_span(e: Element, spanning) -> bool:
     for m, c in e.terms.items():
         vec[data.index[m]] = c
     return not _kernels.reduce_vector(vec, R, pivots, e.pres.prime).any()
-
-
-def ideal_multiples(gens, degree: int) -> list[Element]:
-    """All (monomial x generator) products of the given degree, the
-    degreewise spanning set of the two-sided ideal."""
-    out = []
-    for g in gens:
-        g = g.normal_form()
-        if g.is_zero():
-            continue
-        gd = g.degree()
-        if gd is None or gd > degree:
-            continue
-        pres = g.pres
-        for cof in pres.monomials(degree - gd):
-            prod = pres.monomial(cof) * g
-            if not prod.is_zero():
-                out.append(prod)
-    return out
-
-
-def in_ideal(e: Element, gens) -> bool:
-    """Degreewise membership of a homogeneous element in ideal(gens)."""
-    e = e.normal_form()
-    if e.is_zero():
-        return True
-    return in_span(e, ideal_multiples(gens, e.degree()))
 
 
 @dataclass(frozen=True)

@@ -118,14 +118,6 @@ class QAction:
         return current, trail
 
 
-def apply_q(action: QAction, i: int, e: Element) -> Element:
-    return action.apply(i, e)
-
-
-def apply_q_sequence(action: QAction, indices, e: Element):
-    return action.apply_sequence(indices, e)
-
-
 @dataclass
 class AxiomReport:
     ok: bool

@@ -520,115 +520,3 @@ def dh_quadric_check(n: int, force_n1: tuple[int, ...] = ()) -> QuadricCertifica
         hyperplane_note=hyperplane_note,
         detail=tuple(detail),
     )
-
-
-# -- tau-quotient and tau-kernel for bigraded scenarios ------------------------
-
-
-class BigradedModel:
-    """Minimal protocol for tau-quotient computations: a deterministic
-    monomial basis per bidegree and the effect of tau-multiplication on a
-    basis label (None when the product dies)."""
-
-    def basis(self, degree: int, weight: int) -> list[str]:
-        raise NotImplementedError
-
-    def tau_shift(self, degree: int, weight: int, label: str) -> str | None:
-        """Image of a basis label of (degree, weight) in (degree, weight+1)."""
-        raise NotImplementedError
-
-
-class MotivicElementaryAbelian(BigradedModel):
-    """Additive bigraded model of the motivic ring of an elementary abelian
-    group: monomials x^eps y^a tau^t with eps squarefree, deg x = (1,1),
-    deg y = (2,1), deg tau = (0,1).  Tau-multiplication shifts t and is
-    injective."""
-
-    def __init__(self, p: int, n: int):
-        self.p = p
-        self.n = n
-
-    def _raw(self, degree: int, weight: int):
-        from itertools import combinations
-
-        out = []
-        n = self.n
-        for k in range(0, min(n, degree) + 1):
-            rest = degree - k
-            if rest % 2:
-                continue
-            total_y = rest // 2
-            t = weight - k - total_y
-            if t < 0:
-                continue
-            for eps in combinations(range(n), k):
-                for ys in _compositions(total_y, n):
-                    out.append((eps, ys, t))
-        return out
-
-    def _label(self, mono) -> str:
-        eps, ys, t = mono
-        parts = [f"x{i + 1}" for i in eps]
-        parts += [f"y{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(ys) if e]
-        if t:
-            parts.append("tau" if t == 1 else f"tau^{t}")
-        return "*".join(parts) if parts else "1"
-
-    def basis(self, degree: int, weight: int) -> list[str]:
-        return [self._label(m) for m in self._raw(degree, weight)]
-
-    def tau_shift(self, degree: int, weight: int, label: str) -> str | None:
-        for mono in self._raw(degree, weight):
-            if self._label(mono) == label:
-                eps, ys, t = mono
-                return self._label((eps, ys, t + 1))
-        raise MotivicError(f"{label!r} is not a basis label of ({degree}, {weight})")
-
-
-class RostMotiveBigraded(BigradedModel):
-    """The Laurent-model motive as a bigraded module (each bidegree is at
-    most one monomial; tau-multiplication is an exponent shift and never
-    truncates)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rost = RostBasis(n)
-
-    def basis(self, degree: int, weight: int) -> list[str]:
-        a, b = degree, weight - degree
-        if self.rost.contains_monomial(a, b):
-            return [str(laurent(self.n, a, b))]
-        return []
-
-    def tau_shift(self, degree: int, weight: int, label: str) -> str | None:
-        a, b = degree, weight - degree
-        if not self.rost.contains_monomial(a, b):
-            raise MotivicError(f"{label!r} is not a basis label of ({degree}, {weight})")
-        return str(laurent(self.n, a, b + 1))
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def tau_quotient_kernel(model: BigradedModel, m: int) -> tuple[list[str], list[str]]:
-    """Basis of the degree-(m,m) piece modulo the tau-image, and basis of
-    the kernel of tau on the (m+1, m-1) piece."""
-    image = {
-        model.tau_shift(m, m - 1, label)
-        for label in (model.basis(m, m - 1) if m >= 1 else [])
-    }
-    image.discard(None)
-    quotient = [label for label in model.basis(m, m) if label not in image]
-    kernel = [
-        label
-        for label in model.basis(m + 1, m - 1)
-        if model.tau_shift(m + 1, m - 1, label) is None
-    ]
-    return quotient, kernel

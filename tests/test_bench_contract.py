@@ -1,0 +1,54 @@
+"""The names the benchmark's tracer patches still exist and are still reached.
+
+``perfbench/tracer.py`` wraps package entry points by attribute name, and the
+family table must look its builders up at call time for those wrappers to
+count.  A rename, a deletion or an early-bound builder would otherwise show
+only in a traced benchmark run.  The run happens in a fresh interpreter so
+the patches never leak into the other tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+from tracer import Tracer, install
+import coniveau
+from coniveau import cli
+
+tracer = Tracer()
+install(tracer)
+result = {{"backend": coniveau.backend_name()}}
+for name, argv in (("verify", ["verify", "pgl", "--p", "3"]), ("list", ["list"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    result[name] = {{
+        "code": code,
+        "builds": tracer.stats.get("certificates.build", [0])[0],
+        "renders": tracer.stats.get("cli.render", [0])[0],
+    }}
+print(json.dumps(result))
+"""
+
+
+def test_traced_cli_run_counts_builders_and_renders():
+    code = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert isinstance(result["backend"], str)
+    verify, listing = result["verify"], result["list"]
+    assert verify["code"] == 0 and listing["code"] == 0
+    # `verify pgl` builds one scenario through the patched pgl_module
+    assert verify["builds"] == 1 and verify["renders"] == 1
+    # `list` builds every canonical instance, each through its patched builder
+    assert listing["builds"] > verify["builds"] + 16 and listing["renders"] == 2

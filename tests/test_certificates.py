@@ -304,15 +304,6 @@ def test_pgl_label_module_nilpotence():
 # -- flags -------------------------------------------------------------------------------
 
 
-def test_reciprocity_flags():
-    s = C.elementary_abelian(3, 2)
-    ideal, is_flagged = C.reciprocity_flags(s)
-    pres = s.detect_pres
-    assert is_flagged(pres.gen("y1") * pres.gen("x2"))
-    assert not is_flagged(pres.gen("x1") * pres.gen("x2"))
-    assert "reciprocity" in ideal.describe()
-
-
 def test_quadric_hyperplane_multiples_flagged():
     from coniveau.motivic import quadric_etale_ring
 

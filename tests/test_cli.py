@@ -118,6 +118,37 @@ def test_verify_pgl(capsys):
     assert body["certificate"]["value"] == "x8"
 
 
+def test_verify_pgl_refuses_other_targets(capsys):
+    # the label module certifies Q0u2 by the sequence (1) and nothing else
+    code, body = run_json(capsys, "verify", "pgl", "--p", "3", "--I", "0,2", "--element", "u2")
+    assert code == EXIT_USAGE
+    assert "Q0u2" in body["error"] and "certificate" not in body
+    code, body = run_json(capsys, "verify", "pgl", "--p", "3", "--I", "2")
+    assert code == EXIT_USAGE
+    assert "sequence 1" in body["error"]
+    code, body = run_json(capsys, "verify", "pgl", "--p", "3", "--I", "1", "--element", "Q0u2")
+    assert code == EXIT_OK
+    assert body["certificate"]["sequence"] == [1]
+
+
+def test_dh_table_pgl_honours_cap(capsys):
+    code, body = run_json(capsys, "dh-table", "pgl", "--p", "3", "--cap", "2")
+    assert code == EXIT_OK
+    assert body["dh_table"]["rows"] == []
+    assert body["dh_table"]["bound_kind"] == "lower-bound"
+    code, body = run_json(capsys, "dh-table", "pgl", "--p", "3", "--cap", "3")
+    assert [r["degree"] for r in body["dh_table"]["rows"]] == [3]
+
+
+def test_family_refuses_foreign_parameter(capsys):
+    code, body = run_json(capsys, "hilbert", "g2", "--p", "7")
+    assert code == EXIT_USAGE
+    assert "--p" in body["error"] and "hilbert" not in body
+    code, body = run_json(capsys, "verify", "so", "--m", "1", "--n", "2")
+    assert code == EXIT_USAGE
+    assert "--n" in body["error"]
+
+
 def test_verify_inconclusive_is_math_fail(capsys):
     code, body = run_json(
         capsys, "verify", "g2", "--element", "w7", "--I", "1"

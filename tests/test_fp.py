@@ -13,7 +13,6 @@ from coniveau.fp import (
     NonHomogeneousError,
     PresentationMismatchError,
     check_prime,
-    in_ideal,
     regular_sequence_check,
     tensor,
 )
@@ -282,14 +281,26 @@ def test_simply_connected_style_image():
     assert j(src.gen("w") ** 2) == image * image
 
 
+def test_gen_and_one_return_normal_forms():
+    # every public constructor returns a normal form, so a generator or unit
+    # killed by a relation equals zero() and prints as 0
+    P = exterior(2, 2)
+    Q = P.quotient([P.gen("x1")])
+    assert Q.gen("x1") == Q.zero() and str(Q.gen("x1")) == "0"
+    assert Q.gen("x2") != Q.zero()
+    R = P.quotient([P.one()])
+    assert R.one() == R.zero() and str(R.one()) == "0"
+
+
 # -- ideals and regular sequences ----------------------------------------------------
 
 
 def test_in_ideal():
     P = GradedPresentation(3, [Generator("y1", 2), Generator("y2", 2), Generator("x1", 1), Generator("x2", 1)], 10)
     y1, y2, x1, x2 = P.gens()
-    assert in_ideal(y1 * x2, [y1, y2])
-    assert not in_ideal(x1 * x2, [y1, y2])
+    Q = P.quotient([y1, y2])  # e lies in ideal(y1, y2) iff it dies in the quotient
+    assert Q.from_element(y1 * x2).is_zero()
+    assert not Q.from_element(x1 * x2).is_zero()
 
 
 def test_regular_sequence_repeated_element():

@@ -6,8 +6,6 @@ from coniveau.fp import AlgebraMorphism, DegreeCapError, Generator, GradedPresen
 from coniveau.milnor import (
     QAction,
     QActionError,
-    apply_q,
-    apply_q_sequence,
     check_equivariance,
     op_degree,
     validate_q_axioms,
@@ -60,7 +58,7 @@ def test_sequence_single_zero_index():
     act = abelian_action(P)
     x1, x2, x3 = (P.gen(f"x{i}") for i in range(1, 4))
     y1, y2, y3 = (P.gen(f"y{i}") for i in range(1, 4))
-    value, trail = apply_q_sequence(act, (0,), x1 * x2 * x3)
+    value, trail = act.apply_sequence((0,), x1 * x2 * x3)
     assert value == y1 * x2 * x3 - x1 * y2 * x3 + x1 * x2 * y3
     assert len(trail) == 1 and trail[0] == value
 
@@ -70,7 +68,7 @@ def test_leading_monomial_of_detection_value():
     P = abelian_ring(3, 3)
     act = abelian_action(P)
     top = P.gen("x1") * P.gen("x2") * P.gen("x3")
-    value, _ = apply_q_sequence(act, (0, 1), top)
+    value, _ = act.apply_sequence((0, 1), top)
     monomial = {g.name: e for g, e in zip(P.generators, value.leading_monomial())}
     assert value.coefficient((3, 1, 0, 0, 0, 1)) != 0  # y1^3 y2 x3
 
@@ -79,7 +77,7 @@ def test_nilpotence_applied_twice():
     P = abelian_ring(3, 2)
     act = abelian_action(P)
     e = P.gen("x1") * P.gen("x2")
-    assert apply_q(act, 1, apply_q(act, 1, e)).is_zero()
+    assert act.apply(1, act.apply(1, e)).is_zero()
 
 
 def test_degree_bookkeeping_rejected():

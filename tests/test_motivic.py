@@ -8,11 +8,9 @@ from helpers import brute_reachable, quadric_ranks
 
 from coniveau.motivic import (
     MAX_QUADRIC_N,
-    MotivicElementaryAbelian,
     MotivicError,
     RankMismatchError,
     RostBasis,
-    RostMotiveBigraded,
     decomposition_ranks,
     dh_quadric_check,
     laurent,
@@ -21,7 +19,6 @@ from coniveau.motivic import (
     quadric_etale_ring,
     rost_etale_ring,
     rost_membership,
-    tau_quotient_kernel,
     unramified_quotient_quadric,
 )
 
@@ -300,39 +297,6 @@ def test_torsion_generators_all_rejected():
         ring = rost_etale_ring(n)
         for _, degree in ring.torsion_basis:
             assert n1_membership(degree, basis).rejected()
-
-
-# -- tau quotient / kernel ----------------------------------------------------------
-
-
-def test_tau_quotient_elementary_total():
-    for p, n in ((3, 2), (2, 3)):
-        model = MotivicElementaryAbelian(p, n)
-        total = []
-        for m in range(0, n + 3):
-            quotient, kernel = tau_quotient_kernel(model, m)
-            assert kernel == []
-            total.extend(quotient)
-        assert len(total) == 2**n
-        squarefree = [t for t in total if "y" not in t and "tau" not in t]
-        assert len(squarefree) == 2**n
-
-
-def test_tau_quotient_point():
-    model = MotivicElementaryAbelian(3, 0)
-    assert tau_quotient_kernel(model, 0) == (["1"], [])
-    assert tau_quotient_kernel(model, 1) == ([], [])
-
-
-def test_tau_quotient_rost_motive():
-    n = 3
-    model = RostMotiveBigraded(n)
-    # in the degree of a = rho^(n+1) the quotient dies (a = tau * a')
-    q, k = tau_quotient_kernel(model, n + 1)
-    assert q == [] and k == []
-    # in low degrees rho^m generates the quotient
-    q, _ = tau_quotient_kernel(model, 1)
-    assert q == ["rho"]
 
 
 def quadric_monomial_product(n, a, b):
