@@ -168,7 +168,7 @@ class GradedPresentation:
         return Element(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {(0,) * len(self.generators): 1}).normal_form()
+        return self._unit_monomial((0,) * len(self.generators))
 
     def gen(self, name: str) -> "Element":
         i = self._index.get(name)
@@ -176,7 +176,12 @@ class GradedPresentation:
             raise KeyError(f"unknown generator {name!r}")
         exps = [0] * len(self.generators)
         exps[i] = 1
-        return Element(self, {tuple(exps): 1}).normal_form()
+        return self._unit_monomial(tuple(exps))
+
+    def _unit_monomial(self, exps: tuple) -> "Element":
+        # a relation can kill the monomial; without relations it is normal
+        e = Element(self, {exps: 1})
+        return e.normal_form() if self._relation_terms else e
 
     def gens(self) -> tuple["Element", ...]:
         return tuple(self.gen(g.name) for g in self.generators)
