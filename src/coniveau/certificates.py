@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from . import fp
@@ -1174,9 +1174,7 @@ BUILTIN_DEFAULTS = tuple(f.key(v) for f in FAMILIES.values() for v in f.builtins
 
 def builtin_scenarios() -> dict:
     """name -> zero-argument constructor for every canonical instance."""
-    return {
-        f.key(v): (lambda f=f, v=v: f.build(*v)) for f in FAMILIES.values() for v in f.builtins
-    }
+    return {f.key(v): partial(f.build, *v) for f in FAMILIES.values() for v in f.builtins}
 
 
 def get_scenario(family: str, **params):
