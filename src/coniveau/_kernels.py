@@ -1,8 +1,8 @@
 """Exact linear algebra over F_p: one sparse eliminator.
 
-The only primitive is reduced row echelon form; rank, vector reduction and
-nullspace extraction are thin wrappers around it.  Matrices are int64 numpy
-arrays with entries in [0, p).
+The only primitive is reduced row echelon form, whose pivot count is the
+rank; vector reduction and nullspace extraction are thin wrappers around it.
+Matrices are int64 numpy arrays with entries in [0, p).
 
 The matrices reduced here are per-degree relation ("Macaulay") matrices with
 well under 1% nonzeros, so ``rref`` works on sparse rows, in the manner of
@@ -103,10 +103,6 @@ def _back_substitute(basis: dict[int, dict], pivots: list[int], p: int) -> None:
         row = basis[lead]
         for c in [c for c in row if c != lead and c in basis]:
             _subtract(row, row[c], basis[c], p)
-
-
-def rank(mat: np.ndarray, p: int) -> int:
-    return len(rref(mat, p)[1])
 
 
 def reduce_vector(vec: np.ndarray, R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:

@@ -33,11 +33,15 @@ class UsageError(Exception):
 
 def _resolve_scenario(args):
     sel = args.scenario
+    params = {k: getattr(args, k) for k in ("p", "n", "m") if getattr(args, k) is not None}
     if os.sep in sel or sel.endswith(".pres") or os.path.exists(sel):
+        if params:
+            # the file fixes its own prime and generators
+            flags = ", ".join(f"--{k}" for k in sorted(params))
+            raise UsageError(f"presentation file {sel!r} takes no {flags}")
         return _load_user_scenario(sel)
     if sel not in certs.FAMILIES:
         raise UsageError(f"unknown scenario {sel!r} (see `coniveau list`)")
-    params = {k: getattr(args, k) for k in ("p", "n", "m") if getattr(args, k) is not None}
     return certs.get_scenario(sel, **params)
 
 

@@ -19,13 +19,21 @@ Conventions by characteristic:
     exponents are 0/1, odd*odd anticommutes and odd squares vanish.
   * p = 2: every generator is polynomial; odd-degree classes square freely.
 
+The free monomials of each degree come from one table per generator list
+(``_MonomialTable``), filled on demand and shared by a presentation, its
+quotients and its free twin.  A degree's matrix columns, each relation's
+cofactors and ``monomials(d)`` are lookups in it, built once in the manner of
+the symbolic preprocessing of Faugere's F4 (JPAA 139, 1999).
+
 All values are immutable after construction and all operations are pure;
-per-degree caches are idempotent fills, so sharing across threads is safe.
+the monomial table and the per-degree caches are idempotent fills (a racing
+fill computes an equal entry), so sharing across threads is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -56,6 +64,13 @@ class MorphismError(FpAlgebraError):
 # ``_kernels.reduce_vector`` sums up to rank * (p - 1)**2 in int64, which this
 # bound keeps far below 2**63; it also keeps the trial division short.
 MAX_PRIME = 1048573
+
+# The most cells (rows x monomial columns) a degree's Macaulay matrix may have
+# before ``_build_degree`` refuses it.  The largest built-in matrix is the
+# regular pair's at degree 44 (4,105,500 cells); at degree 48 it has 7,169,175.
+# A p = 3 file with five degree-2 generators and relations of degrees 4..12
+# reaches 9,296,280 cells at degree 26 and is refused there.
+MAX_MACAULAY_CELLS = 8_000_000
 
 
 def check_prime(p) -> int:
@@ -103,7 +118,7 @@ class Generator:
 class GradedPresentation:
     """A finitely presented graded-commutative F_p algebra with a degree cap."""
 
-    def __init__(self, prime: int, generators, degree_cap: int, _relations=None):
+    def __init__(self, prime: int, generators, degree_cap: int, _relations=None, _table=None):
         self.prime = check_prime(prime)
         gens = tuple(generators)
         if len({g.name for g in gens}) != len(gens):
@@ -119,16 +134,23 @@ class GradedPresentation:
         self.degree_cap = degree_cap
         self._degrees = tuple(g.degree for g in gens)
         self._odd = tuple(g.resolved_parity(prime) == "odd" for g in gens)
+        self._exterior = any(self._odd)
         self._index = {g.name: i for i, g in enumerate(gens)}
+        self._table = _table or _MonomialTable(self._degrees, self._odd)
         self._relation_terms = tuple(_relations or ())
         self._cache: dict[int, _DegreeData] = {}
         self._free_twin: GradedPresentation | None = None
+        rel_degrees = []
         for terms in self._relation_terms:
             degs = {self.monomial_degree(m) for m in terms}
             if len(degs) != 1:
                 raise NonHomogeneousError("relations must be homogeneous and nonzero")
-            if max(degs) > degree_cap:
+            (d,) = degs
+            if d > degree_cap:
                 raise DegreeCapError("relation degree exceeds the cap")
+            rel_degrees.append(d)
+        self._relation_degrees = tuple(rel_degrees)
+        self._lowest_relation = min(rel_degrees, default=degree_cap + 1)
 
     # -- construction -----------------------------------------------------
 
@@ -147,6 +169,7 @@ class GradedPresentation:
             self.generators,
             self.degree_cap,
             _relations=self._relation_terms + tuple(extra),
+            _table=self._table,
         )
 
     @property
@@ -155,7 +178,9 @@ class GradedPresentation:
         if not self._relation_terms:
             return self
         if self._free_twin is None:
-            self._free_twin = GradedPresentation(self.prime, self.generators, self.degree_cap)
+            self._free_twin = GradedPresentation(
+                self.prime, self.generators, self.degree_cap, _table=self._table
+            )
         return self._free_twin
 
     @property
@@ -216,8 +241,10 @@ class GradedPresentation:
 
     def monomials(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """All monomials of the free algebra in one degree, descending
-        graded-lex order (deterministic)."""
-        return self._degree_data(degree).monomials
+        graded-lex order (deterministic).  A lookup in the monomial table
+        shared with the quotients and the free twin; no elimination runs."""
+        self._check_degree(degree)
+        return self._table.monomials(degree)
 
     def graded_basis(self, degree: int) -> list["Element"]:
         """Deterministic ordered basis of the degree-d piece of the quotient."""
@@ -236,32 +263,51 @@ class GradedPresentation:
 
     # -- the degreewise reduction engine ------------------------------------
 
-    def _degree_data(self, degree: int) -> "_DegreeData":
+    def _check_degree(self, degree: int) -> None:
         if degree > self.degree_cap:
             raise DegreeCapError(f"degree {degree} above cap {self.degree_cap}")
         if degree < 0:
             raise ValueError("negative degree")
+
+    def _degree_data(self, degree: int) -> "_DegreeData":
+        self._check_degree(degree)
         data = self._cache.get(degree)
         if data is None:
             data = self._build_degree(degree)
             self._cache[degree] = data
         return data
 
+    def _macaulay_cells(self, degree: int) -> int:
+        """Rows x columns of the degree's Macaulay matrix, from the table
+        sizes, before any row is built."""
+        table = self._table
+        rows = sum(
+            len(table.monomials(degree - d)) for d in self._relation_degrees if d <= degree
+        )
+        return rows * len(table.monomials(degree))
+
     def _build_degree(self, degree: int) -> "_DegreeData":
-        monos = tuple(self._enumerate_monomials(degree, 0))
-        index = {m: i for i, m in enumerate(monos)}
+        table = self._table
+        monos = table.monomials(degree)
+        index = table.index(degree)
+        cells = self._macaulay_cells(degree)
+        if cells > MAX_MACAULAY_CELLS:
+            raise DegreeCapError(
+                f"degree {degree}: the relation matrix would have {cells} cells, "
+                f"above the budget of {MAX_MACAULAY_CELLS}; lower the cap"
+            )
         p = self.prime
+        mul = self._mul_monomials
         # one sparse {column: value} row per nonzero (cofactor x relation)
         # product; the matrix is filled once from their entries
         rows = []
-        for rel in self._relation_terms:
-            rel_deg = self.monomial_degree(next(iter(rel)))
+        for rel, rel_deg in zip(self._relation_terms, self._relation_degrees):
             if rel_deg > degree:
                 continue
-            for cof in self._enumerate_monomials(degree - rel_deg, 0):
+            for cof in table.monomials(degree - rel_deg):
                 row: dict[int, int] = {}
                 for m, c in rel.items():
-                    prod = self._mul_monomials(cof, m)
+                    prod = mul(cof, m)
                     if prod is None:
                         continue
                     mono, sign = prod
@@ -286,31 +332,17 @@ class GradedPresentation:
         basis = tuple(m for i, m in enumerate(monos) if i not in pivot_set)
         return _DegreeData(monos, index, R, pivots, basis)
 
-    def _enumerate_monomials(self, degree: int, start: int):
-        """Exponent tuples of the given degree, descending lex."""
-        n = len(self.generators)
-        if start == n:
-            if degree == 0:
-                yield ()
-            return
-        d = self._degrees[start]
-        top = degree // d
-        if self._odd[start]:
-            top = min(top, 1)
-        for e in range(top, -1, -1):
-            for rest in self._enumerate_monomials(degree - e * d, start + 1):
-                yield (e,) + rest
-
     def _mul_monomials(self, m1, m2):
         """Product of two exponent tuples: (monomial, sign) or None if zero."""
+        if not self._exterior:
+            # p = 2 or all degrees even: exponents add and nothing anticommutes
+            return tuple(map(add, m1, m2)), 1
         out = []
         for e1, e2, odd in zip(m1, m2, self._odd):
             e = e1 + e2
             if odd and e > 1:
                 return None
             out.append(e)
-        if self.prime == 2:
-            return tuple(out), 1
         swaps = 0
         for i in range(len(m1)):
             if not self._odd[i] or not m2[i]:
@@ -321,11 +353,7 @@ class GradedPresentation:
         return tuple(out), (-1) ** (swaps & 1)
 
     def _has_relations_at(self, degree: int) -> bool:
-        if not self._relation_terms:
-            return False
-        return any(
-            self.monomial_degree(next(iter(rel))) <= degree for rel in self._relation_terms
-        )
+        return degree >= self._lowest_relation
 
     def _reduce_terms(self, terms: dict) -> dict:
         """Normal form of a raw term map (split per degree, reduce each)."""
@@ -366,6 +394,65 @@ class GradedPresentation:
         rel = f", {len(self._relation_terms)} relations" if self._relation_terms else ""
         names = ",".join(g.name for g in self.generators)
         return f"GradedPresentation(F_{self.prime}[{names}], cap={self.degree_cap}{rel})"
+
+
+class _MonomialTable:
+    """The free monomials of one generator list, per degree, filled on demand.
+
+    A degree's entry holds its exponent tuples in descending lex order and,
+    for each k, the length of the trailing block of those that vanish on the
+    generators before k: the monomials of generator suffix k, kept as a slice
+    of the degree's list rather than as a copy.  The monomials of degree d
+    whose first nonzero exponent sits at k are g_k times the suffix-k block of
+    degree d - |g_k| (the suffix-(k+1) block when g_k is exterior, whose
+    exponent stops at 1); raising one exponent keeps their order, and these
+    blocks for k = 0, 1, ... follow each other in descending lex order.  So a
+    degree is built from lower degrees only, in increasing order, without
+    recursion.  Presentations on the same generators and prime (a quotient,
+    its free twin) share one table.
+    """
+
+    def __init__(self, degrees: tuple, odd: tuple):
+        self._degrees = degrees
+        self._odd = odd
+        # degree -> (monomials, suffix block lengths for k = 0..n)
+        self._entries: dict[int, tuple[tuple, list[int]]] = {}
+        self._index: dict[int, dict] = {}
+
+    def monomials(self, degree: int) -> tuple:
+        """The degree's monomials (``degree`` >= 0)."""
+        entry = self._entries.get(degree)
+        if entry is None:
+            for d in range(degree + 1):
+                if d not in self._entries:
+                    self._entries[d] = self._build(d)
+            entry = self._entries[degree]
+        return entry[0]
+
+    def index(self, degree: int) -> dict:
+        """{monomial: column} for the degree's monomials."""
+        idx = self._index.get(degree)
+        if idx is None:
+            idx = {m: i for i, m in enumerate(self.monomials(degree))}
+            self._index[degree] = idx
+        return idx
+
+    def _build(self, degree: int) -> tuple[tuple, list[int]]:
+        n = len(self._degrees)
+        blocks = []
+        for k, (g, odd) in enumerate(zip(self._degrees, self._odd)):
+            if g > degree:
+                blocks.append(())
+                continue
+            lower, tails = self._entries[degree - g]
+            size = tails[k + 1] if odd else tails[k]
+            blocks.append(tuple(m[:k] + (m[k] + 1,) + m[k + 1:] for m in lower[len(lower) - size:]))
+        blocks.append(((0,) * n,) if degree == 0 else ())
+        tails = [0] * (n + 1)
+        tails[n] = len(blocks[n])
+        for k in range(n - 1, -1, -1):
+            tails[k] = tails[k + 1] + len(blocks[k])
+        return tuple(m for block in blocks for m in block), tails
 
 
 @dataclass(frozen=True)

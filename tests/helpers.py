@@ -2,12 +2,15 @@
 
 Everything here is deliberately naive and shares no code with the package
 kernels: plain-list Gauss-Jordan elimination for reduced echelon forms,
-ranks and memberships, a one-variable total-Steenrod-square model for
-the degree-1 operation rule, and closed forms for the Rost motive's
-subalgebra and the quadric's additive ranks.
+ranks and memberships, monomial lists from a product of exponent ranges, a
+one-variable total-Steenrod-square model for the degree-1 operation rule,
+and closed forms for the Rost motive's subalgebra and the quadric's
+additive ranks.
 """
 
 from __future__ import annotations
+
+import itertools
 
 
 def oracle_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -47,6 +50,24 @@ def oracle_in_span(vec: list[int], rows: list[list[int]], p: int) -> bool:
     if not any(x % p for x in vec):
         return True
     return oracle_rank(base + [vec], p) == oracle_rank(base, p)
+
+
+def oracle_monomials(degrees, odd, d: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of total degree ``d`` for generators of the given
+    degrees, exterior ones (``odd``) with exponent 0 or 1, in descending lex
+    order.  Every exponent but the last ranges over a product of ranges; the
+    last one is whatever degree remains, when it divides evenly."""
+    if not degrees:
+        return [()] if d == 0 else []
+    ranges = [range((min(d // g, 1) if o else d // g) + 1) for g, o in zip(degrees, odd)]
+    last, last_odd = degrees[-1], odd[-1]
+    out = []
+    for head in itertools.product(*ranges[:-1]):
+        rest = d - sum(e * g for e, g in zip(head, degrees))
+        if rest < 0 or rest % last or (last_odd and rest > last):
+            continue
+        out.append(head + (rest // last,))
+    return sorted(out, reverse=True)
 
 
 def element_vector(e, degree):

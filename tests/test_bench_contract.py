@@ -2,9 +2,12 @@
 
 ``perfbench/tracer.py`` wraps package entry points by attribute name, and the
 family table must look its builders up at call time for those wrappers to
-count.  A rename, a deletion or an early-bound builder would otherwise show
-only in a traced benchmark run.  The run happens in a fresh interpreter so
-the patches never leak into the other tests.
+count.  The tracer counts Macaulay rows only for a call of the module
+attribute ``_kernels.rref`` whose innermost traced caller is
+``GradedPresentation._build_degree``.  A rename, a deletion, an early-bound
+builder or ``rref``, or an ``rref`` call moved out of ``_build_degree`` would
+otherwise show only in a traced benchmark run.  The run happens in a fresh
+interpreter so the patches never leak into the other tests.
 """
 
 import json
@@ -33,6 +36,14 @@ for name, argv in (("verify", ["verify", "pgl", "--p", "3"]), ("list", ["list"])
         "builds": tracer.stats.get("certificates.build", [0])[0],
         "renders": tracer.stats.get("cli.render", [0])[0],
     }}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["hilbert", "extraspecial-d", "--n", "2", "--cap", "8"])
+result["hilbert"] = {{
+    "code": code,
+    "degree_builds": tracer.stats.get("fp._build_degree", [0])[0],
+    "rref_calls": tracer.stats.get("kernels.rref", [0])[0],
+    "macaulay_rows": tracer.counts.get("macaulay_rows", 0),
+}}
 print(json.dumps(result))
 """
 
@@ -52,3 +63,9 @@ def test_traced_cli_run_counts_builders_and_renders():
     assert verify["builds"] == 1 and verify["renders"] == 1
     # `list` builds every canonical instance, each through its patched builder
     assert listing["builds"] > verify["builds"] + 16 and listing["renders"] == 2
+    # the Macaulay matrices of a quotient reach rref from inside _build_degree,
+    # where the tracer counts their rows
+    hilbert = result["hilbert"]
+    assert hilbert["code"] == 0
+    assert hilbert["degree_builds"] > 0 and hilbert["rref_calls"] > 0
+    assert hilbert["macaulay_rows"] > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from coniveau import certificates as C
-from coniveau.fp import Generator, GradedPresentation
+from coniveau.fp import MAX_MACAULAY_CELLS, Generator, GradedPresentation
 from coniveau.milnor import validate_q_axioms
 from coniveau.parser import parse_expression
 
@@ -332,6 +332,29 @@ def test_builtin_registry_complete():
         s = ctor()
         name = s.name if hasattr(s, "name") else None
         assert name == key
+
+
+def test_builtin_matrices_within_cell_budget(monkeypatch):
+    # every relation matrix the report builds is estimated and stays under
+    # the budget that refuses oversized user presentations
+    cells = []
+    build = GradedPresentation._build_degree
+
+    def recording(self, degree):
+        cells.append(self._macaulay_cells(degree))
+        return build(self, degree)
+
+    monkeypatch.setattr(GradedPresentation, "_build_degree", recording)
+    for ctor in C.builtin_scenarios().values():
+        ctor().report_section()
+    C.comparison_regular_pair(3, 40)
+    assert 0 < max(cells) <= MAX_MACAULAY_CELLS
+    # the largest built-in matrix is the regular pair's at degree 44; degree
+    # 48 stays under the budget too
+    _, small, pair = C.comparison_regular_pair(3, 20)
+    big = GradedPresentation(3, small.generators, 48).quotient(pair)
+    assert big._macaulay_cells(44) == 4_105_500
+    assert big._macaulay_cells(48) == 7_169_175 <= MAX_MACAULAY_CELLS
 
 
 def test_builtin_actions_validated():

@@ -235,6 +235,48 @@ def test_user_scenario_prime_above_bound(tmp_path, capsys):
     assert "maximum" in body["error"]
 
 
+def test_user_scenario_refuses_family_parameters(tmp_path, capsys):
+    path = tmp_path / "rank2.pres"
+    path.write_text(USER_SCENARIO)
+    code, body = run_json(capsys, "hilbert", str(path), "--p", "7", "--m", "3", "--cap", "4")
+    assert code == EXIT_USAGE
+    assert "--m, --p" in body["error"] and "hilbert" not in body
+    code, body = run_json(capsys, "verify", str(path), "--n", "2", "--element", "beta")
+    assert code == EXIT_USAGE
+    assert "--n" in body["error"] and "certificate" not in body
+
+
+# five degree-2 generators over F_3, relations in degrees 4..12: the degree-26
+# relation matrix would have 2380 columns x 3906 rows = 9,296,280 cells
+OVER_BUDGET = """\
+prime 3
+cap 28
+gen y1 2
+gen y2 2
+gen y3 2
+gen y4 2
+gen y5 2
+rel y1^2 + y2*y3
+rel y2^3 + y1*y4*y5
+rel y3^4 + y1*y2*y4*y5
+rel y4^5 + y5*y1^4
+rel y5^6 + y1^3*y2^3
+"""
+
+
+def test_user_scenario_over_cell_budget(tmp_path, capsys):
+    path = tmp_path / "wide.pres"
+    path.write_text(OVER_BUDGET)
+    code, body = run_json(capsys, "hilbert", str(path), "--cap", "28")
+    assert code == EXIT_USAGE
+    assert "degree 26" in body["error"] and "9296280 cells" in body["error"]
+    assert "hilbert" not in body
+    # below the refused degree the same file runs
+    code, body = run_json(capsys, "hilbert", str(path), "--cap", "24")
+    assert code == EXIT_OK
+    assert body["hilbert"]["dimensions"][:5] == [1, 0, 5, 0, 14]
+
+
 def test_user_scenario_parse_error_position(tmp_path, capsys):
     path = tmp_path / "broken.pres"
     path.write_text("prime 3\ncap 8\ngen x 1\nrel x + ?\n")

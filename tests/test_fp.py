@@ -2,6 +2,7 @@
 
 import pytest
 
+from coniveau import certificates as C
 from coniveau.fp import (
     MAX_PRIME,
     AlgebraMorphism,
@@ -17,7 +18,12 @@ from coniveau.fp import (
     tensor,
 )
 
-from helpers import element_vector, oracle_ideal_dimension, oracle_in_span
+from helpers import (
+    element_vector,
+    oracle_ideal_dimension,
+    oracle_in_span,
+    oracle_monomials,
+)
 
 
 def exterior(p, n, cap=10):
@@ -232,6 +238,82 @@ def test_hilbert_tensor_convolution():
 def test_hilbert_cap_guard():
     with pytest.raises(DegreeCapError):
         exterior(2, 2, cap=4).hilbert_series(9)
+
+
+# -- the monomial table ------------------------------------------------------------
+
+
+def assert_monomials_match_oracle(pres, degrees):
+    gen_degrees = [g.degree for g in pres.generators]
+    odd = [pres.prime != 2 and g.degree % 2 == 1 for g in pres.generators]
+    for d in degrees:
+        assert list(pres.monomials(d)) == oracle_monomials(gen_degrees, odd, d), d
+
+
+def mixed_p3(cap=14):
+    # exterior generators between polynomial ones, of degrees 1 and 3
+    names = (("y1", 2), ("x1", 1), ("y2", 4), ("x2", 3), ("x3", 1), ("y3", 2))
+    return GradedPresentation(3, [Generator(n, d) for n, d in names], cap)
+
+
+@pytest.mark.parametrize("key", sorted(C.builtin_scenarios()))
+def test_monomials_match_oracle_on_builtins(key):
+    scenario = C.builtin_scenarios()[key]()
+    for pres in (getattr(scenario, "presentation", None), getattr(scenario, "stable_pres", None)):
+        if pres is not None:
+            assert_monomials_match_oracle(pres, range(pres.degree_cap + 1))
+
+
+def test_monomials_match_oracle_with_exterior_generators():
+    P = mixed_p3()
+    assert_monomials_match_oracle(P, range(P.degree_cap + 1))
+    assert P.monomials(1) == ((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0))
+
+
+def test_monomials_of_many_generators():
+    # the table builds each degree from lower ones without recursing over the
+    # generator list, so a long list stays within the interpreter's stack
+    n = 1200
+    P = GradedPresentation(2, [Generator(f"g{i}", 1) for i in range(n)], 1)
+    assert P.monomials(1) == tuple(tuple(int(i == k) for i in range(n)) for k in range(n))
+    assert P.hilbert_series() == [1, n]
+
+
+@pytest.mark.parametrize("first", ["quotient", "free"])
+def test_monomial_table_shared_by_quotient_and_free_twin(first):
+    P = mixed_p3()
+    y1, x1, y2, x2, x3, y3 = P.gens()
+    rels = [y1 * y3 - y2, y1 * x1 * x3 + x2 * x3]
+    Q = P.quotient(rels)
+    filler, other = (Q, Q.free) if first == "quotient" else (Q.free, Q)
+    # fill the shared table from the top degree down through one presentation,
+    # then query the other from the bottom up
+    for d in range(P.degree_cap, -1, -1):
+        filler.monomials(d)
+    assert_monomials_match_oracle(other, range(P.degree_cap + 1))
+    assert all(Q.monomials(d) is Q.free.monomials(d) for d in range(P.degree_cap + 1))
+    # the eliminations on the filled table agree with a fresh presentation's
+    assert Q.hilbert_series() == mixed_p3().quotient(rels).hilbert_series()
+
+
+def test_mul_without_exterior_generators_adds_exponents():
+    P = GradedPresentation(3, [Generator("a", 2), Generator("b", 4), Generator("c", 2)], 16)
+    degrees, odd = [2, 4, 2], [False] * 3
+    for d1, d2 in ((0, 4), (2, 6), (4, 4), (6, 8)):
+        left, right = oracle_monomials(degrees, odd, d1), oracle_monomials(degrees, odd, d2)
+        for m1 in left:
+            for m2 in right:
+                prod = P.monomial(m1, 2) * P.monomial(m2, 2)
+                assert prod.terms == {tuple(a + b for a, b in zip(m1, m2)): 1}
+        # sums: the product is the convolution over exponent addition, mod 3
+        e1 = {m: i % 2 + 1 for i, m in enumerate(left)}
+        e2 = {m: i % 3 for i, m in enumerate(right)}
+        want: dict = {}
+        for m1, c1 in e1.items():
+            for m2, c2 in e2.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                want[m] = (want.get(m, 0) + c1 * c2) % 3
+        assert (P.element(e1) * P.element(e2)).terms == {m: c for m, c in want.items() if c}
 
 
 # -- morphisms -------------------------------------------------------------------------
