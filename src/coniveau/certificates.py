@@ -149,6 +149,7 @@ class Scenario:
     default_target: tuple[str, tuple[int, ...] | None] = ("", None)
     max_search_index: int = 3
     restriction: tuple | None = None  # (target Scenario, AlgebraMorphism, note)
+    canonical_text: str = ""  # a presentation file's rendered text, hashed as is
 
     def resolve(self, text: str) -> Element:
         """An element of the detection ring from a name or expression."""
@@ -173,11 +174,16 @@ class Scenario:
         )
 
     def content_hash(self) -> str:
-        text = render_presentation(
-            self.presentation,
-            chern={k: v for k, v in sorted(self.chern_flags.items())},
-        )
-        text += f"kind {self.kind}\nprime {self.prime}\nmax_index {self.max_search_index}\n"
+        """Provenance hash: a presentation file's canonical text, which holds
+        every line the parser read; for a built-in, its ring, Chern flags and
+        family fields."""
+        text = self.canonical_text
+        if not text:
+            text = render_presentation(
+                self.presentation,
+                chern={k: v for k, v in sorted(self.chern_flags.items())},
+            )
+            text += f"kind {self.kind}\nprime {self.prime}\nmax_index {self.max_search_index}\n"
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     # -- the scenario protocol: the views the CLI and the report ask for ------
@@ -313,7 +319,6 @@ def _chern_products(scenario: Scenario, max_degree: int) -> dict[int, list[Eleme
 def chern_survival(scenario: Scenario, e: Element) -> bool:
     """True when e is NOT in the mod-p image of the integral Chern ideal
     (the span of flagged products times Bockstein-kernel classes)."""
-    e = e.normal_form()
     if e.is_zero():
         return False
     d = e.degree()
@@ -585,14 +590,14 @@ def stable_quotient(scenario: Scenario) -> StableQuotient:
 # -- ring builders for the central-extension scenarios ---------------------------
 
 
-def extraspecial_cover(n: int, p: int, cap: int) -> GradedPresentation:
-    """Polynomial cover Z/p[y_1..y_2n] (x) Lambda(x_1..x_2n) (p odd) or
-    F_2[x_1..x_2n] (p = 2) of the central-extension cohomology."""
+def _elementary_pres(p: int, n: int, cap: int) -> GradedPresentation:
+    """The rank-n elementary abelian ring Z/p[y_1..y_n] (x) Lambda(x_1..x_n)
+    (p odd) or F_2[x_1..x_n] (p = 2); at rank 2n it is the polynomial cover
+    of the central-extension cohomology."""
     if p == 2:
-        gens = [Generator(f"x{i}", 1) for i in range(1, 2 * n + 1)]
-    else:
-        gens = [Generator(f"y{i}", 2) for i in range(1, 2 * n + 1)]
-        gens += [Generator(f"x{i}", 1) for i in range(1, 2 * n + 1)]
+        return GradedPresentation(2, [Generator(f"x{i}", 1) for i in range(1, n + 1)], cap)
+    gens = [Generator(f"y{i}", 2) for i in range(1, n + 1)]
+    gens += [Generator(f"x{i}", 1) for i in range(1, n + 1)]
     return GradedPresentation(p, gens, cap)
 
 
@@ -626,12 +631,11 @@ def extraspecial_e4(n: int, p: int, cap: int | None = None):
     if p == 2:
         raise ScenarioError("the stable-page builder expects an odd prime")
     cap = cap if cap is not None else (12 if n <= 2 else 6)
-    cover = extraspecial_cover(n, p, max(cap, 8))
+    cover = _elementary_pres(p, 2 * n, max(cap, 8))
     action = _abelian_q_action(cover, 2)
     f = symplectic_form(cover, n)
     q0f = action.apply(0, f)
-    base = GradedPresentation(p, cover.generators, cap)
-    page = base.quotient([fp.Element(base, dict(t.terms)) for t in (f, q0f)])
+    page = GradedPresentation(p, cover.generators, cap).quotient([f, q0f])
     return page, {"d2": f, "d3": q0f}
 
 
@@ -642,15 +646,11 @@ def quillen_d_ring(n: int, cap: int | None = None):
     gens = [Generator(f"x{i}", 1) for i in range(1, 2 * n + 1)]
     gens.append(Generator(f"w{2 ** n}", 2**n))
     base = GradedPresentation(2, gens, cap)
-    cover = extraspecial_cover(n, 2, cap)
+    cover = _elementary_pres(2, 2 * n, cap)
     action = _abelian_q_action(cover, max(n - 2, 0))
     f = symplectic_form(cover, n)
     rels = [f] + [action.apply(i, f) for i in range(0, n - 1)]
-    carried = []
-    for r in rels:
-        terms = {m + (0,): c for m, c in r.terms.items()}
-        carried.append(fp.Element(base.free, terms))
-    page = base.quotient(carried)
+    page = base.quotient([base.element({m + (0,): c for m, c in r.terms.items()}) for r in rels])
     degrees = sorted({2**n} | {2**n - 2**i for i in range(n)}, reverse=True)
     return page, {"sw_degrees": degrees}
 
@@ -663,7 +663,7 @@ def symplectic_comparison(p: int = 3, cap: int = 40):
     The kernel data is declared scenario input; the regular-sequence check
     (``comparison_regular_pair``) supports it degreewise.
     """
-    cover = extraspecial_cover(2, p, cap)
+    cover = _elementary_pres(p, 4, cap)
     action = _abelian_q_action(cover, 2)
     f = symplectic_form(cover, 2)
     q0f = action.apply(0, f)
@@ -685,7 +685,7 @@ def comparison_regular_pair(p: int = 3, cap: int = 40):
             if any(m[4:]):
                 raise ScenarioError("comparison generators must be x-free")
             terms[m[:4]] = c
-        moved.append(fp.Element(ypres, terms))
+        moved.append(ypres.element(terms))
     report = fp.regular_sequence_check(ypres, moved, cap)
     return report, ypres.quotient(moved), moved
 
@@ -860,14 +860,6 @@ def elementary_abelian(p: int, n: int, cap: int = 40) -> Scenario:
     )
 
 
-def _elementary_pres(p: int, n: int, cap: int) -> GradedPresentation:
-    if p == 2:
-        return GradedPresentation(2, [Generator(f"x{i}", 1) for i in range(1, n + 1)], cap)
-    gens = [Generator(f"y{i}", 2) for i in range(1, n + 1)]
-    gens += [Generator(f"x{i}", 1) for i in range(1, n + 1)]
-    return GradedPresentation(p, gens, cap)
-
-
 def _elementary_stable(p: int, n: int) -> GradedPresentation:
     cap = max(n, 1)
     if p == 2:
@@ -985,8 +977,9 @@ def simply_connected(p: int) -> Scenario:
     )
 
 
-def _pair_maps(cover: GradedPresentation, n: int, p: int, i: int, j: int):
+def _pair_maps(cover: GradedPresentation, n: int, i: int, j: int):
     """Declared nonvanishing maps for the candidate Q_0(x_i x_j)."""
+    p = cover.prime
     sym_pairs = {(2 * k - 1, 2 * k) for k in range(1, n + 1)}
     if (i, j) not in sym_pairs:
         # commuting pair: restrict to the rank-2 elementary abelian subgroup
@@ -1023,25 +1016,35 @@ def _pair_maps(cover: GradedPresentation, n: int, p: int, i: int, j: int):
     )
 
 
+def _pair_candidates(cover: GradedPresentation, action: QAction, n: int) -> tuple:
+    """Q_0(x_i x_j) for i < j, except the symplectic pair (1, 2), each with
+    its declared nonvanishing maps."""
+    return tuple(
+        DhCandidate(
+            f"Q0(x{i}*x{j})",
+            action.apply(0, cover.gen(f"x{i}") * cover.gen(f"x{j}")),
+            maps=_pair_maps(cover, n, i, j),
+        )
+        for i, j in combinations(range(1, 2 * n + 1), 2)
+        if (i, j) != (1, 2)
+    )
+
+
 @lru_cache(maxsize=None)
 def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
     fp.check_prime(p)
     if p == 2:
         raise ScenarioError("use the dihedral-type builder at p = 2")
+    if 2 * p**2 + 2 > cap:
+        raise ScenarioError(
+            f"extraspecial-e takes no --p {p}: the cover's degree cap is {cap}, and Q_2 "
+            f"on the degree-3 candidates needs degree 2p^2+2 = {2 * p**2 + 2}"
+        )
     if n < 2:
         raise ScenarioError("n must be >= 2 (the rank-1 case has no degree-3 table)")
-    cover = extraspecial_cover(n, p, cap)
+    cover = _elementary_pres(p, 2 * n, cap)
     action = _abelian_q_action(cover, 2)
     page, _ = extraspecial_e4(n, p)
-    candidates = []
-    for i in range(1, 2 * n + 1):
-        for j in range(i + 1, 2 * n + 1):
-            if (i, j) == (1, 2):
-                continue
-            elem = action.apply(0, cover.gen(f"x{i}") * cover.gen(f"x{j}"))
-            candidates.append(
-                DhCandidate(f"Q0(x{i}*x{j})", elem, maps=_pair_maps(cover, n, p, i, j))
-            )
     stable = _lambda_mod_f(n, p)
     return Scenario(
         name=f"extraspecial-e(n={n},p={p})",
@@ -1057,7 +1060,7 @@ def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
         stable_top=2 * n,
         stable_note="exterior classes modulo the symplectic form",
         declared_n1={},
-        dh_candidates=tuple(candidates),
+        dh_candidates=_pair_candidates(cover, action, n),
         default_target=("Q0(x1*x3)", (1,)),
         max_search_index=2,
     )
@@ -1079,18 +1082,9 @@ def extraspecial_d(n: int, cap: int | None = None) -> Scenario:
     if n < 1:
         raise ScenarioError("n must be >= 1")
     cap = cap if cap is not None else (12 if n <= 2 else 8)
-    cover = extraspecial_cover(n, 2, cap)
+    cover = _elementary_pres(2, 2 * n, cap)
     action = _abelian_q_action(cover, max(1, min(2, n)))
     page, _ = quillen_d_ring(n, cap)
-    candidates = []
-    for i in range(1, 2 * n + 1):
-        for j in range(i + 1, 2 * n + 1):
-            if (i, j) == (1, 2):
-                continue
-            elem = action.apply(0, cover.gen(f"x{i}") * cover.gen(f"x{j}"))
-            candidates.append(
-                DhCandidate(f"Q0(x{i}*x{j})", elem, maps=_pair_maps(cover, n, 2, i, j))
-            )
     return Scenario(
         name=f"extraspecial-d(n={n})",
         kind="extraspecial-d",
@@ -1104,7 +1098,7 @@ def extraspecial_d(n: int, cap: int | None = None) -> Scenario:
         stable_pres=_lambda_mod_f(n, 2),
         stable_top=2 * n,
         stable_note="exterior classes modulo the symplectic form",
-        dh_candidates=tuple(candidates),
+        dh_candidates=_pair_candidates(cover, action, n),
         default_target=("Q0(x1*x3)", (1,)),
         max_search_index=min(2, max(1, n)),
     )

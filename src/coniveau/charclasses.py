@@ -68,7 +68,7 @@ class SplitRing:
                 for k in subset:
                     exps[k] = 1
                 terms[tuple(exps)] = 1
-            self._e_cache[i] = Element(self.t_pres, terms)
+            self._e_cache[i] = self.t_pres.element(terms)
         return self._e_cache[i]
 
     def _e_power(self, i: int, k: int) -> Element:
@@ -148,7 +148,7 @@ class SplitRing:
                     terms.pop(key, None)
         if terms and max(sum(m) for m in terms) > self.cap:
             raise DegreeCapError(f"splitting computation exceeds cap {self.cap}")
-        return Element(self.t_pres, terms)
+        return self.t_pres.element(terms)
 
     # -- the operations -------------------------------------------------------
 
@@ -170,7 +170,7 @@ class SplitRing:
                 out.symmetric_difference_update(
                     tuple(a + b for a, b in zip(rest, v)) for v in self._q_on_gen(j, k + 1)
                 )
-        return Element(self.w_pres, dict.fromkeys(out, 1))
+        return self.w_pres.element(dict.fromkeys(out, 1))
 
     def _q_on_gen(self, j: int, k: int) -> frozenset:
         """Q_j(w_k) = sum_(i<k) p_(2^(j+1)+i) w_(k-1-i)."""
@@ -218,7 +218,7 @@ class SplitRing:
 
 
 def _drop_w1(e: Element) -> Element:
-    return Element(e.pres, {m: c for m, c in e.terms.items() if m[0] == 0})
+    return e.pres.element({m: c for m, c in e.terms.items() if m[0] == 0})
 
 
 def _subsets(n: int, k: int):
@@ -308,4 +308,4 @@ def g2_q_action(cap: int = 40, max_index: int = 2) -> tuple[GradedPresentation, 
 
 def _kill(e: Element, names: tuple[str, ...]) -> Element:
     idx = [k for k, g in enumerate(e.pres.generators) if g.name in names]
-    return Element(e.pres, {m: c for m, c in e.terms.items() if all(m[k] == 0 for k in idx)})
+    return e.pres.element({m: c for m, c in e.terms.items() if all(m[k] == 0 for k in idx)})

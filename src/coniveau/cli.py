@@ -18,7 +18,7 @@ from . import certificates as certs
 from . import motivic
 from .fp import FpAlgebraError
 from .milnor import QAction, validate_q_axioms
-from .parser import ParseError, parse_presentation
+from .parser import ParseError, parse_presentation, render_presentation
 
 SCHEMA_VERSION = 1
 
@@ -87,6 +87,7 @@ def _load_user_scenario(path: str) -> certs.Scenario:
         stable_top=stable_top,
         stable_note="quotient by the declared coniveau classes",
         max_search_index=max(data.max_q_index, 0),
+        canonical_text=render_presentation(pres, data.q_table, data.aliases, data.chern, data.n1),
     )
 
 

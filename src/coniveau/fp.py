@@ -8,6 +8,11 @@ degreewise by row-reducing all (monomial x relation) products, and normal
 forms are projections onto the non-pivot monomials.  No Groebner machinery:
 the degree cap makes the per-degree linear algebra complete and canonical.
 
+Every ``Element`` is a normal form: only its constructors (``element``,
+``monomial``, ``gen``, ``one`` and products) reduce, all through
+``_reduce_terms``, and the raw ``Element(...)`` constructor is used in this
+module only.  So an element is zero exactly when it has no terms.
+
 Monomials are exponent tuples aligned with the generator list.  The
 monomial order is graded lexicographic: within one degree, tuples compare
 lexicographically with earlier generators more significant, and bases are
@@ -193,7 +198,7 @@ class GradedPresentation:
         return Element(self, {})
 
     def one(self) -> "Element":
-        return self._unit_monomial((0,) * len(self.generators))
+        return self.monomial((0,) * len(self.generators))
 
     def gen(self, name: str) -> "Element":
         i = self._index.get(name)
@@ -201,38 +206,29 @@ class GradedPresentation:
             raise KeyError(f"unknown generator {name!r}")
         exps = [0] * len(self.generators)
         exps[i] = 1
-        return self._unit_monomial(tuple(exps))
-
-    def _unit_monomial(self, exps: tuple) -> "Element":
-        # a relation can kill the monomial; without relations it is normal
-        e = Element(self, {exps: 1})
-        return e.normal_form() if self._relation_terms else e
+        return self.monomial(exps)
 
     def gens(self) -> tuple["Element", ...]:
         return tuple(self.gen(g.name) for g in self.generators)
 
     def monomial(self, exps, coeff: int = 1) -> "Element":
-        exps = tuple(exps)
-        if len(exps) != len(self.generators):
-            raise ValueError("exponent tuple length mismatch")
-        for e, odd in zip(exps, self._odd):
-            if e < 0 or (odd and e > 1):
-                raise ValueError(f"invalid exponents {exps}")
-        return Element(self, {exps: coeff % self.prime}).normal_form()
+        return self.element({tuple(exps): coeff})
 
     def element(self, terms: dict) -> "Element":
-        """Inject a raw {exponent tuple: coefficient} map (normal form taken)."""
-        return Element(self, {tuple(m): c for m, c in terms.items()}).normal_form()
-
-    def from_element(self, e: "Element") -> "Element":
-        """Transplant an element from a presentation with the same generator
-        names and degrees (e.g. the free twin); normal form taken here."""
-        if len(e.pres.generators) != len(self.generators) or any(
-            a.name != b.name or a.degree != b.degree
-            for a, b in zip(e.pres.generators, self.generators)
-        ):
-            raise PresentationMismatchError("generator lists differ")
-        return self.element(e.terms)
+        """The normal form of a raw {exponent tuple: coefficient} map.
+        Refuses malformed exponent tuples and degrees above the cap."""
+        n = len(self.generators)
+        raw = {}
+        for m, c in terms.items():
+            m = tuple(m)
+            if len(m) != n:
+                raise ValueError("exponent tuple length mismatch")
+            if min(m, default=0) < 0 or (
+                self._exterior and any(e > 1 for e, odd in zip(m, self._odd) if odd)
+            ):
+                raise ValueError(f"invalid exponents {m}")
+            raw[m] = c
+        return Element(self, self._reduce_terms(raw))
 
     # -- monomial bookkeeping ----------------------------------------------
 
@@ -356,7 +352,9 @@ class GradedPresentation:
         return degree >= self._lowest_relation
 
     def _reduce_terms(self, terms: dict) -> dict:
-        """Normal form of a raw term map (split per degree, reduce each)."""
+        """Normal form of a raw term map (split per degree, reduce each):
+        coefficients in [1, p), every degree within the cap, no term on a
+        pivot monomial.  The one reduction entry of ``Element``."""
         by_degree: dict[int, dict] = {}
         for m, c in terms.items():
             c %= self.prime
@@ -467,15 +465,20 @@ class _DegreeData:
 class Element:
     """An F_p-linear combination of normal-form monomials of one presentation.
 
-    Public constructors (``pres.gen``, ``pres.element``, arithmetic) always
-    return normal forms, so equality of term maps is equality in the quotient.
+    Invariant: ``terms`` is a normal form, with coefficients in [1, p) and
+    no term on a pivot monomial of its degree.  The presentation's
+    constructors (``gen``, ``one``, ``monomial``, ``element``) and products
+    reduce; sums, negatives and scalar multiples keep normal forms normal.
+    So ``is_zero`` reads the terms, and equality of term maps is equality in
+    the quotient.  The raw constructor takes ownership of a term map that
+    is already normal and is called inside this module only.
     """
 
     __slots__ = ("pres", "terms", "_hash")
 
     def __init__(self, pres: GradedPresentation, terms: dict):
         self.pres = pres
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c % pres.prime})
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -486,10 +489,7 @@ class Element:
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.normal_form().terms
-
-    def normal_form(self) -> "Element":
-        return Element(self.pres, self.pres._reduce_terms(self.terms))
+        return not self.terms
 
     def is_homogeneous(self) -> bool:
         degs = {self.pres.monomial_degree(m) for m in self.terms}
@@ -546,8 +546,11 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = other % self.pres.prime
-            return Element(self.pres, {m: (v * c) % self.pres.prime for m, v in self.terms.items()})
+            p = self.pres.prime
+            c = other % p
+            if not c:
+                return self.pres.zero()
+            return Element(self.pres, {m: (v * c) % p for m, v in self.terms.items()})
         self._check_same(other)
         p = self.pres.prime
         terms: dict = {}
@@ -633,12 +636,10 @@ def span_rows(elements, degree: int):
 def in_span(e: Element, spanning) -> bool:
     """Is ``e`` an F_p combination of the given homogeneous elements
     (all of the same degree, same presentation)?"""
-    e = e.normal_form()
     if e.is_zero():
         return True
     d = e.degree()
-    spanning = [s.normal_form() for s in spanning if not s.is_zero()]
-    spanning = [s for s in spanning if s.degree() == d]
+    spanning = [s for s in spanning if not s.is_zero() and s.degree() == d]
     if not spanning:
         return False
     mat, data = span_rows(spanning, d)
@@ -738,21 +739,3 @@ class AlgebraMorphism:
         if e.pres is not self.source and e.pres is not self.source.free:
             raise PresentationMismatchError("element not in the morphism's source")
         return self._apply_terms(e.terms)
-
-
-def tensor(a: GradedPresentation, b: GradedPresentation, degree_cap: int | None = None) -> GradedPresentation:
-    """Tensor product presentation (disjoint generator names required)."""
-    if a.prime != b.prime:
-        raise ValueError("primes differ")
-    if {g.name for g in a.generators} & {g.name for g in b.generators}:
-        raise ValueError("generator names collide")
-    cap = min(a.degree_cap, b.degree_cap) if degree_cap is None else degree_cap
-    gens = a.generators + b.generators
-    pres = GradedPresentation(a.prime, gens, cap)
-    na, nb = len(a.generators), len(b.generators)
-    rels = []
-    for t in a._relation_terms:
-        rels.append(Element(pres.free, {m + (0,) * nb: c for m, c in t.items()}))
-    for t in b._relation_terms:
-        rels.append(Element(pres.free, {(0,) * na + m: c for m, c in t.items()}))
-    return pres.quotient(rels)

@@ -86,7 +86,7 @@ class _ExprParser:
         if self.i != len(self.tokens):
             tok, col = self.tokens[self.i]
             raise ParseError(f"unexpected token {tok!r}", self.line, col)
-        return e.normal_form()
+        return e
 
     def _expr(self) -> Element:
         sign = 1

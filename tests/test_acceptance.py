@@ -184,7 +184,7 @@ def test_criterion_9_property_suites_and_full_report(tmp_path, capsys):
         props.test_leibniz_rule,
         props.test_anticommutation,
         props.test_nilpotence,
-        props.test_normal_form_idempotent_and_zero_consistency,
+        props.test_normal_form_against_macaulay_oracle,
         props.test_graded_commutativity,
     ):
         fn()

@@ -2,10 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from coniveau.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -140,6 +146,21 @@ def test_dh_table_pgl_honours_cap(capsys):
     assert [r["degree"] for r in body["dh_table"]["rows"]] == [3]
 
 
+def test_extraspecial_e_refuses_other_primes(capsys, monkeypatch):
+    # Q_2 on the degree-3 candidates lands in degree 2p^2+2 = 52 at p = 5,
+    # above the cover's cap 24: refused before any ring is built
+    from coniveau import certificates
+
+    def no_build(*args):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(certificates, "_elementary_pres", no_build)
+    code, body = run_json(capsys, "verify", "extraspecial-e", "--n", "2", "--p", "5")
+    assert code == EXIT_USAGE
+    assert "--p 5" in body["error"] and "24" in body["error"] and "52" in body["error"]
+    assert "certificate" not in body
+
+
 def test_family_refuses_foreign_parameter(capsys):
     code, body = run_json(capsys, "hilbert", "g2", "--p", "7")
     assert code == EXIT_USAGE
@@ -246,6 +267,26 @@ def test_user_scenario_refuses_family_parameters(tmp_path, capsys):
     assert "--n" in body["error"] and "certificate" not in body
 
 
+def test_user_scenario_hash_covers_every_line(tmp_path, capsys):
+    # the Q table, aliases and n1 declarations all reach the provenance hash
+    variants = {
+        "base": USER_SCENARIO,
+        "q-coefficient": USER_SCENARIO.replace("Q 1 x1 = y1^3", "Q 1 x1 = 2*y1^3"),
+        "alias": USER_SCENARIO + "alias gamma = x1\n",
+        "n1": USER_SCENARIO + "n1 delta = y1\n",
+    }
+    hashes = {}
+    for name, text in variants.items():
+        path = tmp_path / f"{name}.pres"
+        path.write_text(text)
+        code, body = run_json(capsys, "hilbert", str(path), "--cap", "4")
+        assert code == EXIT_OK
+        hashes[name] = body["scenario"]["hash"]
+    assert len(set(hashes.values())) == len(variants), hashes
+    code, body = run_json(capsys, "hilbert", str(tmp_path / "base.pres"), "--cap", "4")
+    assert body["scenario"]["hash"] == hashes["base"]
+
+
 # five degree-2 generators over F_3, relations in degrees 4..12: the degree-26
 # relation matrix would have 2380 columns x 3906 rows = 9,296,280 cells
 OVER_BUDGET = """\
@@ -316,6 +357,18 @@ def test_report_all_golden_hash(capsys):
     code, out = run(capsys, "report", "--all")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORT_SHA256
+
+
+def test_report_all_golden_hash_under_optimize():
+    # `python -O` strips asserts; no correctness check may live in one
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "coniveau.cli", "report", "--all"],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_REPORT_SHA256
 
 
 # `rost --n k` stdout for parameters above the report's n = 2, 3, 4

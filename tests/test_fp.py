@@ -7,7 +7,6 @@ from coniveau.fp import (
     MAX_PRIME,
     AlgebraMorphism,
     DegreeCapError,
-    Element,
     Generator,
     GradedPresentation,
     MorphismError,
@@ -15,7 +14,6 @@ from coniveau.fp import (
     PresentationMismatchError,
     check_prime,
     regular_sequence_check,
-    tensor,
 )
 
 from helpers import (
@@ -160,8 +158,11 @@ def test_normal_form_idempotent_linear():
     Q = lambda_mod_f()
     x1, x2, x3, x4 = Q.gens()
     e = x1 * x2 + 2 * x1 * x3
-    assert e.normal_form() == e
-    assert (x1 * x2 + x1 * x3).normal_form() == (x1 * x2).normal_form() + (x1 * x3).normal_form()
+    assert Q.element(e.terms) == e
+    # reduction is linear; x1*x2 = -x3*x4 in Q, so their raw sum reduces to 0
+    a, b, c = {(1, 1, 0, 0): 1}, {(0, 0, 1, 1): 1}, {(1, 0, 1, 0): 2}
+    assert Q.element({**a, **b}) == Q.element(a) + Q.element(b) == Q.zero()
+    assert Q.element({**a, **c}) == Q.element(a) + Q.element(c)
 
 
 def test_is_zero():
@@ -229,7 +230,7 @@ def test_hilbert_free_matches_closed_form():
 def test_hilbert_tensor_convolution():
     A = exterior(3, 2, cap=8)
     B = GradedPresentation(3, [Generator("u1", 2), Generator("u2", 2)], 8)
-    T = tensor(A, B)
+    T = GradedPresentation(3, A.generators + B.generators, 8)  # both free
     sa, sb, st = A.hilbert_series(8), B.hilbert_series(8), T.hilbert_series(8)
     for d in range(9):
         assert st[d] == sum(sa[i] * sb[d - i] for i in range(d + 1))
@@ -381,8 +382,8 @@ def test_in_ideal():
     P = GradedPresentation(3, [Generator("y1", 2), Generator("y2", 2), Generator("x1", 1), Generator("x2", 1)], 10)
     y1, y2, x1, x2 = P.gens()
     Q = P.quotient([y1, y2])  # e lies in ideal(y1, y2) iff it dies in the quotient
-    assert Q.from_element(y1 * x2).is_zero()
-    assert not Q.from_element(x1 * x2).is_zero()
+    assert Q.element((y1 * x2).terms).is_zero()
+    assert not Q.element((x1 * x2).terms).is_zero()
 
 
 def test_regular_sequence_repeated_element():
@@ -439,3 +440,14 @@ def test_str_canonical():
     assert str(P.zero()) == "0"
     assert str(P.one() * 2) == "2"
     assert str(2 * P.gen("x1") * P.gen("x2")) == "2*x1*x2"
+
+
+def test_element_refuses_malformed_exponents():
+    # element() is the one raw entry, so it refuses what monomial() refuses:
+    # an exterior square, a negative exponent, a wrong tuple length
+    P = exterior(3, 2)
+    for bad in ((2, 0), (-1, 1), (1,)):
+        with pytest.raises(ValueError):
+            P.element({bad: 1})
+    with pytest.raises(DegreeCapError):
+        GradedPresentation(2, [Generator("x", 1)], 4).element({(5,): 1})

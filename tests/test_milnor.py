@@ -1,12 +1,11 @@
-"""Operation tables: Leibniz extension, axioms, equivariance."""
+"""Operation tables: Leibniz extension and axioms."""
 
 import pytest
 
-from coniveau.fp import AlgebraMorphism, DegreeCapError, Generator, GradedPresentation
+from coniveau.fp import DegreeCapError, Generator, GradedPresentation
 from coniveau.milnor import (
     QAction,
     QActionError,
-    check_equivariance,
     op_degree,
     validate_q_axioms,
 )
@@ -149,16 +148,3 @@ def test_skipped_counted():
     report = validate_q_axioms(act, cap=8)  # Q_1 Q_1 lands in degree 11 > 8
     assert report.skipped > 0
 
-
-def test_equivariance_diagonal():
-    src = abelian_ring(3, 2)
-    tgt = abelian_ring(3, 1)
-    images = {
-        "x1": tgt.gen("x1"),
-        "x2": tgt.gen("x1"),
-        "y1": tgt.gen("y1"),
-        "y2": tgt.gen("y1"),
-    }
-    diag = AlgebraMorphism(src, tgt, images)
-    report = check_equivariance(diag, abelian_action(src), abelian_action(tgt), (0, 1))
-    assert report.ok and report.checked > 0

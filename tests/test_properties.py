@@ -10,6 +10,8 @@ import pytest
 
 from coniveau import certificates as C
 
+from helpers import element_vector, oracle_in_span, oracle_rref
+
 SEED = 0x5EED
 
 
@@ -119,28 +121,50 @@ def quotient_pool():
     return rings
 
 
-def test_normal_form_idempotent_and_zero_consistency():
+def macaulay_echelon(pres, degree):
+    """Oracle echelon form of the degree's Macaulay rows: every cofactor
+    monomial times every relation, multiplied in the free presentation."""
+    rows = []
+    for r in pres.relations:
+        if r.degree() <= degree:
+            for cof in pres.monomials(degree - r.degree()):
+                rows.append(element_vector(pres.free.monomial(cof) * r, degree))
+    return oracle_rref(rows, pres.prime)
+
+
+def test_normal_form_against_macaulay_oracle():
+    # pres.element(raw) differs from raw by a combination of Macaulay rows and
+    # has no term on an oracle pivot column: it is the normal form
     rng = random.Random(SEED + 3)
     rings = quotient_pool()
+    echelon = {}
     checks = 0
     while checks < 1000:
         for pres in rings:
+            p = pres.prime
             d = rng.randint(1, min(8, pres.degree_cap))
             monos = pres.monomials(d)
             if not monos:
                 continue
             raw = {}
             for _ in range(rng.randint(1, 4)):
-                raw[monos[rng.randrange(len(monos))]] = rng.randint(1, pres.prime - 1)
+                # any integer coefficient, multiples of p included
+                raw[monos[rng.randrange(len(monos))]] = rng.randint(-2 * p, 2 * p)
             e = pres.element(raw)
-            assert e.normal_form() == e
-            assert e.is_zero() == (not e.terms)
-            other = pres.element(
-                {monos[rng.randrange(len(monos))]: rng.randint(1, pres.prime - 1)}
-            )
-            assert (e + other).normal_form() == e.normal_form() + other.normal_form()
+            if (id(pres), d) not in echelon:
+                echelon[id(pres), d] = macaulay_echelon(pres, d)
+            rows, pivots = echelon[id(pres), d]
+            index = {m: i for i, m in enumerate(monos)}
+            diff = [0] * len(monos)
+            for m, c in raw.items():
+                diff[index[m]] += c
+            for m, c in e.terms.items():
+                assert 0 < c < p, (str(pres), raw, str(e))
+                assert index[m] not in pivots, (str(pres), raw, str(e))
+                diff[index[m]] -= c
+            assert oracle_in_span(diff, rows, p), (str(pres), raw, str(e))
             checks += 1
-    print(f"normal-form idempotence: {checks} checks")
+    print(f"normal forms against the Macaulay oracle: {checks} checks")
     assert checks >= 1000
 
 
