@@ -2,7 +2,10 @@
 
 The only primitive is reduced row echelon form, whose pivot count is the
 rank; vector reduction and nullspace extraction are thin wrappers around it.
-Matrices are int64 numpy arrays with entries in [0, p).
+Matrices are int64 numpy arrays with entries in [0, p).  They appear only at
+this boundary: ``fp`` packs each block of a Macaulay matrix, or the span
+matrix of ``in_span`` and ``q0_kernel_basis``, into one for the call and
+keeps no array; its cached reducers and normal forms are dicts.
 
 The matrices reduced here are per-degree relation ("Macaulay") matrices with
 well under 1% nonzeros, so ``rref`` works on sparse rows, in the manner of

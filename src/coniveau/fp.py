@@ -8,6 +8,14 @@ degreewise by row-reducing all (monomial x relation) products, and normal
 forms are projections onto the non-pivot monomials.  No Groebner machinery:
 the degree cap makes the per-degree linear algebra complete and canonical.
 
+A degree's relation ("Macaulay") matrix is block diagonal up to the order of
+its rows and columns.  Each connected block (rows joined by a shared column)
+is eliminated alone, as in the sparse Macaulay solvers of Faugere & Lachartre
+(PASCO 2010), so no dense array is larger than its block; the pivots are the
+union of the blocks' pivots.  What stays cached per degree is a sparse
+reducer, {pivot monomial: its reduced row on the basis monomials}, and a
+normal form is one substitution pass over it in dict arithmetic.
+
 Every ``Element`` is a normal form: only its constructors (``element``,
 ``monomial``, ``gen``, ``one`` and products) reduce, all through
 ``_reduce_terms``, and the raw ``Element(...)`` constructor is used in this
@@ -74,7 +82,9 @@ MAX_PRIME = 1048573
 # before ``_build_degree`` refuses it.  The largest built-in matrix is the
 # regular pair's at degree 44 (4,105,500 cells); at degree 48 it has 7,169,175.
 # A p = 3 file with five degree-2 generators and relations of degrees 4..12
-# reaches 9,296,280 cells at degree 26 and is refused there.
+# reaches 9,296,280 cells at degree 26 and is refused there.  The same number
+# bounds the exponent entries (monomials x generators) of one degree's monomial
+# list, which a relation-free file with many generators would otherwise fill.
 MAX_MACAULAY_CELLS = 8_000_000
 
 
@@ -140,6 +150,7 @@ class GradedPresentation:
         self._degrees = tuple(g.degree for g in gens)
         self._odd = tuple(g.resolved_parity(prime) == "odd" for g in gens)
         self._exterior = any(self._odd)
+        self._odd_slots = tuple(i for i in reversed(range(len(gens))) if self._odd[i])
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._table = _table or _MonomialTable(self._degrees, self._odd)
         self._relation_terms = tuple(_relations or ())
@@ -155,6 +166,9 @@ class GradedPresentation:
                 raise DegreeCapError("relation degree exceeds the cap")
             rel_degrees.append(d)
         self._relation_degrees = tuple(rel_degrees)
+        self._relation_exterior = tuple(
+            any(m[i] for m in terms for i in self._odd_slots) for terms in self._relation_terms
+        )
         self._lowest_relation = min(rel_degrees, default=degree_cap + 1)
 
     # -- construction -----------------------------------------------------
@@ -295,14 +309,25 @@ class GradedPresentation:
         p = self.prime
         mul = self._mul_monomials
         # one sparse {column: value} row per nonzero (cofactor x relation)
-        # product; the matrix is filled once from their entries
+        # product, in input order
         rows = []
-        for rel, rel_deg in zip(self._relation_terms, self._relation_degrees):
+        for rel, rel_deg, rel_exterior in zip(
+            self._relation_terms, self._relation_degrees, self._relation_exterior
+        ):
             if rel_deg > degree:
                 continue
-            for cof in table.monomials(degree - rel_deg):
+            items = tuple(rel.items())
+            cofactors = table.monomials(degree - rel_deg)
+            if not rel_exterior:
+                # no exterior exponent in the relation: exponents add, no
+                # product vanishes or changes sign, distinct terms stay distinct
+                rows.extend(
+                    {index[tuple(map(add, cof, m))]: c for m, c in items} for cof in cofactors
+                )
+                continue
+            for cof in cofactors:
                 row: dict[int, int] = {}
-                for m, c in rel.items():
+                for m, c in items:
                     prod = mul(cof, m)
                     if prod is None:
                         continue
@@ -315,38 +340,51 @@ class GradedPresentation:
                         del row[j]
                 if row:
                     rows.append(row)
-        if rows:
-            mat = np.zeros((len(rows), len(monos)), dtype=np.int64)
+        reducer: dict = {}
+        local = np.zeros(len(monos), dtype=np.intp)  # column -> column in its block
+        for block_rows, cols in _blocks(rows, len(monos)):
+            local[cols] = np.arange(len(cols))
+            mat = np.zeros((len(block_rows), len(cols)), dtype=np.int64)
             mat[
-                [i for i, row in enumerate(rows) for _ in row],
-                [j for row in rows for j in row],
-            ] = [v for row in rows for v in row.values()]
+                [i for i, row in enumerate(block_rows) for _ in row],
+                local[[j for row in block_rows for j in row]],
+            ] = [v for row in block_rows for v in row.values()]
             R, pivots = _kernels.rref(mat, p)
-        else:
-            R, pivots = np.zeros((0, len(monos)), dtype=np.int64), []
-        pivot_set = set(pivots)
-        basis = tuple(m for i, m in enumerate(monos) if i not in pivot_set)
-        return _DegreeData(monos, index, R, pivots, basis)
+            # a reduced row is 1 on its pivot and 0 on every other pivot
+            # column, so it is read on the basis columns only, in row-major
+            # order: a reducer row per pivot, no dense array kept
+            free = np.ones(len(cols), dtype=bool)
+            free[pivots] = False
+            R = R[:, free]
+            ks, ls = np.nonzero(R)
+            vals = R[ks, ls].tolist()
+            ls = ls.tolist()
+            free_monos = [monos[cols[l]] for l in np.flatnonzero(free).tolist()]
+            end = 0
+            for pivot, count in zip(pivots, np.bincount(ks, minlength=len(pivots)).tolist()):
+                start, end = end, end + count
+                reducer[monos[cols[pivot]]] = tuple(
+                    zip([free_monos[l] for l in ls[start:end]], vals[start:end])
+                )
+        basis = tuple(m for m in monos if m not in reducer)
+        return _DegreeData(monos, index, reducer, basis)
 
     def _mul_monomials(self, m1, m2):
         """Product of two exponent tuples: (monomial, sign) or None if zero."""
         if not self._exterior:
             # p = 2 or all degrees even: exponents add and nothing anticommutes
             return tuple(map(add, m1, m2)), 1
-        out = []
-        for e1, e2, odd in zip(m1, m2, self._odd):
-            e = e1 + e2
-            if odd and e > 1:
-                return None
-            out.append(e)
-        swaps = 0
-        for i in range(len(m1)):
-            if not self._odd[i] or not m2[i]:
-                continue
-            # moving the degree-|g_i| factor of m2 left past the odd part
-            # of m1 that sits in later slots
-            swaps += sum(m1[j] for j in range(i + 1, len(m1)) if self._odd[j])
-        return tuple(out), (-1) ** (swaps & 1)
+        # moving each odd factor of m2 left past the odd factors of m1 in later
+        # slots: one right-to-left pass over the odd slots counts the swaps
+        swaps = later = 0
+        for i in self._odd_slots:
+            a = m1[i]
+            if m2[i]:
+                if a:
+                    return None
+                swaps += later
+            later += a
+        return tuple(map(add, m1, m2)), -1 if swaps & 1 else 1
 
     def _has_relations_at(self, degree: int) -> bool:
         return degree >= self._lowest_relation
@@ -355,9 +393,10 @@ class GradedPresentation:
         """Normal form of a raw term map (split per degree, reduce each):
         coefficients in [1, p), every degree within the cap, no term on a
         pivot monomial.  The one reduction entry of ``Element``."""
+        p = self.prime
         by_degree: dict[int, dict] = {}
         for m, c in terms.items():
-            c %= self.prime
+            c %= p
             if not c:
                 continue
             by_degree.setdefault(self.monomial_degree(m), {})[m] = c
@@ -368,13 +407,20 @@ class GradedPresentation:
             if not self._has_relations_at(d):
                 out.update(part)
                 continue
-            data = self._degree_data(d)
-            vec = np.zeros(len(data.monomials), dtype=np.int64)
+            reducer = self._degree_data(d).reducer
+            # the reducer rows are fully reduced, so one pass leaves no pivot
+            acc: dict = {}
             for m, c in part.items():
-                vec[data.index[m]] = c
-            vec = _kernels.reduce_vector(vec, data.reducer, data.pivots, self.prime)
-            for i in np.nonzero(vec)[0]:
-                out[data.monomials[int(i)]] = int(vec[i])
+                row = reducer.get(m)
+                if row is None:
+                    acc[m] = acc.get(m, 0) + c
+                else:
+                    for b, v in row:
+                        acc[b] = acc.get(b, 0) - c * v
+            for m, c in acc.items():
+                c %= p
+                if c:
+                    out[m] = c
         return out
 
     # -- misc ----------------------------------------------------------------
@@ -397,35 +443,47 @@ class GradedPresentation:
 class _MonomialTable:
     """The free monomials of one generator list, per degree, filled on demand.
 
-    A degree's entry holds its exponent tuples in descending lex order and,
-    for each k, the length of the trailing block of those that vanish on the
-    generators before k: the monomials of generator suffix k, kept as a slice
-    of the degree's list rather than as a copy.  The monomials of degree d
-    whose first nonzero exponent sits at k are g_k times the suffix-k block of
-    degree d - |g_k| (the suffix-(k+1) block when g_k is exterior, whose
-    exponent stops at 1); raising one exponent keeps their order, and these
-    blocks for k = 0, 1, ... follow each other in descending lex order.  So a
-    degree is built from lower degrees only, in increasing order, without
-    recursion.  Presentations on the same generators and prime (a quotient,
-    its free twin) share one table.
+    A degree's entry holds its exponent tuples in descending lex order.  For
+    each k, the trailing block of those that vanish on the generators before
+    k are the monomials of generator suffix k, kept as a slice of the
+    degree's list rather than as a copy; ``_tails`` holds the block lengths.
+    The monomials of degree d whose first nonzero exponent sits at k are g_k
+    times the suffix-k block of degree d - |g_k| (the suffix-(k+1) block when
+    g_k is exterior, whose exponent stops at 1); raising one exponent keeps
+    their order, and these blocks for k = 0, 1, ... follow each other in
+    descending lex order.  So a degree is built from lower degrees only, in
+    increasing order, without recursion, and the same recurrence on the
+    lengths alone counts a degree before it is listed: a list of more than
+    ``MAX_MACAULAY_CELLS`` exponent entries is refused.  Presentations on the
+    same generators and prime (a quotient, its free twin) share one table.
     """
 
     def __init__(self, degrees: tuple, odd: tuple):
         self._degrees = degrees
         self._odd = odd
-        # degree -> (monomials, suffix block lengths for k = 0..n)
-        self._entries: dict[int, tuple[tuple, list[int]]] = {}
+        self._entries: dict[int, tuple] = {}
+        # _tails[d][k]: how many degree-d monomials vanish before generator k
+        self._tails: list[list[int]] = []
         self._index: dict[int, dict] = {}
 
     def monomials(self, degree: int) -> tuple:
         """The degree's monomials (``degree`` >= 0)."""
         entry = self._entries.get(degree)
         if entry is None:
+            self._count(degree)
+            n = len(self._degrees)
             for d in range(degree + 1):
                 if d not in self._entries:
+                    size = self._tails[d][0]
+                    if size * n > MAX_MACAULAY_CELLS:
+                        raise DegreeCapError(
+                            f"degree {d}: the monomial list would hold {size} monomials of "
+                            f"{n} generators, above the budget of {MAX_MACAULAY_CELLS} "
+                            "exponent entries; lower the cap"
+                        )
                     self._entries[d] = self._build(d)
             entry = self._entries[degree]
-        return entry[0]
+        return entry
 
     def index(self, degree: int) -> dict:
         """{monomial: column} for the degree's monomials."""
@@ -435,30 +493,81 @@ class _MonomialTable:
             self._index[degree] = idx
         return idx
 
-    def _build(self, degree: int) -> tuple[tuple, list[int]]:
+    def _count(self, degree: int) -> None:
+        """Fill the suffix block lengths through ``degree``, listing nothing."""
         n = len(self._degrees)
-        blocks = []
+        for d in range(len(self._tails), degree + 1):
+            tails = [0] * n + [int(d == 0)]
+            for k in range(n - 1, -1, -1):
+                g = self._degrees[k]
+                block = self._tails[d - g][k + 1 if self._odd[k] else k] if g <= d else 0
+                tails[k] = tails[k + 1] + block
+            self._tails.append(tails)
+
+    def _build(self, degree: int) -> tuple:
+        out = [(0,) * len(self._degrees)] if degree == 0 else []
         for k, (g, odd) in enumerate(zip(self._degrees, self._odd)):
-            if g > degree:
-                blocks.append(())
-                continue
-            lower, tails = self._entries[degree - g]
-            size = tails[k + 1] if odd else tails[k]
-            blocks.append(tuple(m[:k] + (m[k] + 1,) + m[k + 1:] for m in lower[len(lower) - size:]))
-        blocks.append(((0,) * n,) if degree == 0 else ())
-        tails = [0] * (n + 1)
-        tails[n] = len(blocks[n])
-        for k in range(n - 1, -1, -1):
-            tails[k] = tails[k + 1] + len(blocks[k])
-        return tuple(m for block in blocks for m in block), tails
+            if g <= degree:
+                lower = self._entries[degree - g]
+                size = self._tails[degree - g][k + 1 if odd else k]
+                out.extend(m[:k] + (m[k] + 1,) + m[k + 1:] for m in lower[len(lower) - size:])
+        return tuple(out)
+
+
+def _blocks(rows: list[dict], ncols: int) -> list[tuple[list[dict], list[int]]]:
+    """The connected components of the row-column graph of sparse rows, two
+    rows being joined when they share a column (union-find over columns).
+
+    Each component is (its rows in input order, its columns ascending), in
+    the order of its first row; a column that no row touches is in none.
+    """
+    parent = list(range(ncols))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    for row in rows:
+        cols = iter(row)
+        root = find(next(cols))
+        for j in cols:
+            r = parent[j]
+            if r != root:
+                r = find(r)
+                if r != root:
+                    parent[r] = root
+    blocks: dict[int, tuple[list, list]] = {}
+    for row in rows:
+        root = find(next(iter(row)))
+        block = blocks.get(root)
+        if block is None:
+            block = blocks[root] = ([], [])
+        block[0].append(row)
+    # an untouched column is its own root, and no block has it as root
+    for j in range(ncols):
+        r = parent[j]
+        block = blocks.get(r if r == j else find(r))
+        if block is not None:
+            block[1].append(j)
+    return list(blocks.values())
 
 
 @dataclass(frozen=True)
 class _DegreeData:
+    """One degree of a quotient: its free monomials and their columns, the
+    reducer and the basis monomials (those that are no pivot).
+
+    ``reducer`` maps each pivot monomial to its reduced Macaulay row off the
+    pivot, ((basis monomial, coefficient), ...): the monomial equals minus
+    that combination in the quotient.  The rows come from eliminating each
+    connected block of the degree's matrix alone; a reduced row is zero on
+    every other pivot, so one substitution pass gives the normal form.
+    """
+
     monomials: tuple
     index: dict
-    reducer: np.ndarray
-    pivots: list
+    reducer: dict
     basis: tuple
 
 

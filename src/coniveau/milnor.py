@@ -84,7 +84,9 @@ class QAction:
                 raise DegreeCapError(
                     f"Q_{i} lands in degree {pres.monomial_degree(m) + shift}, above cap"
                 )
-        out = pres.zero()
+        # the raw Leibniz products left * Q_i(g_k) * right, summed and reduced once
+        mul = pres._mul_monomials
+        raw: dict = {}
         names = [g.name for g in pres.generators]
         degrees = [g.degree for g in pres.generators]
         for m, c in terms.items():
@@ -93,18 +95,22 @@ class QAction:
                 if ek:
                     coeff = (ek % p) * c
                     if coeff % p:
-                        sign = -1 if (p != 2 and prefix_deg % 2) else 1
-                        left = list(m[: k + 1]) + [0] * (len(m) - k - 1)
-                        left[k] = ek - 1
-                        right = [0] * (k + 1) + list(m[k + 1:])
-                        term = (
-                            pres.monomial(tuple(left), sign * coeff)
-                            * self.entry(i, names[k])
-                            * pres.monomial(tuple(right))
-                        )
-                        out = out + term
+                        if p != 2 and prefix_deg % 2:
+                            coeff = -coeff
+                        left = m[:k] + (ek - 1,) + (0,) * (len(m) - k - 1)
+                        right = (0,) * (k + 1) + m[k + 1:]
+                        for t, ct in self.entry(i, names[k]).terms.items():
+                            prod = mul(left, t)
+                            if prod is None:
+                                continue
+                            mono, s1 = prod
+                            prod = mul(mono, right)
+                            if prod is None:
+                                continue
+                            mono, s2 = prod
+                            raw[mono] = raw.get(mono, 0) + s1 * s2 * coeff * ct
                 prefix_deg += ek * degrees[k]
-        return out
+        return pres.element(raw)
 
     def apply_sequence(self, indices, e: Element):
         """Apply Q_{i_1}, then Q_{i_2}, ... (left to right); returns the

@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive and shares no code with the package
 kernels: plain-list Gauss-Jordan elimination for reduced echelon forms,
-ranks and memberships, monomial lists from a product of exponent ranges, a
-one-variable total-Steenrod-square model for the degree-1 operation rule,
-and closed forms for the Rost motive's subalgebra and the quadric's
-additive ranks.
+ranks and memberships, monomial lists from a product of exponent ranges,
+monomial products signed by counting inversions, a one-variable
+total-Steenrod-square model for the degree-1 operation rule, and closed
+forms for the Rost motive's subalgebra and the quadric's additive ranks.
 """
 
 from __future__ import annotations
@@ -68,6 +68,20 @@ def oracle_monomials(degrees, odd, d: int) -> list[tuple[int, ...]]:
             continue
         out.append(head + (rest // last,))
     return sorted(out, reverse=True)
+
+
+def oracle_monomial_product(m1, m2, odd):
+    """Product of two exponent tuples whose ``odd`` slots are exterior:
+    (monomial, sign), or None when an exterior generator occurs twice.
+
+    Both monomials are ordered products in slot order.  Writing the odd
+    factors of m1 and then those of m2, the sign is -1 to the number of
+    inversions of that slot sequence, the transpositions that sort it."""
+    slots = [i for m in (m1, m2) for i, o in enumerate(odd) if o and m[i]]
+    if len(set(slots)) < len(slots):
+        return None
+    inversions = sum(a > b for k, a in enumerate(slots) for b in slots[k + 1:])
+    return tuple(a + b for a, b in zip(m1, m2)), (-1) ** inversions
 
 
 def element_vector(e, degree):

@@ -5,8 +5,9 @@ family table must look its builders up at call time for those wrappers to
 count.  The tracer counts Macaulay rows only for a call of the module
 attribute ``_kernels.rref`` whose innermost traced caller is
 ``GradedPresentation._build_degree``.  A rename, a deletion, an early-bound
-builder or ``rref``, or an ``rref`` call moved out of ``_build_degree`` would
-otherwise show only in a traced benchmark run.  The run happens in a fresh
+builder or ``rref``, an ``rref`` call moved out of ``_build_degree``, or a
+block split that drops rows would otherwise show only in a traced benchmark
+run.  The run happens in a fresh
 interpreter so the patches never leak into the other tests.
 """
 
@@ -68,4 +69,6 @@ def test_traced_cli_run_counts_builders_and_renders():
     hilbert = result["hilbert"]
     assert hilbert["code"] == 0
     assert hilbert["degree_builds"] > 0 and hilbert["rref_calls"] > 0
-    assert hilbert["macaulay_rows"] > 0
+    # each block of a matrix is its own rref call, and the blocks' rows add up
+    # to the unsplit matrices' 356 nonzero rows
+    assert hilbert["macaulay_rows"] == 356

@@ -318,6 +318,20 @@ def test_user_scenario_over_cell_budget(tmp_path, capsys):
     assert body["hilbert"]["dimensions"][:5] == [1, 0, 5, 0, 14]
 
 
+def test_user_scenario_over_monomial_budget(tmp_path, capsys):
+    # no relations, so no relation matrix: the monomial list itself is refused.
+    # Degree 3 of 120 degree-1 generators would hold 295,240 x 120 exponents
+    path = tmp_path / "many.pres"
+    path.write_text("prime 2\ncap 3\n" + "".join(f"gen x{i} 1\n" for i in range(1, 121)))
+    code, body = run_json(capsys, "hilbert", str(path), "--cap", "3")
+    assert code == EXIT_USAGE
+    assert "degree 3" in body["error"] and "295240 monomials" in body["error"]
+    assert "hilbert" not in body
+    code, body = run_json(capsys, "hilbert", str(path), "--cap", "2")
+    assert code == EXIT_OK
+    assert body["hilbert"]["dimensions"] == [1, 120, 7260]
+
+
 def test_user_scenario_parse_error_position(tmp_path, capsys):
     path = tmp_path / "broken.pres"
     path.write_text("prime 3\ncap 8\ngen x 1\nrel x + ?\n")

@@ -20,6 +20,7 @@ from helpers import (
     element_vector,
     oracle_ideal_dimension,
     oracle_in_span,
+    oracle_monomial_product,
     oracle_monomials,
 )
 
@@ -251,10 +252,10 @@ def assert_monomials_match_oracle(pres, degrees):
         assert list(pres.monomials(d)) == oracle_monomials(gen_degrees, odd, d), d
 
 
-def mixed_p3(cap=14):
+def mixed_p3(cap=14, p=3):
     # exterior generators between polynomial ones, of degrees 1 and 3
     names = (("y1", 2), ("x1", 1), ("y2", 4), ("x2", 3), ("x3", 1), ("y3", 2))
-    return GradedPresentation(3, [Generator(n, d) for n, d in names], cap)
+    return GradedPresentation(p, [Generator(n, d) for n, d in names], cap)
 
 
 @pytest.mark.parametrize("key", sorted(C.builtin_scenarios()))
@@ -269,6 +270,19 @@ def test_monomials_match_oracle_with_exterior_generators():
     P = mixed_p3()
     assert_monomials_match_oracle(P, range(P.degree_cap + 1))
     assert P.monomials(1) == ((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0))
+
+
+def test_monomial_list_budget():
+    # p = 2, 120 degree-1 generators: degree 3 would list C(122, 3) = 295,240
+    # monomials of 120 exponents, 35.4M entries; the count-only pass refuses it
+    # before anything of degree 3 is listed
+    P = GradedPresentation(2, [Generator(f"g{i}", 1) for i in range(120)], 3)
+    assert P.hilbert_series(2) == [1, 120, 7260]
+    with pytest.raises(DegreeCapError, match="degree 3: the monomial list would hold 295240 "):
+        P.monomials(3)
+    with pytest.raises(DegreeCapError, match="295240"):
+        P.dimension(3)
+    assert 3 not in P._table._entries
 
 
 def test_monomials_of_many_generators():
@@ -315,6 +329,23 @@ def test_mul_without_exterior_generators_adds_exponents():
                 m = tuple(a + b for a, b in zip(m1, m2))
                 want[m] = (want.get(m, 0) + c1 * c2) % 3
         assert (P.element(e1) * P.element(e2)).terms == {m: c for m, c in want.items() if c}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_mul_monomials_against_sign_oracle(p):
+    # every pair of monomials through degree 6, colliding exterior exponents
+    # included, against the inversion count of the odd factors
+    P = mixed_p3(p=p)
+    degrees = [g.degree for g in P.generators]
+    odd = [d % 2 == 1 for d in degrees]
+    monos = [m for d in range(7) for m in oracle_monomials(degrees, odd, d)]
+    outcomes = set()
+    for m1 in monos:
+        for m2 in monos:
+            want = oracle_monomial_product(m1, m2, odd)
+            assert P._mul_monomials(m1, m2) == want, (m1, m2)
+            outcomes.add(None if want is None else want[1])
+    assert outcomes == {None, 1, -1}
 
 
 # -- morphisms -------------------------------------------------------------------------

@@ -4,11 +4,16 @@ Each property runs at least a thousand seeded checks spread over the
 scenario registry; failures print the scenario and the offending inputs.
 """
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
+from coniveau import _kernels, fp
 from coniveau import certificates as C
+from coniveau.fp import Generator, GradedPresentation
+from coniveau.milnor import QAction, op_degree
 
 from helpers import element_vector, oracle_in_span, oracle_rref
 
@@ -110,6 +115,24 @@ def test_nilpotence():
     assert checks >= 1000
 
 
+def exterior_free_intersection():
+    """F_3[y1, y2] (x) Lambda(x1, x2) modulo (y1 + y2)^3 and (y1 - y2)^4: a
+    complete intersection whose relations hold no exterior generator."""
+    gens = [Generator("y1", 2), Generator("x1", 1), Generator("y2", 2), Generator("x2", 3)]
+    P = GradedPresentation(3, gens, 14)
+    y1, y2 = P.gen("y1"), P.gen("y2")
+    return P.quotient([(y1 + y2) ** 3, (y1 - y2) ** 4])
+
+
+def disjoint_relations():
+    """Relations on disjoint generator sets over F_5: one on the exterior
+    x1, x2, x3 and two on the polynomial y1, y2."""
+    gens = [Generator(f"x{i}", 1) for i in (1, 2, 3)] + [Generator("y1", 2), Generator("y2", 2)]
+    P = GradedPresentation(5, gens, 10)
+    x1, x2, x3, y1, y2 = P.gens()
+    return P.quotient([x1 * x2 + 2 * x2 * x3, y1**2 - 3 * y2**2, y1**3 + y1 * y2**2])
+
+
 def quotient_pool():
     rings = [
         C.extraspecial_e4(2, 3)[0],
@@ -117,6 +140,8 @@ def quotient_pool():
         C.quillen_d_ring(2)[0],
         C._lambda_mod_f(2, 3),
         C._lambda_mod_f(2, 2),
+        exterior_free_intersection(),
+        disjoint_relations(),
     ]
     return rings
 
@@ -166,6 +191,101 @@ def test_normal_form_against_macaulay_oracle():
             checks += 1
     print(f"normal forms against the Macaulay oracle: {checks} checks")
     assert checks >= 1000
+
+
+def operation_pool(rng):
+    """(ring, action) pairs on ``quotient_pool()``: the elementary-abelian
+    table on the rings it fits, and a seeded random table on every ring."""
+    e4_page, lambda_f2 = C.extraspecial_e4(2, 3)[0], C._lambda_mod_f(2, 2)
+    pairs = [(pres, C._abelian_q_action(pres, 1)) for pres in (e4_page, lambda_f2)]
+    for pres in quotient_pool():
+        table = {}
+        for i in range(2):
+            for g in pres.generators:
+                d = g.degree + op_degree(pres.prime, i)
+                if d <= pres.degree_cap:
+                    monos = pres.monomials(d)
+                    terms = {}
+                    for _ in range(3 if monos else 0):
+                        terms[monos[rng.randrange(len(monos))]] = rng.randrange(pres.prime)
+                    table[i, g.name] = pres.element(terms)
+        pairs.append((pres, QAction(pres, table, max_index=1)))
+    return pairs
+
+
+def term_by_term(action, i, e):
+    """Q_i(e) as the sum of reduced products monomial(left) * Q_i(g_k) *
+    monomial(right), one Leibniz term at a time."""
+    pres, p = action.pres, action.pres.prime
+    out = pres.zero()
+    for m, c in e.terms.items():
+        prefix = 0
+        for k, (g, ek) in enumerate(zip(pres.generators, m)):
+            if ek:
+                sign = -1 if (p != 2 and prefix % 2) else 1
+                left = list(m[:k]) + [ek - 1] + [0] * (len(m) - k - 1)
+                right = [0] * (k + 1) + list(m[k + 1:])
+                entry = action.entry(i, g.name)
+                out = out + pres.monomial(left, sign * ek * c) * entry * pres.monomial(right)
+            prefix += ek * g.degree
+    return out
+
+
+def test_q_application_matches_term_by_term_products():
+    # the Leibniz terms are summed raw and reduced once; the sum of the
+    # reduced term-by-term products is the same normal form
+    rng = random.Random(SEED + 6)
+    checks = nonzero = 0
+    while checks < 1000:
+        for pres, action in operation_pool(rng):
+            for _ in range(10):
+                i = rng.randint(0, action.max_index)
+                room = pres.degree_cap - op_degree(pres.prime, i)
+                if room < 1:
+                    continue
+                e = random_homogeneous(rng, pres, room, nterms=4)
+                got = action.apply(i, e)
+                assert got == term_by_term(action, i, e), (str(pres), i, str(e))
+                nonzero += not got.is_zero()
+                checks += 1
+    print(f"Q applications against term-by-term products: {checks} checks, {nonzero} nonzero")
+    assert nonzero > checks // 4
+
+
+def test_regular_pair_eliminated_block_by_block(monkeypatch):
+    # each connected block of a degree's Macaulay matrix reaches rref alone:
+    # the unsplit degree-44 matrix has 4,105,500 cells, and every nonzero row
+    # still reaches rref once; the cached reducers hold no dense array
+    shapes, built = [], []
+    rref, build = _kernels.rref, fp.GradedPresentation._build_degree
+
+    def recording_rref(mat, p):
+        shapes.append(mat.shape)
+        return rref(mat, p)
+
+    def recording_build(self, degree):
+        data = build(self, degree)
+        built.append((self, degree, data))
+        return data
+
+    monkeypatch.setattr(_kernels, "rref", recording_rref)
+    monkeypatch.setattr(fp.GradedPresentation, "_build_degree", recording_build)
+    C.comparison_regular_pair(3, 44)
+    assert max(rows * cols for rows, cols in shapes) <= 1_000_000
+    # a polynomial ring: no cofactor x relation product vanishes, so the
+    # unsplit matrix has one row per (relation, cofactor) pair
+    unsplit = sum(
+        len(pres.monomials(degree - r.degree()))
+        for pres, degree, _ in built
+        for r in pres.relations
+        if r.degree() <= degree
+    )
+    assert sum(rows for rows, _ in shapes) == unsplit == 9135
+    assert len(shapes) > len(built)
+    for _, _, data in built:
+        for f in dataclasses.fields(data):
+            assert not isinstance(getattr(data, f.name), np.ndarray), f.name
+        assert all(isinstance(row, tuple) for row in data.reducer.values())
 
 
 def test_graded_commutativity():
