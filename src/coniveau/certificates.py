@@ -14,11 +14,15 @@ nonzero value and the class survives the Chern-ideal test.
 Two soundness points shape the implementation:
 
 * The Chern-ideal survival test models the integral Chern ideal reduced
-  mod p, i.e. the span of (products of flagged classes) x (mod-p classes
-  with zero Bockstein).  Testing against the full mod-p ideal of the flags
-  would wrongly swallow every Bockstein image (Q_0(x_i x_j) is an F_p
-  combination of y_k-multiples even though it is not an integral Chern
-  multiple), emptying the tables the procedure is meant to produce.
+  mod p, i.e. the span of (single flagged classes) x (mod-p classes with
+  zero Bockstein).  A flag is the reduction of an integral class, so Q_0
+  kills it; Q_0 is a derivation, so its kernel is a subring and a product
+  of several flags times a kernel class is already one flag times a kernel
+  class.  A flag that Q_0 does not kill breaks this and is refused.
+  Testing against the full mod-p ideal of the flags would wrongly swallow
+  every Bockstein image (Q_0(x_i x_j) is an F_p combination of y_k-multiples
+  even though it is not an integral Chern multiple), emptying the tables
+  the procedure is meant to produce.
 
 * For central-extension scenarios the operations act on the polynomial
   cover of the cohomology, not on the spectral-sequence page (the page
@@ -31,7 +35,7 @@ Two soundness points shape the implementation:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import combinations
 
@@ -50,6 +54,11 @@ from .parser import parse_expression, render_presentation
 NOT_IN_STRONG_CONIVEAU = "not-in-strong-coniveau"
 INCONCLUSIVE = "inconclusive"
 REJECTED_CHERN = "rejected-chern"
+
+_N1_TORSION = (
+    "coniveau membership of the target class is declared scenario input "
+    "(integral torsion classes lie in the first coniveau filtration)"
+)
 
 
 class ScenarioError(fp.FpAlgebraError):
@@ -139,7 +148,6 @@ class Scenario:
     q_action: QAction | None
     aliases: dict = field(default_factory=dict)
     chern_flags: dict = field(default_factory=dict)
-    nonvanish_maps: tuple = (("scenario ring", None),)
     stable_pres: GradedPresentation | None = None
     stable_top: int = 0
     stable_declared_basis: tuple[str, ...] | None = None
@@ -147,7 +155,6 @@ class Scenario:
     declared_n1: dict = field(default_factory=dict)
     dh_candidates: tuple[DhCandidate, ...] = ()
     default_target: tuple[str, tuple[int, ...] | None] = ("", None)
-    max_search_index: int = 3
     restriction: tuple | None = None  # (target Scenario, AlgebraMorphism, note)
     canonical_text: str = ""  # a presentation file's rendered text, hashed as is
 
@@ -165,13 +172,22 @@ class Scenario:
     def candidate(self, label: str) -> DhCandidate | None:
         return next((c for c in self.dh_candidates if c.label == label), None)
 
+    @property
+    def max_search_index(self) -> int:
+        """Largest operation index a witness search tries: the operation
+        table's, or the restriction target's bound."""
+        if self.restriction is not None:
+            return self.restriction[0].max_search_index
+        return self.q_action.max_index if self.q_action is not None else 0
+
+    @property
+    def nonvanish_maps(self) -> tuple:
+        """Maps that certify a nonzero value for candidates without their
+        own: the scenario ring itself, unless detection runs on a cover."""
+        return (("scenario ring", None),) if self.detect_pres is self.presentation else ()
+
     def n1_assumption(self, label: str) -> str:
-        if label in self.declared_n1:
-            return self.declared_n1[label]
-        return (
-            "coniveau membership of the target class is declared scenario input "
-            "(integral torsion classes lie in the first coniveau filtration)"
-        )
+        return self.declared_n1.get(label, _N1_TORSION)
 
     def content_hash(self) -> str:
         """Provenance hash: a presentation file's canonical text, which holds
@@ -203,9 +219,14 @@ class Scenario:
             if sequence is None:
                 raise ScenarioError("--element requires --I")
             return detect(self, element, sequence)
-        if not self.default_target[0]:
+        label, default_seq = self.default_target
+        if not label:
             raise ScenarioError("scenario has no default target; pass --element and --I")
-        return default_certificate(self, sequence)
+        seq = tuple(sequence) if sequence is not None else default_seq
+        cand = self.candidate(label) or DhCandidate(label, self.resolve(label))
+        if seq is None:
+            return search_witness(self, cand)
+        return _detect_candidate(self, cand, seq)
 
     def dh_table(self, cap: int | None = None) -> DhTable:
         if not self.dh_candidates:
@@ -239,7 +260,7 @@ class Scenario:
 
     def report_section(self) -> tuple[dict, list[str]]:
         """The scenario's part of the full report, and its failed checks."""
-        cert = default_certificate(self)
+        cert = self.verify(None, None)
         section = {"scenario": self.header(), "verify": cert.to_dict()}
         problems = []
         if cert.verdict != NOT_IN_STRONG_CONIVEAU:
@@ -285,54 +306,38 @@ def q0_kernel_basis(scenario: Scenario, degree: int) -> list[Element]:
     from . import _kernels
 
     # kernel of v -> v @ mat, i.e. combinations of basis elements with zero image
-    null = _kernels.nullspace(mat.T, pres.prime)
-    out = []
-    for vec in null:
-        e = pres.zero()
-        for k, c in enumerate(vec):
-            if c:
-                e = e + int(c) * basis[k]
-        out.append(e)
-    return out
-
-
-def _chern_products(scenario: Scenario, max_degree: int) -> dict[int, list[Element]]:
-    """Nonempty products of flagged classes, grouped by degree <= max_degree."""
-    flags = [v for _, v in sorted(scenario.chern_flags.items())]
-    out: dict[int, list[Element]] = {}
-    stack = [(scenario.detect_pres.one(), 0, 0)]
-    while stack:
-        elem, deg, i0 = stack.pop()
-        for i in range(i0, len(flags)):
-            f = flags[i]
-            nd = deg + f.degree()
-            if nd > max_degree:
-                continue
-            ne = elem * f
-            if ne.is_zero():
-                continue
-            out.setdefault(nd, []).append(ne)
-            stack.append((ne, nd, i))
-    return out
+    monos = [m for b in basis for m in b.terms]  # each basis element is one monomial
+    return [
+        pres.element({m: int(c) for m, c in zip(monos, vec) if c})
+        for vec in _kernels.nullspace(mat.T, pres.prime)
+    ]
 
 
 def chern_survival(scenario: Scenario, e: Element) -> bool:
     """True when e is NOT in the mod-p image of the integral Chern ideal
-    (the span of flagged products times Bockstein-kernel classes)."""
+    (the span of single flagged classes times Bockstein-kernel classes).
+
+    Refuses a flag of degree at most |e| that Q_0 does not kill: only for
+    such a flag would products of flags span more than single flags."""
     if e.is_zero():
         return False
     d = e.degree()
-    span: list[Element] = []
-    for cd, elems in _chern_products(scenario, d).items():
-        kernel = q0_kernel_basis(scenario, d - cd)
-        for c in elems:
-            for k in kernel:
-                ck = c * k
-                if not ck.is_zero():
-                    span.append(ck)
-    if not span:
-        return True
-    return not fp.in_span(e, span)
+    by_degree: dict[int, list[Element]] = {}
+    for name, f in sorted(scenario.chern_flags.items()):
+        fd = f.degree()
+        if fd is None or fd > d:  # a zero flag spans nothing
+            continue
+        if not scenario.q_action.apply(0, f).is_zero():
+            raise ScenarioError(f"Chern flag {name} = {f} is not killed by Q_0")
+        by_degree.setdefault(fd, []).append(f)
+    span = [
+        fk
+        for fd, flags in by_degree.items()
+        for k in q0_kernel_basis(scenario, d - fd)
+        for f in flags
+        if not (fk := f * k).is_zero()
+    ]
+    return not span or not fp.in_span(e, span)
 
 
 # -- detection -----------------------------------------------------------------
@@ -351,7 +356,9 @@ def detect(scenario: Scenario, element, sequence, _maps=None) -> Certificate:
     sequence = tuple(sequence)
 
     if scenario.restriction is not None:
-        return _detect_via_restriction(scenario, label, sequence)
+        target, morphism, _ = scenario.restriction
+        alpha = scenario.resolve(label) if isinstance(element, str) else element
+        return _restricted(scenario, label, detect(target, morphism(alpha), sequence))
 
     if scenario.q_action is None:
         return _inconclusive(scenario, label, sequence, "scenario carries no operation table")
@@ -454,29 +461,22 @@ def _inconclusive(scenario, label, sequence, reason, trail=()) -> Certificate:
     )
 
 
-def _detect_via_restriction(scenario: Scenario, label: str, sequence) -> Certificate:
-    target, morphism, note = scenario.restriction
-    image = morphism(scenario.resolve(label))
-    inner = detect(target, image, sequence)
-    assumptions = (scenario.n1_assumption(label), note) + inner.assumptions
-    return Certificate(
+def _restricted(scenario: Scenario, label: str, inner: Certificate) -> Certificate:
+    """Reissue a certificate of the restriction target for the scenario."""
+    target, _, note = scenario.restriction
+    return replace(
+        inner,
         scenario=scenario.name,
         element=label,
-        sequence=tuple(sequence),
-        value=inner.value,
-        value_degree=inner.value_degree,
-        verdict=inner.verdict,
         via=f"restriction to {target.name}" + (f"; {inner.via}" if inner.via else ""),
-        assumptions=assumptions,
-        audit=inner.audit,
-        reason=inner.reason,
+        assumptions=(scenario.n1_assumption(label), note) + inner.assumptions,
     )
 
 
 def _detect_candidate(scenario: Scenario, cand: DhCandidate, sequence) -> Certificate:
     cert = detect(scenario, cand.element, sequence, _maps=cand.maps)
     # DhCandidate labels are friendlier than raw element strings
-    return Certificate(**{**cert.__dict__, "element": cand.label})
+    return replace(cert, element=cand.label)
 
 
 def search_witness(scenario: Scenario, cand: DhCandidate) -> Certificate:
@@ -484,12 +484,8 @@ def search_witness(scenario: Scenario, cand: DhCandidate) -> Certificate:
     required length, bounded by the scenario's operation table and cap."""
     if scenario.restriction is not None:
         target, morphism, _ = scenario.restriction
-        inner = search_witness(
-            target, DhCandidate(cand.label, morphism(cand.element), None)
-        )
-        if inner.verdict != NOT_IN_STRONG_CONIVEAU:
-            return inner
-        return _detect_via_restriction(scenario, cand.label, inner.sequence)
+        inner = search_witness(target, DhCandidate(cand.label, morphism(cand.element)))
+        return _restricted(scenario, cand.label, inner)
     d = cand.element.degree()
     need = required_length(d)
     if need is None:
@@ -530,18 +526,6 @@ def dh_table(scenario: Scenario, cap: int | None = None) -> DhTable:
     complete = not skipped and all(r.witness is not None for r in rows)
     bound = "equality" if scenario.kind == "elementary" and complete else "lower-bound"
     return DhTable(scenario=scenario.name, bound_kind=bound, rows=tuple(rows))
-
-
-def default_certificate(scenario: Scenario, sequence=None) -> Certificate:
-    """Certificate for the scenario's flagship target (used by `verify`)."""
-    label, default_seq = scenario.default_target
-    seq = tuple(sequence) if sequence is not None else default_seq
-    cand = scenario.candidate(label)
-    if cand is None:
-        cand = DhCandidate(label, scenario.resolve(label))
-    if seq is None:
-        return search_witness(scenario, cand)
-    return _detect_candidate(scenario, cand, seq)
 
 
 # -- stable quotients ------------------------------------------------------------
@@ -791,8 +775,7 @@ def pgl_detect(module: QModuleScenario) -> Certificate:
         verdict=NOT_IN_STRONG_CONIVEAU,
         via=f"label module ({module.identification()})",
         assumptions=(
-            "coniveau membership of the target class is declared scenario input "
-            "(integral torsion classes lie in the first coniveau filtration)",
+            _N1_TORSION,
             "the top label is a polynomial generator of the cohomology, hence nonzero",
         ),
         audit=("Q1Q0u2",),
@@ -800,11 +783,6 @@ def pgl_detect(module: QModuleScenario) -> Certificate:
 
 
 # -- builtin scenarios ---------------------------------------------------------------
-
-_N1_TORSION = (
-    "coniveau membership of the target class is declared scenario input "
-    "(integral torsion classes lie in the first coniveau filtration)"
-)
 
 
 @lru_cache(maxsize=None)
@@ -849,14 +827,11 @@ def elementary_abelian(p: int, n: int, cap: int = 40) -> Scenario:
         q_action=action,
         aliases=aliases,
         chern_flags=chern,
-        nonvanish_maps=(("scenario ring", None),),
         stable_pres=stable,
         stable_top=n,
         stable_note="quotient by the ideal of the degree-2 Chern classes",
-        declared_n1={"alpha": _N1_TORSION},
         dh_candidates=tuple(candidates),
         default_target=("alpha", None),
-        max_search_index=max_index,
     )
 
 
@@ -875,9 +850,6 @@ def so_odd(m: int, cap: int = 64) -> Scenario:
     rank = 2 * m + 1
     pres, action = so_q_action(rank, cap=cap, max_index=3)
     chern = {f"c{i}": pres.gen(f"w{i}") ** 2 for i in range(2, rank + 1)}
-    declared = {
-        f"w{2 * j + 1}": _N1_TORSION for j in range(1, m + 1)
-    }
     candidates = tuple(
         DhCandidate(f"w{2 * j + 1}", pres.gen(f"w{2 * j + 1}")) for j in range(1, m + 1)
     )
@@ -895,15 +867,12 @@ def so_odd(m: int, cap: int = 64) -> Scenario:
         q_action=action,
         aliases=dict(chern),
         chern_flags=chern,
-        nonvanish_maps=(("scenario ring", None),),
         stable_pres=stable,
         stable_top=2 * m,
         stable_note="declared coniveau ideal: all products and the odd classes",
         stable_declared_basis=declared_basis,
-        declared_n1=declared,
         dh_candidates=candidates,
         default_target=("w3", (1,)),
-        max_search_index=3,
     )
 
 
@@ -926,14 +895,12 @@ def g2_scenario(cap: int = 40) -> Scenario:
         q_action=action,
         aliases=dict(chern),
         chern_flags=chern,
-        nonvanish_maps=(("scenario ring", None),),
         declared_n1={
             "w4": "twice the degree-4 class is a Chern class, so the class is "
             "integrally torsion on the complement; coniveau membership is declared input"
         },
         dh_candidates=candidates,
         default_target=("w4", (1,)),
-        max_search_index=2,
     )
 
 
@@ -972,7 +939,6 @@ def simply_connected(p: int) -> Scenario:
         },
         dh_candidates=(DhCandidate("w", source.gen("w")),),
         default_target=("w", (1,)),
-        max_search_index=target.max_search_index,
         restriction=(target, morphism, note),
     )
 
@@ -1055,14 +1021,11 @@ def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
         detect_pres=cover,
         q_action=action,
         chern_flags={f"y{i}": cover.gen(f"y{i}") for i in range(1, 2 * n + 1)},
-        nonvanish_maps=(),
         stable_pres=stable,
         stable_top=2 * n,
         stable_note="exterior classes modulo the symplectic form",
-        declared_n1={},
         dh_candidates=_pair_candidates(cover, action, n),
         default_target=("Q0(x1*x3)", (1,)),
-        max_search_index=2,
     )
 
 
@@ -1094,13 +1057,11 @@ def extraspecial_d(n: int, cap: int | None = None) -> Scenario:
         detect_pres=cover,
         q_action=action,
         chern_flags={f"y{i}": cover.gen(f"x{i}") ** 2 for i in range(1, 2 * n + 1)},
-        nonvanish_maps=(),
         stable_pres=_lambda_mod_f(n, 2),
         stable_top=2 * n,
         stable_note="exterior classes modulo the symplectic form",
         dh_candidates=_pair_candidates(cover, action, n),
         default_target=("Q0(x1*x3)", (1,)),
-        max_search_index=min(2, max(1, n)),
     )
 
 

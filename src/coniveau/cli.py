@@ -55,8 +55,11 @@ def _load_user_scenario(path: str) -> certs.Scenario:
             break
     if resolved is None:
         raise UsageError(f"scenario file not found: {path}")
-    with open(resolved, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(resolved, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read scenario file {resolved}: {exc.strerror}")
     data = parse_presentation(text)
     pres = data.presentation
     action = None
@@ -86,7 +89,6 @@ def _load_user_scenario(path: str) -> certs.Scenario:
         stable_pres=stable,
         stable_top=stable_top,
         stable_note="quotient by the declared coniveau classes",
-        max_search_index=max(data.max_q_index, 0),
         canonical_text=render_presentation(pres, data.q_table, data.aliases, data.chern, data.n1),
     )
 
@@ -396,10 +398,19 @@ def main(argv=None) -> int:
         outdir = os.environ.get("CONIVEAU_OUTPUT_DIR")
         if outdir and not os.path.isabs(target):
             target = os.path.join(outdir, target)
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # the body goes to stdout instead, with the write failure
+            problem = f"cannot write --output {target}: {exc.strerror}"
+            body["error"] = "; ".join(filter(None, (body.get("error"), problem)))
+            del body["exit_code"]  # keep it the last field
+            body["exit_code"] = code = EXIT_USAGE
+            text = _render(body, args.format)
+        else:
+            return code
+    sys.stdout.write(text)
     return code
 
 

@@ -4,10 +4,11 @@
 family table must look its builders up at call time for those wrappers to
 count.  The tracer counts Macaulay rows only for a call of the module
 attribute ``_kernels.rref`` whose innermost traced caller is
-``GradedPresentation._build_degree``.  A rename, a deletion, an early-bound
-builder or ``rref``, an ``rref`` call moved out of ``_build_degree``, or a
-block split that drops rows would otherwise show only in a traced benchmark
-run.  The run happens in a fresh
+``GradedPresentation._build_degree``, and counts the detection layer through
+``search_witness``, ``_detect_candidate`` and ``chern_survival``.  A rename,
+a deletion, an early-bound builder, ``rref`` or detection call, an ``rref``
+call moved out of ``_build_degree``, or a block split that drops rows would
+otherwise show only in a traced benchmark run.  The run happens in a fresh
 interpreter so the patches never leak into the other tests.
 """
 
@@ -45,6 +46,15 @@ result["hilbert"] = {{
     "rref_calls": tracer.stats.get("kernels.rref", [0])[0],
     "macaulay_rows": tracer.counts.get("macaulay_rows", 0),
 }}
+DETECTION = ("certificates.search_witness", "certificates.detect_candidate",
+             "certificates.chern_survival")
+for name, argv in (("elementary", ["dh-table", "elementary", "--p", "3", "--n", "3"]),
+                   ("simply_connected", ["dh-table", "simply-connected", "--p", "2"])):
+    before = [tracer.stats.get(k, [0])[0] for k in DETECTION] + [tracer.counts.get("certified", 0)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    after = [tracer.stats.get(k, [0])[0] for k in DETECTION] + [tracer.counts.get("certified", 0)]
+    result[name] = {{"code": code, "counts": [b - a for a, b in zip(before, after)]}}
 print(json.dumps(result))
 """
 
@@ -72,3 +82,8 @@ def test_traced_cli_run_counts_builders_and_renders():
     # each block of a matrix is its own rref call, and the blocks' rows add up
     # to the unsplit matrices' 356 nonzero rows
     assert hilbert["macaulay_rows"] == 356
+    # [search_witness, detect_candidate, chern_survival, certified]: one
+    # search, one sequence and one Chern test per elementary candidate; a
+    # restriction scenario searches its target once and wraps the result
+    assert result["elementary"] == {"code": 0, "counts": [4, 4, 4, 4]}
+    assert result["simply_connected"] == {"code": 0, "counts": [2, 1, 1, 1]}

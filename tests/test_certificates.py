@@ -1,5 +1,9 @@
 """Detection procedures, candidate tables, stable quotients, builtins."""
 
+import dataclasses
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
 from coniveau import certificates as C
@@ -7,7 +11,7 @@ from coniveau.fp import MAX_MACAULAY_CELLS, Generator, GradedPresentation
 from coniveau.milnor import validate_q_axioms
 from coniveau.parser import parse_expression
 
-from helpers import oracle_ideal_dimension
+from helpers import element_vector, oracle_ideal_dimension, oracle_in_span, oracle_rref
 
 
 # -- detect ------------------------------------------------------------------------
@@ -277,6 +281,33 @@ def test_simply_connected_odd(p):
     assert f"elementary(p={p},n=3)" in cert.via
 
 
+def test_restriction_wraps_a_failed_inner_search():
+    # w restricts to y1^2, a Chern multiple: the search and detect both
+    # reissue the target's rejection for the simply connected scenario
+    s = C.simply_connected(3)
+    target, morphism, note = s.restriction
+    square = C.AlgebraMorphism(morphism.source, target.detect_pres, {"w": target.resolve("y1") ** 2})
+    s = dataclasses.replace(s, restriction=(target, square, note))
+    searched = C.search_witness(s, s.candidate("w"))
+    detected = C.detect(s, "w", (1,))
+    assert searched == detected
+    assert searched.scenario == "simply-connected(p=3)" and searched.element == "w"
+    assert searched.verdict == C.REJECTED_CHERN and searched.sequence == (1,)
+    assert searched.via == "restriction to elementary(p=3,n=3)"
+    assert searched.assumptions == (s.n1_assumption("w"), note)
+
+
+@pytest.mark.parametrize("scenario", [C.extraspecial_e(2, 3), C.extraspecial_d(2)], ids=["e", "d"])
+def test_cover_value_needs_a_declared_map(scenario):
+    # detection runs on the polynomial cover, so a nonzero value there
+    # certifies nothing without a candidate's own restriction map
+    assert scenario.nonvanish_maps == ()
+    cert = C.detect(scenario, "x1*x2*x3", (1,))
+    assert cert.verdict == C.INCONCLUSIVE
+    assert cert.reason == "value is nonzero in the cover but no declared restriction certifies it"
+    assert cert.value and cert.value != "0"
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_pgl_detect(p):
     module = C.pgl_module(p)
@@ -302,6 +333,62 @@ def test_pgl_label_module_nilpotence():
 
 
 # -- flags -------------------------------------------------------------------------------
+
+
+def _product_span(s, d):
+    """Every nonempty product of flags times a Bockstein-kernel class, in
+    degree d: the Chern span before it was reduced to single flags."""
+    flags = [f for _, f in sorted(s.chern_flags.items()) if not f.is_zero()]
+    out = []
+    for k in range(1, d // min(f.degree() for f in flags) + 1):
+        for factors in combinations_with_replacement(flags, k):
+            c = s.detect_pres.one()
+            for f in factors:
+                c = c * f
+            if c.is_zero() or c.degree() > d:
+                continue
+            out += [ck for kern in C.q0_kernel_basis(s, d - c.degree()) if not (ck := c * kern).is_zero()]
+    return out
+
+
+FLAGGED = [
+    key for key, build in C.builtin_scenarios().items()
+    if not isinstance(s := build(), C.QModuleScenario) and s.chern_flags
+]
+
+
+@pytest.mark.parametrize("key", FLAGGED)
+def test_chern_span_from_single_flags_matches_products(key):
+    # Q_0 kills every flag and its kernel is a subring, so the single-flag
+    # span of chern_survival equals the span of all flag products
+    s = C.builtin_scenarios()[key]()
+    pres, p = s.detect_pres, s.prime
+    rng = random.Random(f"chern-{key}")
+    # the candidates, and seeded classes drawn from the whole degree and
+    # from the Chern span itself, so that both verdicts occur
+    classes = [c.element for c in s.dh_candidates]
+    spans = {}
+    for d in range(3, 7):
+        spans[d] = _product_span(s, d)
+        for pool in (pres.graded_basis(d), spans[d]):
+            for _ in range(2 if pool else 0):
+                picked = rng.sample(pool, min(3, len(pool)))
+                e = sum((rng.randint(1, p - 1) * b for b in picked), pres.zero())
+                if not e.is_zero():
+                    classes.append(e)
+    reduced = {}
+    outcomes = set()
+    for e in classes:
+        d = e.degree()
+        if d not in reduced:
+            span = spans[d] if d in spans else _product_span(s, d)
+            rows = [element_vector(x, d) for x in span]
+            reduced[d] = oracle_rref(rows, p)[0] if rows else []
+        survives = not oracle_in_span(element_vector(e, d), reduced[d], p)
+        assert C.chern_survival(s, e) == survives, (key, str(e))
+        outcomes.add(survives)
+    # g2's flags start in degree 8, so no seeded class is a Chern multiple
+    assert outcomes == ({True} if key == "g2" else {True, False})
 
 
 def test_quadric_hyperplane_multiples_flagged():

@@ -239,6 +239,59 @@ def test_user_scenario_file(tmp_path, capsys):
     assert body["qop"]["value"] == "y1*x2 + 2*y2*x1"
 
 
+ALPHA = "alias alpha = y1*x2 + 2*y2*x1\n"  # Q_0(x1*x2)
+
+
+def test_user_scenario_zero_chern_flag_ignored(tmp_path, capsys):
+    # a zero flag spans nothing; it used to crash on its missing degree
+    bodies = []
+    for name, extra in (("plain", ""), ("zero", "chern c1 = 0\n")):
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "user.pres"  # the scenario is named after the file
+        path.write_text(USER_SCENARIO + ALPHA + extra)
+        code, body = run_json(capsys, "verify", str(path), "--element", "alpha", "--I", "1")
+        assert code == EXIT_OK
+        bodies.append(body)
+    assert bodies[0]["certificate"] == bodies[1]["certificate"]
+    assert bodies[0]["scenario"]["hash"] != bodies[1]["scenario"]["hash"]
+
+
+def test_user_scenario_chern_flag_must_be_q0_cycle(tmp_path, capsys):
+    # Q 0 x1 = y1, so x1 is no reduction of an integral class: single
+    # flags and flag products would span different ideals
+    path = tmp_path / "cycle.pres"
+    path.write_text(USER_SCENARIO + ALPHA + "chern c1 = x1\n")
+    code, body = run_json(capsys, "verify", str(path), "--element", "alpha", "--I", "1")
+    assert code == EXIT_USAGE
+    assert "c1" in body["error"] and "Q_0" in body["error"]
+    assert "certificate" not in body
+
+
+def test_user_scenario_constant_chern_flag(tmp_path, capsys):
+    # the unit as a flag puts the whole Bockstein kernel in the Chern span;
+    # enumerating flag products never ended on it
+    path = tmp_path / "unit.pres"
+    path.write_text(USER_SCENARIO + ALPHA + "chern c0 = 1\n")
+    code, body = run_json(capsys, "verify", str(path), "--element", "alpha", "--I", "1")
+    assert code == EXIT_MATH_FAIL
+    assert body["certificate"]["verdict"] == "rejected-chern"
+
+
+def test_scenario_directory_refused(tmp_path, capsys):
+    code, body = run_json(capsys, "verify", str(tmp_path), "--I", "1")
+    assert code == EXIT_USAGE
+    assert str(tmp_path) in body["error"]
+
+
+def test_unwritable_output_goes_to_stdout(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, body = run_json(capsys, "list", "--output", str(target))
+    assert code == EXIT_USAGE and body["exit_code"] == EXIT_USAGE
+    assert str(target) in body["error"]
+    assert body["scenarios"] and list(body)[-1] == "exit_code"
+    assert not target.parent.exists()
+
+
 def test_user_scenario_validation_failure(tmp_path, capsys):
     bad = USER_SCENARIO.replace("Q 0 x1 = y1", "Q 0 x1 = x1*x2")
     path = tmp_path / "bad.pres"
