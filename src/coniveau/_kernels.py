@@ -3,17 +3,19 @@
 The only primitive is reduced row echelon form, whose pivot count is the
 rank; vector reduction and nullspace extraction are thin wrappers around it.
 Matrices are int64 numpy arrays with entries in [0, p).  They appear only at
-this boundary: ``fp`` packs each block of a Macaulay matrix, or the span
-matrix of ``in_span`` and ``q0_kernel_basis``, into one for the call and
-keeps no array; its cached reducers and normal forms are dicts.
+this boundary: ``fp`` packs each degree's S-pair matrix of its Groebner
+basis, a degree's reducer rows, or the span matrix of ``in_span`` and
+``q0_kernel_basis`` into one for the call and keeps no array; its basis,
+cached reducers and normal forms are dicts and tuples.
 
-The matrices reduced here are per-degree relation ("Macaulay") matrices with
-well under 1% nonzeros, so ``rref`` works on sparse rows, in the manner of
-Faugere & Lachartre (PASCO 2010): the nonzeros of each row become a
-{column: value} dict, a forward pass eliminates leftmost pivots, and a
-back-substitution from the rightmost pivot leftwards brings the pivot rows to
-reduced form.  The arithmetic is on Python ints, so no intermediate value can
-overflow; only the rank x n result is written back to an int64 array.
+The rows reduced here are sparse: monomial multiples u * g of a few basis
+elements, most of whose leading columns are distinct.  So ``rref`` works on
+sparse rows, in the manner of Faugere & Lachartre (PASCO 2010): the
+nonzeros of each row become a {column: value} dict, a forward pass
+eliminates leftmost pivots, and a back-substitution from the rightmost pivot
+leftwards brings the pivot rows to reduced form.  The arithmetic is on
+Python ints, so no intermediate value can overflow; only the rank x n
+result is written back to an int64 array.
 """
 
 from __future__ import annotations
@@ -74,11 +76,10 @@ def _subtract(row: dict, factor: int, pivot_row: dict, p: int) -> None:
 def _echelon(rows: list[dict], p: int) -> dict[int, dict]:
     """Leftmost-pivot elimination: {pivot column: monic row zero left of it}.
 
-    Rows are taken in input order.  A Macaulay matrix lists the multiples of
-    one relation together, and those have distinct leading columns, so most
-    of them become pivot rows untouched; sorting the rows by leading column
-    interleaves the relations and did four times the work on the regular
-    pair through degree 44.
+    Rows are taken in input order.  ``fp`` lists rows with distinct leading
+    columns first (a reducer matrix has nothing else), so each of them
+    becomes a pivot row untouched and the S-pair rows after them reduce
+    against those.
     """
     basis: dict[int, dict] = {}
     for row in rows:

@@ -61,6 +61,13 @@ _N1_TORSION = (
 )
 
 
+# The largest family parameters that answer.  The Chern flag w_(2m+1)^2 of
+# so(m) has degree 4m + 2, and the splitting ring's cap is 64; the page of
+# extraspecial-d(n) has cap 8 for n >= 3 and a generator of degree 2^n.
+MAX_SO_M = 15
+MAX_EXTRASPECIAL_D_N = 3
+
+
 class ScenarioError(fp.FpAlgebraError):
     pass
 
@@ -847,6 +854,11 @@ def _elementary_stable(p: int, n: int) -> GradedPresentation:
 def so_odd(m: int, cap: int = 64) -> Scenario:
     if m < 1:
         raise ScenarioError("m must be >= 1")
+    if m > MAX_SO_M:
+        raise ScenarioError(
+            f"so takes no --m {m}: --m is at most {MAX_SO_M}, since the Chern flag "
+            f"w{2 * m + 1}^2 of degree {4 * m + 2} must fit the splitting ring's degree cap 64"
+        )
     rank = 2 * m + 1
     pres, action = so_q_action(rank, cap=cap, max_index=3)
     chern = {f"c{i}": pres.gen(f"w{i}") ** 2 for i in range(2, rank + 1)}
@@ -1044,6 +1056,11 @@ def _lambda_mod_f(n: int, p: int) -> GradedPresentation:
 def extraspecial_d(n: int, cap: int | None = None) -> Scenario:
     if n < 1:
         raise ScenarioError("n must be >= 1")
+    if n > MAX_EXTRASPECIAL_D_N:
+        raise ScenarioError(
+            f"extraspecial-d takes no --n {n}: --n is at most {MAX_EXTRASPECIAL_D_N}, since "
+            f"the page's generator w{2**n} of degree {2**n} must fit its degree cap 8"
+        )
     cap = cap if cap is not None else (12 if n <= 2 else 8)
     cover = _elementary_pres(2, 2 * n, cap)
     action = _abelian_q_action(cover, max(1, min(2, n)))

@@ -3,18 +3,29 @@
 A presentation fixes a prime, an ordered list of generators with degrees
 (and, for odd primes, parities), a homogeneous relation list and a hard
 degree cap.  Every graded piece up to the cap is a finite F_p vector space
-with a deterministic monomial basis; the relation ideal is realized
-degreewise by row-reducing all (monomial x relation) products, and normal
-forms are projections onto the non-pivot monomials.  No Groebner machinery:
-the degree cap makes the per-degree linear algebra complete and canonical.
+with a deterministic monomial basis.  The relation ideal is held as a
+degree-truncated Groebner basis in the monomial order below, extended
+lazily one degree at a time up to the degree asked for (Buchberger's
+algorithm with the pair criteria of Gebauer & Moller, JSC 6, 1988, and the
+matrix reduction of Faugere's F4, JPAA 139, 1999): a degree's relations,
+the S-pairs whose lcm lies in it and their reducer rows u * g are
+eliminated together by one ``_kernels.rref`` call, and every pivot that no
+earlier leading monomial divides is a new basis element.  With exterior
+generators the ring is skew-commutative with x^2 = 0: for each exterior x
+in a leading monomial lead(g), the product x * g, in which x * lead(g)
+vanishes, joins the matrix of its degree (Stokes, J. Automated Reasoning
+6, 1990).
 
-A degree's relation ("Macaulay") matrix is block diagonal up to the order of
-its rows and columns.  Each connected block (rows joined by a shared column)
-is eliminated alone, as in the sparse Macaulay solvers of Faugere & Lachartre
-(PASCO 2010), so no dense array is larger than its block; the pivots are the
-union of the blocks' pivots.  What stays cached per degree is a sparse
-reducer, {pivot monomial: its reduced row on the basis monomials}, and a
-normal form is one substitution pass over it in dict arithmetic.
+A degree's standard monomials, those no leading monomial divides, are the
+basis of the quotient, so dimensions and Hilbert series are counts with no
+further elimination.  The normal form needs the reducer {non-standard
+monomial: its reduced row on the standard monomials}: it is filled when a
+normal form in that degree is first asked for, by one ``rref`` of the rows
+u * g, one per non-standard monomial, which span the ideal's degree piece
+with distinct leading monomials.  Reduced row echelon form is unique, so
+the reducer is the one a full elimination of every cofactor x relation
+product ("Macaulay matrix") gives, and a normal form is one substitution
+pass over it in dict arithmetic.
 
 Every ``Element`` is a normal form: only its constructors (``element``,
 ``monomial``, ``gen``, ``one`` and products) reduce, all through
@@ -25,7 +36,7 @@ Monomials are exponent tuples aligned with the generator list.  The
 monomial order is graded lexicographic: within one degree, tuples compare
 lexicographically with earlier generators more significant, and bases are
 listed in descending order (the leading monomial of an element is its
-lex-largest exponent tuple).
+lex-largest exponent tuple, the leftmost column of its degree).
 
 Conventions by characteristic:
   * p odd: a generator is exterior iff its degree is odd; exterior
@@ -34,19 +45,19 @@ Conventions by characteristic:
 
 The free monomials of each degree come from one table per generator list
 (``_MonomialTable``), filled on demand and shared by a presentation, its
-quotients and its free twin.  A degree's matrix columns, each relation's
-cofactors and ``monomials(d)`` are lookups in it, built once in the manner of
-the symbolic preprocessing of Faugere's F4 (JPAA 139, 1999).
+quotients and its free twin; the column order of every matrix and
+``monomials(d)`` are lookups in it.
 
-All values are immutable after construction and all operations are pure;
-the monomial table and the per-degree caches are idempotent fills (a racing
-fill computes an equal entry), so sharing across threads is safe.
+Elements are immutable and their operations pure.  A presentation fills
+its monomial table, its Groebner basis and its per-degree caches on demand;
+the basis grows in place, so a presentation is for one thread at a time.
+A refused basis step changes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -78,14 +89,24 @@ class MorphismError(FpAlgebraError):
 # bound keeps far below 2**63; it also keeps the trial division short.
 MAX_PRIME = 1048573
 
-# The most cells (rows x monomial columns) a degree's Macaulay matrix may have
-# before ``_build_degree`` refuses it.  The largest built-in matrix is the
-# regular pair's at degree 44 (4,105,500 cells); at degree 48 it has 7,169,175.
-# A p = 3 file with five degree-2 generators and relations of degrees 4..12
-# reaches 9,296,280 cells at degree 26 and is refused there.  The same number
-# bounds the exponent entries (monomials x generators) of one degree's monomial
-# list, which a relation-free file with many generators would otherwise fill.
+# The most cells (rows x monomial columns) a degree's Macaulay matrix, every
+# cofactor times every relation, may have before ``_build_degree`` refuses the
+# degree.  No such matrix is built; its size, counted from the table, keeps
+# the refusals of the full elimination this engine replaced.  The largest
+# built-in one is the regular pair's at degree 44 (4,105,500 cells); at degree
+# 48 it has 7,169,175.  A p = 3 file with five degree-2 generators and
+# relations of degrees 4..12 reaches 9,296,280 cells at degree 26 and is
+# refused there.  The same number bounds each S-pair matrix of the Groebner
+# basis and the exponent entries (monomials x generators) of one degree's
+# monomial list, which a relation-free file with many generators would
+# otherwise fill.
 MAX_MACAULAY_CELLS = 8_000_000
+
+# The most elements a truncated Groebner basis may have.  Buchberger's worst
+# case is doubly exponential, so a small file can ask for a basis of any size,
+# and each new element is compared with every pending S-pair.  The largest
+# basis of ``report --all`` has 16 elements.
+MAX_BASIS_ELEMENTS = 500
 
 
 def check_prime(p) -> int:
@@ -166,10 +187,17 @@ class GradedPresentation:
                 raise DegreeCapError("relation degree exceeds the cap")
             rel_degrees.append(d)
         self._relation_degrees = tuple(rel_degrees)
-        self._relation_exterior = tuple(
-            any(m[i] for m in terms for i in self._odd_slots) for terms in self._relation_terms
-        )
         self._lowest_relation = min(rel_degrees, default=degree_cap + 1)
+        # the degree-truncated Groebner basis: monic elements, leading term
+        # first, in degree order; complete through degree _basis_done
+        self._basis: list[tuple] = []
+        self._leads: list[tuple] = []
+        self._lead_support: list[tuple] = []  # ((slot, exponent), ...) of each lead
+        self._lead_odd: list[bool] = []  # the lead has an exterior variable
+        self._basis_odd: list[bool] = []  # some term has an exterior variable
+        self._basis_done = -1
+        self._pairs: dict[int, dict] = {}  # lcm degree -> {(i, j): (lcm, its slot bits)}
+        self._exterior_rows: dict[int, list] = {}  # degree -> [(element, odd slot)]
 
     # -- construction -----------------------------------------------------
 
@@ -288,8 +316,9 @@ class GradedPresentation:
         return data
 
     def _macaulay_cells(self, degree: int) -> int:
-        """Rows x columns of the degree's Macaulay matrix, from the table
-        sizes, before any row is built."""
+        """Rows x columns of the degree's Macaulay matrix (every cofactor
+        times every relation), from the table sizes.  No such matrix is
+        built; the number is the budget a degree must pass first."""
         table = self._table
         rows = sum(
             len(table.monomials(degree - d)) for d in self._relation_degrees if d <= degree
@@ -297,77 +326,229 @@ class GradedPresentation:
         return rows * len(table.monomials(degree))
 
     def _build_degree(self, degree: int) -> "_DegreeData":
-        table = self._table
-        monos = table.monomials(degree)
-        index = table.index(degree)
+        """The degree's monomials and standard monomials, after the
+        Groebner basis is complete through the degree.  No reducer yet."""
         cells = self._macaulay_cells(degree)
         if cells > MAX_MACAULAY_CELLS:
             raise DegreeCapError(
                 f"degree {degree}: the relation matrix would have {cells} cells, "
                 f"above the budget of {MAX_MACAULAY_CELLS}; lower the cap"
             )
-        p = self.prime
-        mul = self._mul_monomials
-        # one sparse {column: value} row per nonzero (cofactor x relation)
-        # product, in input order
-        rows = []
-        for rel, rel_deg, rel_exterior in zip(
-            self._relation_terms, self._relation_degrees, self._relation_exterior
-        ):
-            if rel_deg > degree:
+        for d in range(self._basis_done + 1, degree + 1):
+            self._basis_step(d)
+            self._basis_done = d
+        monos = self._table.monomials(degree)
+        basis = tuple(m for m in monos if self._divisor(m) is None)
+        return _DegreeData(monos, self._table.index(degree), basis)
+
+    def _divisor(self, m) -> int | None:
+        """The first basis element whose leading monomial divides ``m``."""
+        for k, support in enumerate(self._lead_support):
+            for i, e in support:
+                if m[i] < e:
+                    break
+            else:
+                return k
+        return None
+
+    def _times(self, u, k: int) -> dict:
+        """The row u * g_k of basis element k times the monomial u."""
+        terms = self._basis[k]
+        if not self._basis_odd[k]:
+            # no exterior exponent in g_k: exponents add, nothing vanishes
+            # or changes sign, distinct terms stay distinct
+            return {tuple(map(add, u, t)): c for t, c in terms}
+        p, mul = self.prime, self._mul_monomials
+        row = {}
+        for t, c in terms:
+            prod = mul(u, t)
+            if prod is not None:
+                row[prod[0]] = prod[1] * c % p
+        return row
+
+    def _multiple(self, k: int, m) -> dict:
+        """The row (m / lead(g_k)) * g_k, whose leading monomial is ``m``."""
+        return self._times(tuple(map(sub, m, self._leads[k])), k)
+
+    def _matrix(self, rows: list[dict], degree: int, cols) -> tuple[list, np.ndarray, list]:
+        """The rows on the given columns in table order, eliminated by one
+        ``_kernels.rref`` call: (column monomials, reduced rows, pivots)."""
+        index = self._table.index(degree)
+        order = sorted(cols, key=index.__getitem__)
+        col = {m: j for j, m in enumerate(order)}
+        mat = np.zeros((len(rows), len(order)), dtype=np.int64)
+        mat[
+            [i for i, row in enumerate(rows) for _ in row],
+            [col[m] for row in rows for m in row],
+        ] = [v for row in rows for v in row.values()]
+        R, pivots = _kernels.rref(mat, self.prime)
+        return order, R, pivots
+
+    def _basis_step(self, degree: int) -> None:
+        """Complete the Groebner basis in one degree, as in Faugere's F4:
+        the degree's relations, both halves of each S-pair left by the
+        Gebauer-Moller criteria and the x * g rows of the exterior case,
+        closed under symbolic preprocessing (a reducer row u * g for every
+        monomial a leading monomial divides) and eliminated together.  A
+        pivot that no earlier leading monomial divides is a new element.
+        A refusal leaves the basis as it was."""
+        rows = [
+            dict(terms)
+            for terms, d in zip(self._relation_terms, self._relation_degrees)
+            if d == degree
+        ]
+        reducible = set()  # monomials with a row led by them
+        halves = set()
+        for (i, j), (lcm, _) in self._pairs.get(degree, {}).items():
+            reducible.add(lcm)
+            for k in (i, j):
+                if (k, lcm) not in halves:
+                    halves.add((k, lcm))
+                    rows.append(self._multiple(k, lcm))
+        for k, slot in self._exterior_rows.get(degree, ()):
+            unit = tuple(int(i == slot) for i in range(len(self.generators)))
+            row = self._times(unit, k)
+            if row:
+                rows.append(row)
+        if not rows:
+            return
+        cols = {m for row in rows for m in row}
+        todo = [m for m in cols if m not in reducible]
+        reducers = []
+        while todo:
+            m = todo.pop()
+            k = self._divisor(m)
+            if k is None:
                 continue
-            items = tuple(rel.items())
-            cofactors = table.monomials(degree - rel_deg)
-            if not rel_exterior:
-                # no exterior exponent in the relation: exponents add, no
-                # product vanishes or changes sign, distinct terms stay distinct
-                rows.extend(
-                    {index[tuple(map(add, cof, m))]: c for m, c in items} for cof in cofactors
-                )
+            reducible.add(m)
+            row = self._multiple(k, m)
+            reducers.append(row)
+            for t in row:
+                if t not in cols:
+                    cols.add(t)
+                    todo.append(t)
+        # the reducer rows first: their leading monomials are distinct, so
+        # each is a pivot row as it stands, and the rows after them reduce
+        # against them
+        rows = reducers + rows
+        cells = len(rows) * len(cols)
+        if cells > MAX_MACAULAY_CELLS:
+            raise DegreeCapError(
+                f"degree {degree}: the S-pair matrix would have {cells} cells, "
+                f"above the budget of {MAX_MACAULAY_CELLS}; lower the cap"
+            )
+        order, R, pivots = self._matrix(rows, degree, cols)
+        new = [r for r, pivot in enumerate(pivots) if order[pivot] not in reducible]
+        size = len(self._basis) + len(new)
+        if size > MAX_BASIS_ELEMENTS:
+            raise DegreeCapError(
+                f"degree {degree}: the Groebner basis would have {size} elements, "
+                f"above the budget of {MAX_BASIS_ELEMENTS} basis elements; lower the cap"
+            )
+        self._pairs.pop(degree, None)
+        self._exterior_rows.pop(degree, None)
+        for r in new:
+            cs = np.flatnonzero(R[r]).tolist()
+            self._add_basis_element(degree, tuple(zip([order[c] for c in cs], R[r, cs].tolist())))
+
+    def _add_basis_element(self, degree: int, terms: tuple) -> None:
+        """Append a monic element (leading term first) and update the
+        pending S-pairs by the criteria of Gebauer & Moller (JSC 6, 1988)."""
+        h = len(self._basis)
+        lead = terms[0][0]
+        support = tuple((i, e) for i, e in enumerate(lead) if e)
+        bits = _bits(s for s, _ in support)
+        # the coprime (product) criterion holds where neither leading
+        # monomial has an exterior variable: no multiple of such a lead
+        # vanishes, so Buchberger's commutative argument goes through
+        odd = any(lead[i] for i in self._odd_slots)
+        # B: a pending pair whose lcm the new lead divides is covered by the
+        # two pairs through it, unless one of those has the same lcm
+        for pairs in self._pairs.values():
+            covered = [
+                (i, j)
+                for (i, j), (lcm, lcm_bits) in pairs.items()
+                if lcm_bits & bits == bits
+                and all(lcm[s] >= e for s, e in support)
+                and lcm != tuple(map(max, self._leads[i], lead))
+                and lcm != tuple(map(max, self._leads[j], lead))
+            ]
+            for key in covered:
+                del pairs[key]
+        # M and F: of the new pairs within the cap keep one per lcm, none
+        # whose lcm another new lcm properly divides, and none whose lcm a
+        # coprime pair shares.  A divisor of an lcm within the cap is within
+        # it too, so the pairs beyond the cap play no part
+        groups: dict[tuple, list] = {}  # lcm -> [degree, first partner, a pair coprime]
+        for i, g in enumerate(self._leads):
+            lcm = tuple(map(max, g, lead))
+            group = groups.get(lcm)
+            if group is None:
+                d = sum(map(mul, lcm, self._degrees))
+                if d > self.degree_cap:
+                    continue
+                group = groups[lcm] = [d, i, False]
+            if not (odd or self._lead_odd[i] or any(map(min, g, lead))):
+                group[2] = True
+        # one new lcm divides another iff it does on the slots where it
+        # exceeds the new lead, and a proper divisor has the lower degree:
+        # one pass in degree order keeps the minimal lcms
+        minimal = []  # (lcm, bits and list of the slots where it exceeds lead)
+        for lcm, (d, i, coprime) in sorted(groups.items(), key=lambda item: item[1][0]):
+            excess = [s for s, e in enumerate(lead) if lcm[s] > e]
+            mask = _bits(excess)
+            if any(
+                other_mask & mask == other_mask and all(lcm[s] >= other[s] for s in slots)
+                for other, other_mask, slots in minimal
+            ):
                 continue
-            for cof in cofactors:
-                row: dict[int, int] = {}
-                for m, c in items:
-                    prod = mul(cof, m)
-                    if prod is None:
-                        continue
-                    mono, sign = prod
-                    j = index[mono]
-                    v = (row.get(j, 0) + sign * c) % p
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-                if row:
-                    rows.append(row)
-        reducer: dict = {}
-        local = np.zeros(len(monos), dtype=np.intp)  # column -> column in its block
-        for block_rows, cols in _blocks(rows, len(monos)):
-            local[cols] = np.arange(len(cols))
-            mat = np.zeros((len(block_rows), len(cols)), dtype=np.int64)
-            mat[
-                [i for i, row in enumerate(block_rows) for _ in row],
-                local[[j for row in block_rows for j in row]],
-            ] = [v for row in block_rows for v in row.values()]
-            R, pivots = _kernels.rref(mat, p)
-            # a reduced row is 1 on its pivot and 0 on every other pivot
-            # column, so it is read on the basis columns only, in row-major
-            # order: a reducer row per pivot, no dense array kept
-            free = np.ones(len(cols), dtype=bool)
-            free[pivots] = False
-            R = R[:, free]
-            ks, ls = np.nonzero(R)
-            vals = R[ks, ls].tolist()
-            ls = ls.tolist()
-            free_monos = [monos[cols[l]] for l in np.flatnonzero(free).tolist()]
-            end = 0
-            for pivot, count in zip(pivots, np.bincount(ks, minlength=len(pivots)).tolist()):
-                start, end = end, end + count
-                reducer[monos[cols[pivot]]] = tuple(
-                    zip([free_monos[l] for l in ls[start:end]], vals[start:end])
-                )
-        basis = tuple(m for m in monos if m not in reducer)
-        return _DegreeData(monos, index, reducer, basis)
+            minimal.append((lcm, mask, excess))
+            if not coprime:
+                self._pairs.setdefault(d, {})[i, h] = lcm, bits | mask
+        self._basis.append(terms)
+        self._leads.append(lead)
+        self._lead_support.append(support)
+        self._lead_odd.append(odd)
+        self._basis_odd.append(any(t[i] for t, _ in terms for i in self._odd_slots))
+        # x * h for each exterior x in the lead, whose own lead vanishes
+        for i in self._odd_slots:
+            d = degree + self._degrees[i]
+            if lead[i] and d <= self.degree_cap:
+                self._exterior_rows.setdefault(d, []).append((h, i))
+
+    def _reducer(self, degree: int) -> dict:
+        """The degree's reducer, filled on first use: one row u * g per
+        non-standard monomial, eliminated by one ``_kernels.rref`` call.
+        Those rows span the ideal's degree piece and have distinct leading
+        monomials, so the reduced echelon form is the unique one."""
+        data = self._degree_data(degree)
+        if data.reducer is None:
+            rows = []
+            for m in data.monomials:
+                k = self._divisor(m)
+                if k is not None:
+                    rows.append(self._multiple(k, m))
+            reducer = {}
+            if rows:
+                order, R, pivots = self._matrix(rows, degree, {m for row in rows for m in row})
+                # a reduced row is 1 on its pivot and 0 on every other pivot
+                # column, so it is read on the basis columns only, in
+                # row-major order: a reducer row per pivot, no dense array kept
+                free = np.ones(len(order), dtype=bool)
+                free[pivots] = False
+                R = R[:, free]
+                ks, ls = np.nonzero(R)
+                vals = R[ks, ls].tolist()
+                ls = ls.tolist()
+                free_monos = [order[j] for j in np.flatnonzero(free).tolist()]
+                end = 0
+                for pivot, count in zip(pivots, np.bincount(ks, minlength=len(pivots)).tolist()):
+                    start, end = end, end + count
+                    reducer[order[pivot]] = tuple(
+                        zip([free_monos[j] for j in ls[start:end]], vals[start:end])
+                    )
+            data.reducer = reducer
+        return data.reducer
 
     def _mul_monomials(self, m1, m2):
         """Product of two exponent tuples: (monomial, sign) or None if zero."""
@@ -407,7 +588,7 @@ class GradedPresentation:
             if not self._has_relations_at(d):
                 out.update(part)
                 continue
-            reducer = self._degree_data(d).reducer
+            reducer = self._reducer(d)
             # the reducer rows are fully reduced, so one pass leaves no pivot
             acc: dict = {}
             for m, c in part.items():
@@ -514,61 +695,28 @@ class _MonomialTable:
         return tuple(out)
 
 
-def _blocks(rows: list[dict], ncols: int) -> list[tuple[list[dict], list[int]]]:
-    """The connected components of the row-column graph of sparse rows, two
-    rows being joined when they share a column (union-find over columns).
-
-    Each component is (its rows in input order, its columns ascending), in
-    the order of its first row; a column that no row touches is in none.
-    """
-    parent = list(range(ncols))
-
-    def find(j):
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        return j
-
-    for row in rows:
-        cols = iter(row)
-        root = find(next(cols))
-        for j in cols:
-            r = parent[j]
-            if r != root:
-                r = find(r)
-                if r != root:
-                    parent[r] = root
-    blocks: dict[int, tuple[list, list]] = {}
-    for row in rows:
-        root = find(next(iter(row)))
-        block = blocks.get(root)
-        if block is None:
-            block = blocks[root] = ([], [])
-        block[0].append(row)
-    # an untouched column is its own root, and no block has it as root
-    for j in range(ncols):
-        r = parent[j]
-        block = blocks.get(r if r == j else find(r))
-        if block is not None:
-            block[1].append(j)
-    return list(blocks.values())
+def _bits(slots) -> int:
+    """A set of slots as the bits of an int."""
+    return sum(1 << s for s in slots)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _DegreeData:
     """One degree of a quotient: its free monomials and their columns, the
-    reducer and the basis monomials (those that are no pivot).
+    basis (standard) monomials, which no leading monomial divides, and the
+    reducer, filled on first use.
 
-    ``reducer`` maps each pivot monomial to its reduced Macaulay row off the
-    pivot, ((basis monomial, coefficient), ...): the monomial equals minus
-    that combination in the quotient.  The rows come from eliminating each
-    connected block of the degree's matrix alone; a reduced row is zero on
-    every other pivot, so one substitution pass gives the normal form.
+    ``reducer`` maps each non-standard monomial to its row of the reduced
+    echelon form of the ideal's degree piece, read off the pivot,
+    ((basis monomial, coefficient), ...): the monomial equals minus that
+    combination in the quotient.  A reduced row is zero on every other
+    pivot, so one substitution pass gives the normal form.
     """
 
     monomials: tuple
     index: dict
-    reducer: dict
     basis: tuple
+    reducer: dict | None = None
 
 
 class Element:

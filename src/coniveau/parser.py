@@ -204,6 +204,8 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise ParseError(f"expected '{head} NAME = EXPR'", lineno, indent + 1)
             name, expr = m.group(1), m.group(2)
             value = parse_expression(pres, {**names, **out.aliases}, expr, lineno)
+            if head == "chern" and not value.is_homogeneous():
+                raise ParseError(f"chern flag {name} is not homogeneous", lineno, 1)
             {"alias": out.aliases, "chern": out.chern, "n1": out.n1}[head][name] = value
     return out
 

@@ -2,14 +2,17 @@
 
 ``perfbench/tracer.py`` wraps package entry points by attribute name, and the
 family table must look its builders up at call time for those wrappers to
-count.  The tracer counts Macaulay rows only for a call of the module
-attribute ``_kernels.rref`` whose innermost traced caller is
-``GradedPresentation._build_degree``, and counts the detection layer through
-``search_witness``, ``_detect_candidate`` and ``chern_survival``.  A rename,
-a deletion, an early-bound builder, ``rref`` or detection call, an ``rref``
-call moved out of ``_build_degree``, or a block split that drops rows would
-otherwise show only in a traced benchmark run.  The run happens in a fresh
-interpreter so the patches never leak into the other tests.
+count.  The tracer's ``macaulay_rows`` counts the rows of each call of the
+module attribute ``_kernels.rref`` whose innermost traced caller is
+``GradedPresentation._build_degree``: since the degreewise Groebner basis
+replaced the Macaulay matrices, those are the rows of the S-pair matrices
+(relations, S-pair halves and reducer rows u * g).  The detection layer is
+counted through ``search_witness``, ``_detect_candidate`` and
+``chern_survival``.  A rename, a deletion, an early-bound builder, ``rref``
+or detection call, an ``rref`` call moved out of ``_build_degree``, or a
+change in the S-pairs the criteria keep would otherwise show only in a
+traced benchmark run.  The run happens in a fresh interpreter so the
+patches never leak into the other tests.
 """
 
 import json
@@ -74,14 +77,14 @@ def test_traced_cli_run_counts_builders_and_renders():
     assert verify["builds"] == 1 and verify["renders"] == 1
     # `list` builds every canonical instance, each through its patched builder
     assert listing["builds"] > verify["builds"] + 16 and listing["renders"] == 2
-    # the Macaulay matrices of a quotient reach rref from inside _build_degree,
+    # the S-pair matrices of a quotient reach rref from inside _build_degree,
     # where the tracer counts their rows
     hilbert = result["hilbert"]
     assert hilbert["code"] == 0
     assert hilbert["degree_builds"] > 0 and hilbert["rref_calls"] > 0
-    # each block of a matrix is its own rref call, and the blocks' rows add up
-    # to the unsplit matrices' 356 nonzero rows
-    assert hilbert["macaulay_rows"] == 356
+    # the 3-element truncated basis of the degree-8 page takes 11 S-pair
+    # matrix rows, where the Macaulay matrices had 356
+    assert hilbert["macaulay_rows"] == 11
     # [search_witness, detect_candidate, chern_survival, certified]: one
     # search, one sequence and one Chern test per elementary candidate; a
     # restriction scenario searches its target once and wraps the result

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,19 @@ def test_extraspecial_e_refuses_other_primes(capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert "--p 5" in body["error"] and "24" in body["error"] and "52" in body["error"]
     assert "certificate" not in body
+
+
+@pytest.mark.parametrize("family, flag, last", [("so", "--m", 15), ("extraspecial-d", "--n", 3)])
+def test_family_parameter_bound(capsys, family, flag, last):
+    # the last value answers; the next one is refused by name, where it used
+    # to fail on a degree cap ("degree 66 above cap 64", "degree cap below a
+    # generator degree")
+    code, body = run_json(capsys, "hilbert", family, flag, str(last), "--cap", "4")
+    assert code == EXIT_OK
+    code, body = run_json(capsys, "hilbert", family, flag, str(last + 1), "--cap", "4")
+    assert code == EXIT_USAGE
+    assert f"takes no {flag} {last + 1}" in body["error"] and f"at most {last}" in body["error"]
+    assert "hilbert" not in body
 
 
 def test_family_refuses_foreign_parameter(capsys):
@@ -383,6 +397,29 @@ def test_user_scenario_over_monomial_budget(tmp_path, capsys):
     code, body = run_json(capsys, "hilbert", str(path), "--cap", "2")
     assert code == EXIT_OK
     assert body["hilbert"]["dimensions"] == [1, 120, 7260]
+
+
+def test_user_scenario_over_basis_budget(tmp_path, capsys):
+    # 32 degree-1 generators and all 528 products of two as relations: the
+    # degree-2 matrix has only 528 x 528 cells, but its 528 pivots are all
+    # new basis elements, above the budget of 500
+    path = tmp_path / "products.pres"
+    gens = range(1, 33)
+    path.write_text(
+        "prime 2\ncap 3\n"
+        + "".join(f"gen x{i} 1\n" for i in gens)
+        + "".join(f"rel x{i}*x{j}\n" for i in gens for j in gens if i <= j)
+    )
+    start = time.perf_counter()
+    code, body = run_json(capsys, "hilbert", str(path), "--cap", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert "degree 2" in body["error"] and "528 elements" in body["error"]
+    assert "budget of 500 basis elements" in body["error"]
+    assert "hilbert" not in body
+    code, body = run_json(capsys, "hilbert", str(path), "--cap", "1")
+    assert code == EXIT_OK
+    assert body["hilbert"]["dimensions"] == [1, 32]
 
 
 def test_user_scenario_parse_error_position(tmp_path, capsys):

@@ -68,6 +68,15 @@ def test_relation_must_be_homogeneous():
         parse_presentation(text)
 
 
+def test_chern_flag_must_be_homogeneous():
+    # the flag used to parse and fail later inside the Chern test with only
+    # "element has degrees [1, 2]"
+    text = "prime 3\ncap 8\ngen y1 2\ngen x1 1\nchern c0 = y1\nchern c1 = y1 + x1\n"
+    with pytest.raises(ParseError, match="chern flag c1 is not homogeneous") as exc:
+        parse_presentation(text)
+    assert exc.value.line == 6
+
+
 def test_q_line_shape():
     text = "prime 3\ncap 12\ngen y 2\ngen x 1\nQ 0 x = y\nQ 1 x = y^3\n"
     data = parse_presentation(text)

@@ -15,7 +15,7 @@ from coniveau import certificates as C
 from coniveau.fp import Generator, GradedPresentation
 from coniveau.milnor import QAction, op_degree
 
-from helpers import element_vector, oracle_in_span, oracle_rref
+from helpers import element_vector, oracle_ideal_dimension, oracle_in_span, oracle_rref
 
 SEED = 0x5EED
 
@@ -193,6 +193,19 @@ def test_normal_form_against_macaulay_oracle():
     assert checks >= 1000
 
 
+def test_dimension_against_ideal_oracle():
+    # standard-monomial counts against the rank of brute cofactor x relation
+    # products, exterior rings included
+    checks = 0
+    for pres in quotient_pool():
+        for d in range(min(pres.degree_cap, 10) + 1):
+            free = len(pres.monomials(d))
+            want = free - oracle_ideal_dimension(pres.free, pres.relations, d)
+            assert pres.dimension(d) == want, (str(pres), d)
+            checks += 1
+    print(f"dimensions against the ideal oracle: {checks} checks")
+
+
 def operation_pool(rng):
     """(ring, action) pairs on ``quotient_pool()``: the elementary-abelian
     table on the rings it fits, and a seeded random table on every ring."""
@@ -252,10 +265,11 @@ def test_q_application_matches_term_by_term_products():
     assert nonzero > checks // 4
 
 
-def test_regular_pair_eliminated_block_by_block(monkeypatch):
-    # each connected block of a degree's Macaulay matrix reaches rref alone:
-    # the unsplit degree-44 matrix has 4,105,500 cells, and every nonzero row
-    # still reaches rref once; the cached reducers hold no dense array
+def test_regular_pair_truncated_basis(monkeypatch):
+    # the regular pair's Hilbert series through degree 44 comes from a
+    # 4-element truncated Groebner basis and a few small S-pair matrices, in
+    # place of Macaulay matrices of up to 4,105,500 cells; reducers are
+    # filled on first use and hold no dense array
     shapes, built = [], []
     rref, build = _kernels.rref, fp.GradedPresentation._build_degree
 
@@ -270,22 +284,20 @@ def test_regular_pair_eliminated_block_by_block(monkeypatch):
 
     monkeypatch.setattr(_kernels, "rref", recording_rref)
     monkeypatch.setattr(fp.GradedPresentation, "_build_degree", recording_build)
-    C.comparison_regular_pair(3, 44)
+    report, quotient, _ = C.comparison_regular_pair(3, 44)
+    assert report.regular
+    (pair,) = {id(pres): pres for pres, _, _ in built if pres.relations}.values()
+    assert len(pair._basis) == 4
     assert max(rows * cols for rows, cols in shapes) <= 1_000_000
-    # a polynomial ring: no cofactor x relation product vanishes, so the
-    # unsplit matrix has one row per (relation, cofactor) pair
-    unsplit = sum(
-        len(pres.monomials(degree - r.degree()))
-        for pres, degree, _ in built
-        for r in pres.relations
-        if r.degree() <= degree
-    )
-    assert sum(rows for rows, _ in shapes) == unsplit == 9135
-    assert len(shapes) > len(built)
+    assert all(data.reducer is None for _, _, data in built)
+    # a degree-44 normal form fills that degree's reducer
+    y4 = quotient.gen("y4")
+    assert not (y4**22).is_zero()
+    assert quotient._degree_data(44).reducer
     for _, _, data in built:
         for f in dataclasses.fields(data):
             assert not isinstance(getattr(data, f.name), np.ndarray), f.name
-        assert all(isinstance(row, tuple) for row in data.reducer.values())
+        assert all(isinstance(row, tuple) for row in (data.reducer or {}).values())
 
 
 def test_graded_commutativity():
