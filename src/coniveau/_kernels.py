@@ -1,21 +1,20 @@
-"""Exact linear algebra over F_p: one sparse eliminator.
+"""Exact linear algebra over F_p: one sparse eliminator on dict rows.
 
-The only primitive is reduced row echelon form, whose pivot count is the
-rank; vector reduction and nullspace extraction are thin wrappers around it.
-Matrices are int64 numpy arrays with entries in [0, p).  They appear only at
-this boundary: ``fp`` packs each degree's S-pair matrix of its Groebner
-basis, a degree's reducer rows, or the span matrix of ``in_span`` and
-``q0_kernel_basis`` into one for the call and keeps no array; its basis,
-cached reducers and normal forms are dicts and tuples.
+Rows are {column: value} dicts with values in [1, p), and the one
+elimination is ``echelon``: the reduced row echelon form of their span,
+{pivot column: monic reduced row}, whose pivot count is the rank.  Vector
+reduction and nullspace extraction read it off.  ``fp`` keys its rows by a
+degree's table columns (a reducer, the span of ``in_span``) and
+``certificates`` by basis positions (the Q_0 kernel of ``q0_kernel_basis``);
+no caller keeps an array.  The one dense boundary is ``rref``, which takes
+and returns an int64 numpy array for ``fp``'s S-pair matrices.
 
 The rows reduced here are sparse: monomial multiples u * g of a few basis
-elements, most of whose leading columns are distinct.  So ``rref`` works on
-sparse rows, in the manner of Faugere & Lachartre (PASCO 2010): the
-nonzeros of each row become a {column: value} dict, a forward pass
-eliminates leftmost pivots, and a back-substitution from the rightmost pivot
-leftwards brings the pivot rows to reduced form.  The arithmetic is on
-Python ints, so no intermediate value can overflow; only the rank x n
-result is written back to an int64 array.
+elements, most of whose leading columns are distinct.  So the elimination
+follows Faugere & Lachartre (PASCO 2010): a forward pass eliminates
+leftmost pivots, and a back-substitution from the rightmost pivot leftwards
+brings the pivot rows to reduced form.  The arithmetic is on Python ints,
+so no intermediate value can overflow.
 """
 
 from __future__ import annotations
@@ -28,19 +27,21 @@ def backend_name() -> str:
     return "sparse"
 
 
-def as_matrix(rows, ncols: int) -> np.ndarray:
-    """Stack coefficient rows (iterables of int) into an int64 matrix."""
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+def echelon(rows: list[dict], p: int) -> dict[int, dict]:
+    """Reduced row echelon form of the span of nonzero ``rows``, which it
+    consumes: {pivot column: row}, each row 1 on its pivot and 0 on every
+    other pivot column."""
+    basis = _echelon(rows, p)
+    _back_substitute(basis, sorted(basis), p)
+    return basis
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form (a new array) with zero rows trimmed."""
+    """``echelon`` of a dense matrix: the reduced rows as a new int64 array
+    with zero rows trimmed, and the pivot columns in ascending order."""
     mat = np.asarray(mat, dtype=np.int64)
-    basis = _echelon(_sparse_rows(mat, p), p)
+    basis = echelon(_sparse_rows(mat, p), p)
     pivots = sorted(basis)
-    _back_substitute(basis, pivots, p)
     out = np.zeros((len(pivots), mat.shape[1]), dtype=np.int64)
     for k, c in enumerate(pivots):
         row = basis[c]
@@ -109,32 +110,28 @@ def _back_substitute(basis: dict[int, dict], pivots: list[int], p: int) -> None:
             _subtract(row, row[c], basis[c], p)
 
 
-def reduce_vector(vec: np.ndarray, R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Eliminate the pivot coordinates of ``vec`` against rref rows ``R``.
-
-    The int64 product sum is at most rank * (p - 1)**2 per entry, which the
-    prime bound in ``fp.check_prime`` keeps below 2**63.
-    """
-    if not pivots:
-        return vec % p
-    coeffs = vec[pivots]
-    if not coeffs.any():
-        return vec % p
-    return (vec - coeffs @ R) % p
+def reduce_vector(vec: dict, basis: dict[int, dict], p: int) -> dict:
+    """The remainder of ``vec`` against an ``echelon`` result: a new dict,
+    ``vec`` minus a row-space vector, zero on every pivot column.  Each
+    reduced row touches no other pivot, so one pass clears them all."""
+    row = {c: v % p for c, v in vec.items() if v % p}
+    for c in [c for c in row if c in basis]:
+        _subtract(row, row[c], basis[c], p)
+    return row
 
 
-def nullspace(mat: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right nullspace, one vector per free column."""
-    ncols = mat.shape[1]
-    R, pivots = rref(mat, p)
-    pivot_set = set(pivots)
-    basis = []
+def nullspace(rows: list[dict], ncols: int, p: int) -> list[dict]:
+    """Basis of the vectors x on columns 0..ncols-1 with sum(row[c] * x[c])
+    = 0 for every row: one per free column, in ascending order, each a dict
+    with its columns ascending."""
+    basis = echelon(rows, p)
+    pivots = sorted(basis)
+    out = []
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = np.zeros(ncols, dtype=np.int64)
-        v[free] = 1
-        for k, c in enumerate(pivots):
-            v[c] = (-int(R[k, free])) % p
-        basis.append(v)
-    return basis
+        if free not in basis:
+            # a pivot row is zero left of its pivot, so each pivot met here
+            # lies left of the free column
+            vec = {c: (-basis[c][free]) % p for c in pivots if free in basis[c]}
+            vec[free] = 1
+            out.append(vec)
+    return out

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import combinations
 
-from . import fp
+from . import _kernels, fp
 from .charclasses import g2_q_action, so_q_action
 from .fp import (
     AlgebraMorphism,
@@ -48,7 +48,7 @@ from .fp import (
     Generator,
     GradedPresentation,
 )
-from .milnor import QAction, op_degree
+from .milnor import QAction
 from .parser import parse_expression, render_presentation
 
 NOT_IN_STRONG_CONIVEAU = "not-in-strong-coniveau"
@@ -308,15 +308,16 @@ def q0_kernel_basis(scenario: Scenario, degree: int) -> list[Element]:
         return []
     if scenario.q_action is None:
         raise ScenarioError("no operation table on the detection ring")
-    images = [scenario.q_action.apply(0, b) for b in basis]
-    mat, _ = fp.span_rows(images, degree + op_degree(pres.prime, 0))
-    from . import _kernels
-
-    # kernel of v -> v @ mat, i.e. combinations of basis elements with zero image
+    # one row per monomial of the Q_0 images, {basis position: coefficient}:
+    # its nullspace is the combinations of basis elements with zero image
+    rows: dict = {}
+    for i, b in enumerate(basis):
+        for m, c in scenario.q_action.apply(0, b).terms.items():
+            rows.setdefault(m, {})[i] = c
     monos = [m for b in basis for m in b.terms]  # each basis element is one monomial
     return [
-        pres.element({m: int(c) for m, c in zip(monos, vec) if c})
-        for vec in _kernels.nullspace(mat.T, pres.prime)
+        pres.element({monos[i]: c for i, c in vec.items()})
+        for vec in _kernels.nullspace(list(rows.values()), len(basis), pres.prime)
     ]
 
 

@@ -20,12 +20,14 @@ A degree's standard monomials, those no leading monomial divides, are the
 basis of the quotient, so dimensions and Hilbert series are counts with no
 further elimination.  The normal form needs the reducer {non-standard
 monomial: its reduced row on the standard monomials}: it is filled when a
-normal form in that degree is first asked for, by one ``rref`` of the rows
-u * g, one per non-standard monomial, which span the ideal's degree piece
-with distinct leading monomials.  Reduced row echelon form is unique, so
-the reducer is the one a full elimination of every cofactor x relation
-product ("Macaulay matrix") gives, and a normal form is one substitution
-pass over it in dict arithmetic.
+normal form in that degree is first asked for, by ``_kernels.echelon`` on
+the dict rows u * g, one per non-standard monomial, which span the ideal's
+degree piece with distinct leading monomials.  Reduced row echelon form is
+unique, so the reducer is the one a full elimination of every cofactor x
+relation product ("Macaulay matrix") gives, and a normal form is one
+substitution pass over it in dict arithmetic.  ``in_span`` eliminates on
+the same dict rows; only the S-pair matrices of a basis step pass through
+the int64 array of ``_kernels.rref``.
 
 Every ``Element`` is a normal form: only its constructors (``element``,
 ``monomial``, ``gen``, ``one`` and products) reduce, all through
@@ -84,9 +86,9 @@ class MorphismError(FpAlgebraError):
     """An algebra morphism failed validation."""
 
 
-# The largest prime below 2**20.  The eliminator works on Python ints, but
-# ``_kernels.reduce_vector`` sums up to rank * (p - 1)**2 in int64, which this
-# bound keeps far below 2**63; it also keeps the trial division short.
+# The largest prime below 2**20.  Elimination is on Python ints, so no int64
+# sum is left to overflow; the bound stays because lifting it would turn
+# refusals into answers.  It also keeps the trial division short.
 MAX_PRIME = 1048573
 
 # The most cells (rows x monomial columns) a degree's Macaulay matrix, every
@@ -518,36 +520,25 @@ class GradedPresentation:
 
     def _reducer(self, degree: int) -> dict:
         """The degree's reducer, filled on first use: one row u * g per
-        non-standard monomial, eliminated by one ``_kernels.rref`` call.
-        Those rows span the ideal's degree piece and have distinct leading
-        monomials, so the reduced echelon form is the unique one."""
+        non-standard monomial, brought to reduced echelon form by
+        ``_kernels.echelon``.  Those rows span the ideal's degree piece and
+        have distinct leading monomials, so the form is the unique one."""
         data = self._degree_data(degree)
         if data.reducer is None:
+            index, monos = data.index, data.monomials
             rows = []
-            for m in data.monomials:
+            for m in monos:
                 k = self._divisor(m)
                 if k is not None:
-                    rows.append(self._multiple(k, m))
-            reducer = {}
-            if rows:
-                order, R, pivots = self._matrix(rows, degree, {m for row in rows for m in row})
-                # a reduced row is 1 on its pivot and 0 on every other pivot
-                # column, so it is read on the basis columns only, in
-                # row-major order: a reducer row per pivot, no dense array kept
-                free = np.ones(len(order), dtype=bool)
-                free[pivots] = False
-                R = R[:, free]
-                ks, ls = np.nonzero(R)
-                vals = R[ks, ls].tolist()
-                ls = ls.tolist()
-                free_monos = [order[j] for j in np.flatnonzero(free).tolist()]
-                end = 0
-                for pivot, count in zip(pivots, np.bincount(ks, minlength=len(pivots)).tolist()):
-                    start, end = end, end + count
-                    reducer[order[pivot]] = tuple(
-                        zip([free_monos[j] for j in ls[start:end]], vals[start:end])
-                    )
-            data.reducer = reducer
+                    rows.append({index[t]: c for t, c in self._multiple(k, m).items()})
+            # each row is a pivot row as it stands, so the pivots keep the
+            # rows' column order; a reduced row is 1 on its pivot and 0 on
+            # every other pivot column, so the rest of it lies on the basis
+            # columns, sorted into column order here
+            data.reducer = {
+                monos[pivot]: tuple((monos[c], v) for c, v in sorted(row.items()) if c != pivot)
+                for pivot, row in _kernels.echelon(rows, self.prime).items()
+            }
         return data.reducer
 
     def _mul_monomials(self, m1, m2):
@@ -876,20 +867,6 @@ class Element:
         return f"<{self}>"
 
 
-def span_rows(elements, degree: int):
-    """Coefficient matrix of homogeneous elements in one degree's monomial
-    coordinates, plus the degree data (shared helper for membership tests)."""
-    pres = elements[0].pres
-    data = pres._degree_data(degree)
-    rows = []
-    for e in elements:
-        vec = np.zeros(len(data.monomials), dtype=np.int64)
-        for m, c in e.terms.items():
-            vec[data.index[m]] = c
-        rows.append(vec)
-    return _kernels.as_matrix(rows, len(data.monomials)), data
-
-
 def in_span(e: Element, spanning) -> bool:
     """Is ``e`` an F_p combination of the given homogeneous elements
     (all of the same degree, same presentation)?"""
@@ -899,12 +876,10 @@ def in_span(e: Element, spanning) -> bool:
     spanning = [s for s in spanning if not s.is_zero() and s.degree() == d]
     if not spanning:
         return False
-    mat, data = span_rows(spanning, d)
-    R, pivots = _kernels.rref(mat, e.pres.prime)
-    vec = np.zeros(len(data.monomials), dtype=np.int64)
-    for m, c in e.terms.items():
-        vec[data.index[m]] = c
-    return not _kernels.reduce_vector(vec, R, pivots, e.pres.prime).any()
+    index = spanning[0].pres._degree_data(d).index
+    p = e.pres.prime
+    echelon = _kernels.echelon([{index[m]: c for m, c in s.terms.items()} for s in spanning], p)
+    return not _kernels.reduce_vector({index[m]: c for m, c in e.terms.items()}, echelon, p)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,16 @@ import pytest
 
 from coniveau import certificates as C
 from coniveau.fp import MAX_MACAULAY_CELLS, Generator, GradedPresentation
-from coniveau.milnor import validate_q_axioms
+from coniveau.milnor import op_degree, validate_q_axioms
 from coniveau.parser import parse_expression
 
-from helpers import element_vector, oracle_ideal_dimension, oracle_in_span, oracle_rref
+from helpers import (
+    element_vector,
+    oracle_ideal_dimension,
+    oracle_in_span,
+    oracle_rank,
+    oracle_rref,
+)
 
 
 # -- detect ------------------------------------------------------------------------
@@ -389,6 +395,28 @@ def test_chern_span_from_single_flags_matches_products(key):
         outcomes.add(survives)
     # g2's flags start in degree 8, so no seeded class is a Chern multiple
     assert outcomes == ({True} if key == "g2" else {True, False})
+
+
+WITH_TABLE = [
+    key for key, build in C.builtin_scenarios().items()
+    if getattr(build(), "q_action", None) is not None
+]
+
+
+@pytest.mark.parametrize("key", WITH_TABLE)
+def test_q0_kernel_basis_against_oracle(key):
+    # the Bockstein kernel in degrees 1..5 by rank counting: as many
+    # independent classes as the degree's dimension minus the rank of the
+    # Q_0 images, each with Q_0 value zero
+    s = C.builtin_scenarios()[key]()
+    pres, p = s.detect_pres, s.prime
+    for d in range(1, min(5, pres.degree_cap - op_degree(p, 0)) + 1):
+        basis = pres.graded_basis(d)
+        images = [element_vector(s.q_action.apply(0, b), d + op_degree(p, 0)) for b in basis]
+        kernel = C.q0_kernel_basis(s, d)
+        assert len(kernel) == len(basis) - oracle_rank(images, p), (key, d)
+        assert oracle_rank([element_vector(k, d) for k in kernel], p) == len(kernel)
+        assert all(s.q_action.apply(0, k).is_zero() for k in kernel), (key, d)
 
 
 def test_quadric_hyperplane_multiples_flagged():

@@ -509,6 +509,9 @@ GOLDEN_CLI = {
     "verify elementary --n 3": (2, "74074e748d9b84875db352e8d17a5db57e42a310134e47528d345f186edbe2ef"),
     "verify no-such-scenario": (2, "87a22af0f774242fa754000f2de5522d021519d0270e04c37184f134a8be4672"),
     "dh-table so --m 2 --format markdown": (0, "229afb6f1eb6f79e02935f3e83f7f1de565a03d97ad43766a89201c808d4b355"),
+    # Chern-ideal tests on detection rings larger than any of ``report --all``
+    "dh-table elementary --p 2 --n 6": (0, "e7c93668d4ed1a88315f76b0c84e0951e0cdb516a2d251ba651d5cb63355223f"),
+    "dh-table extraspecial-e --n 8 --p 3": (0, "b461f0511b018081f1f2a65e044dbbec665560d9f74e0849215989a35657f078"),
 }
 
 

@@ -44,8 +44,9 @@ def test_check_prime():
 
 
 def test_prime_bound():
-    # MAX_PRIME is the largest prime the int64 reduce_vector product sum
-    # is sized for; the next prime and 2**32 + 15 are refused
+    # MAX_PRIME is the largest prime below 2**20.  Elimination is on Python
+    # ints, so no int64 sum depends on it any more; it stays so that the same
+    # primes are refused: the next prime and 2**32 + 15
     assert check_prime(MAX_PRIME) == MAX_PRIME
     assert MAX_PRIME < 2**20 < 1048583
     for big in (1048583, 4294967311):

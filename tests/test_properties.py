@@ -269,7 +269,7 @@ def test_regular_pair_truncated_basis(monkeypatch):
     # the regular pair's Hilbert series through degree 44 comes from a
     # 4-element truncated Groebner basis and a few small S-pair matrices, in
     # place of Macaulay matrices of up to 4,105,500 cells; reducers are
-    # filled on first use and hold no dense array
+    # filled on first use, without an rref call, and hold no dense array
     shapes, built = [], []
     rref, build = _kernels.rref, fp.GradedPresentation._build_degree
 
@@ -290,14 +290,29 @@ def test_regular_pair_truncated_basis(monkeypatch):
     assert len(pair._basis) == 4
     assert max(rows * cols for rows, cols in shapes) <= 1_000_000
     assert all(data.reducer is None for _, _, data in built)
-    # a degree-44 normal form fills that degree's reducer
+    # once the quotient's basis is complete through degree 44, a degree-44
+    # normal form fills the reducers it meets on dict rows: the rref calls
+    # are the Groebner basis steps only
     y4 = quotient.gen("y4")
+    assert quotient.dimension(44)
+    steps = len(shapes)
     assert not (y4**22).is_zero()
     assert quotient._degree_data(44).reducer
+    assert len(shapes) == steps
+    filled = 0
     for _, _, data in built:
         for f in dataclasses.fields(data):
             assert not isinstance(getattr(data, f.name), np.ndarray), f.name
-        assert all(isinstance(row, tuple) for row in (data.reducer or {}).values())
+        reducer = data.reducer or {}
+        assert all(isinstance(row, tuple) for row in reducer.values())
+        # pivots, and the entries of each row, in table column order
+        pivots = [data.index[m] for m in reducer]
+        assert pivots == sorted(pivots)
+        for row in reducer.values():
+            cols = [data.index[b] for b, _ in row]
+            assert cols == sorted(cols)
+            filled += len(row) > 1
+    assert filled
 
 
 def test_graded_commutativity():
