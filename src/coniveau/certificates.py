@@ -64,8 +64,12 @@ _N1_TORSION = (
 # The largest family parameters that answer.  The Chern flag w_(2m+1)^2 of
 # so(m) has degree 4m + 2, and the splitting ring's cap is 64; the page of
 # extraspecial-d(n) has cap 8 for n >= 3 and a generator of degree 2^n.
+# extraspecial-e answers for every n, but its table grows with its n(2n - 1) - 1
+# candidates: at p = 3 on 2 cores, n = 24 takes 7.8 s and 64 MiB, n = 28
+# takes 13 s, and n = 40 did not finish in 2 minutes.
 MAX_SO_M = 15
 MAX_EXTRASPECIAL_D_N = 3
+MAX_EXTRASPECIAL_E_N = 24
 
 
 class ScenarioError(fp.FpAlgebraError):
@@ -246,6 +250,8 @@ class Scenario:
     def hilbert(self, cap: int | None = None) -> dict:
         pres = self.presentation
         cap = cap if cap is not None else min(pres.degree_cap, 12)
+        if cap < 0:
+            raise ScenarioError(f"hilbert takes no --cap {cap}: --cap is a degree, at least 0")
         if cap > pres.degree_cap:
             raise ScenarioError(f"cap {cap} exceeds the scenario maximum {pres.degree_cap}")
         return {"cap": cap, "dimensions": pres.hilbert_series(cap)}
@@ -1021,6 +1027,11 @@ def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
         )
     if n < 2:
         raise ScenarioError("n must be >= 2 (the rank-1 case has no degree-3 table)")
+    if n > MAX_EXTRASPECIAL_E_N:
+        raise ScenarioError(
+            f"extraspecial-e takes no --n {n}: --n is at most {MAX_EXTRASPECIAL_E_N}, a bound "
+            f"on run time, and the table would have {n * (2 * n - 1) - 1} candidates"
+        )
     cover = _elementary_pres(p, 2 * n, cap)
     action = _abelian_q_action(cover, 2)
     page, _ = extraspecial_e4(n, p)

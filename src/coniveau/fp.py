@@ -18,7 +18,13 @@ vanishes, joins the matrix of its degree (Stokes, J. Automated Reasoning
 
 A degree's standard monomials, those no leading monomial divides, are the
 basis of the quotient, so dimensions and Hilbert series are counts with no
-further elimination.  The normal form needs the reducer {non-standard
+further elimination.  They form an order ideal (Cox, Little & O'Shea,
+Ideals, Varieties, and Algorithms, section 9.3): a standard monomial whose
+first nonzero exponent sits at slot k is g_k times a standard monomial of
+lower degree, and only a leading monomial whose first nonzero slot is k can
+divide the product.  So each degree's list is grown from the lists below it,
+the way ``_MonomialTable`` grows the free monomials, and no non-standard
+monomial is listed.  The normal form needs the reducer {non-standard
 monomial: its reduced row on the standard monomials}: it is filled when a
 normal form in that degree is first asked for, by ``_kernels.echelon`` on
 the dict rows u * g, one per non-standard monomial, which span the ideal's
@@ -47,8 +53,11 @@ Conventions by characteristic:
 
 The free monomials of each degree come from one table per generator list
 (``_MonomialTable``), filled on demand and shared by a presentation, its
-quotients and its free twin; the column order of every matrix and
-``monomials(d)`` are lookups in it.
+quotients and its free twin.  The table counts a degree before it lists it:
+the budgets, the Macaulay cell count and a relation-free ring's dimensions
+read the counts, and only ``monomials(d)``, a reducer and ``in_span`` list
+a degree.  Within a degree the table's order is descending lex, so the
+columns of an S-pair matrix are its monomials sorted in reverse.
 
 Elements are immutable and their operations pure.  A presentation fills
 its monomial table, its Groebner basis and its per-degree caches on demand;
@@ -194,12 +203,18 @@ class GradedPresentation:
         # first, in degree order; complete through degree _basis_done
         self._basis: list[tuple] = []
         self._leads: list[tuple] = []
-        self._lead_support: list[tuple] = []  # ((slot, exponent), ...) of each lead
+        # first nonzero slot of a lead (len(gens) for a constant) ->
+        # [(index, ((slot, exponent), ...) of the lead)]
+        self._leads_at: list[list] = [[] for _ in range(len(gens) + 1)]
         self._lead_odd: list[bool] = []  # the lead has an exterior variable
         self._basis_odd: list[bool] = []  # some term has an exterior variable
         self._basis_done = -1
         self._pairs: dict[int, dict] = {}  # lcm degree -> {(i, j): (lcm, its slot bits)}
         self._exterior_rows: dict[int, list] = {}  # degree -> [(element, odd slot)]
+        # each degree's standard monomials in table order, and their suffix
+        # block lengths (tails[k]: how many vanish before generator k)
+        self._standard: list[tuple] = []
+        self._standard_tails: list[list[int]] = []
 
     # -- construction -----------------------------------------------------
 
@@ -289,16 +304,21 @@ class GradedPresentation:
     def graded_basis(self, degree: int) -> list["Element"]:
         """Deterministic ordered basis of the degree-d piece of the quotient."""
         data = self._degree_data(degree)
+        if data.basis is None:
+            # a relation-free degree: every monomial
+            data.basis = self._table.monomials(degree)
         return [Element(self, {m: 1}) for m in data.basis]
 
     def dimension(self, degree: int) -> int:
-        return len(self._degree_data(degree).basis)
+        return self._degree_data(degree).dimension
 
     def hilbert_series(self, cap: int | None = None) -> list[int]:
         """Dimensions of the graded pieces for degrees 0..cap."""
         cap = self.degree_cap if cap is None else cap
         if cap > self.degree_cap:
             raise DegreeCapError(f"requested degree {cap} above cap {self.degree_cap}")
+        if cap < 0:
+            raise ValueError(f"negative degree cap {cap}")
         return [self.dimension(d) for d in range(cap + 1)]
 
     # -- the degreewise reduction engine ------------------------------------
@@ -317,41 +337,103 @@ class GradedPresentation:
             self._cache[degree] = data
         return data
 
+    def _columns(self, degree: int) -> "_DegreeData":
+        """The degree's data with its free monomials and their columns
+        filled in, which only a reducer and ``in_span`` read."""
+        data = self._degree_data(degree)
+        if data.index is None:
+            data.monomials = self._table.monomials(degree)
+            data.index = self._table.index(degree)
+        return data
+
     def _macaulay_cells(self, degree: int) -> int:
         """Rows x columns of the degree's Macaulay matrix (every cofactor
-        times every relation), from the table sizes.  No such matrix is
-        built; the number is the budget a degree must pass first."""
+        times every relation), from the table's counts; the count of the
+        degree comes first, so the monomial-list budget of every degree
+        through it is checked, lowest first.  No monomial is listed and no
+        such matrix is built; the number is the budget a degree must pass."""
         table = self._table
-        rows = sum(
-            len(table.monomials(degree - d)) for d in self._relation_degrees if d <= degree
-        )
-        return rows * len(table.monomials(degree))
+        cols = table.count(degree)
+        rows = sum(table.count(degree - d) for d in self._relation_degrees if d <= degree)
+        return rows * cols
 
     def _build_degree(self, degree: int) -> "_DegreeData":
-        """The degree's monomials and standard monomials, after the
-        Groebner basis is complete through the degree.  No reducer yet."""
+        """The degree's dimension and standard monomials, after the Groebner
+        basis is complete through the degree.  A relation-free degree is
+        counted, not listed.  No columns or reducer yet."""
         cells = self._macaulay_cells(degree)
         if cells > MAX_MACAULAY_CELLS:
             raise DegreeCapError(
                 f"degree {degree}: the relation matrix would have {cells} cells, "
                 f"above the budget of {MAX_MACAULAY_CELLS}; lower the cap"
             )
+        if not self._relation_terms:
+            return _DegreeData(self._table.count(degree))
         for d in range(self._basis_done + 1, degree + 1):
             self._basis_step(d)
             self._basis_done = d
-        monos = self._table.monomials(degree)
-        basis = tuple(m for m in monos if self._divisor(m) is None)
-        return _DegreeData(monos, self._table.index(degree), basis)
+        self._list_standard(degree)
+        basis = self._standard[degree]
+        return _DegreeData(len(basis), basis)
+
+    def _list_standard(self, degree: int) -> None:
+        """Extend the standard monomial lists through ``degree``, whose basis
+        is complete.  The candidates of degree d are g_k times the suffix-k
+        block of the standard monomials of degree d - |g_k| (suffix k + 1
+        for an exterior g_k), for k = 0, 1, ..., as in ``_MonomialTable``;
+        their cofactors are standard, so a candidate is dropped only if a
+        lead whose first nonzero slot is k divides it, and such a lead has
+        the candidate's exponent at k (a smaller one would divide the
+        cofactor).  The order is the table's; a later basis element has a
+        higher degree, so a degree's list never changes once made."""
+        n = len(self._degrees)
+        std, tails_of = self._standard, self._standard_tails
+        # slot k -> {exponent at k: [the rest of the support of each lead
+        # whose first nonzero slot is k]}
+        rests = [{} for _ in range(n)]
+        for k in range(n):
+            for _, ((_, e), *rest) in self._leads_at[k]:
+                rests[k].setdefault(e, []).append(rest)
+        for d in range(len(std), degree + 1):
+            # the unit, unless a constant lead kills it and every degree after
+            out = [(0,) * n] if d == 0 and not self._leads_at[n] else []
+            blocks = [0] * n + [len(out)]
+            for k, (g, odd) in enumerate(zip(self._degrees, self._odd)):
+                if g > d:
+                    continue
+                lower = std[d - g]
+                size = tails_of[d - g][k + 1 if odd else k]
+                candidates = (m[:k] + (m[k] + 1,) + m[k + 1:] for m in lower[len(lower) - size:])
+                leads = rests[k]
+                start = len(out)
+                out.extend(
+                    m for m in candidates if m[k] not in leads or not _divides_any(leads[m[k]], m)
+                )
+                blocks[k] = len(out) - start
+            for k in range(n - 1, -1, -1):
+                blocks[k] += blocks[k + 1]
+            std.append(tuple(out))
+            tails_of.append(blocks)
 
     def _divisor(self, m) -> int | None:
-        """The first basis element whose leading monomial divides ``m``."""
-        for k, support in enumerate(self._lead_support):
-            for i, e in support:
-                if m[i] < e:
+        """The first basis element whose leading monomial divides ``m``.  A
+        lead divides ``m`` only if its first nonzero slot is one where ``m``
+        is nonzero (or it is constant), so only those slots' leads are
+        scanned, each slot's in basis order up to the best index so far."""
+        slots = [j for j, e in enumerate(m) if e]
+        slots.append(len(m))
+        best = len(self._leads)
+        for j in slots:
+            for k, support in self._leads_at[j]:
+                if k >= best:
                     break
-            else:
-                return k
-        return None
+                for i, e in support:
+                    if m[i] < e:
+                        break
+                else:
+                    best = k
+                    break
+        return best if best < len(self._leads) else None
 
     def _times(self, u, k: int) -> dict:
         """The row u * g_k of basis element k times the monomial u."""
@@ -372,11 +454,11 @@ class GradedPresentation:
         """The row (m / lead(g_k)) * g_k, whose leading monomial is ``m``."""
         return self._times(tuple(map(sub, m, self._leads[k])), k)
 
-    def _matrix(self, rows: list[dict], degree: int, cols) -> tuple[list, np.ndarray, list]:
-        """The rows on the given columns in table order, eliminated by one
-        ``_kernels.rref`` call: (column monomials, reduced rows, pivots)."""
-        index = self._table.index(degree)
-        order = sorted(cols, key=index.__getitem__)
+    def _matrix(self, rows: list[dict], cols) -> tuple[list, np.ndarray, list]:
+        """The rows on the given columns of one degree in table order
+        (descending lex), eliminated by one ``_kernels.rref`` call: (column
+        monomials, reduced rows, pivots)."""
+        order = sorted(cols, reverse=True)
         col = {m: j for j, m in enumerate(order)}
         mat = np.zeros((len(rows), len(order)), dtype=np.int64)
         mat[
@@ -439,7 +521,7 @@ class GradedPresentation:
                 f"degree {degree}: the S-pair matrix would have {cells} cells, "
                 f"above the budget of {MAX_MACAULAY_CELLS}; lower the cap"
             )
-        order, R, pivots = self._matrix(rows, degree, cols)
+        order, R, pivots = self._matrix(rows, cols)
         new = [r for r, pivot in enumerate(pivots) if order[pivot] not in reducible]
         size = len(self._basis) + len(new)
         if size > MAX_BASIS_ELEMENTS:
@@ -509,7 +591,7 @@ class GradedPresentation:
                 self._pairs.setdefault(d, {})[i, h] = lcm, bits | mask
         self._basis.append(terms)
         self._leads.append(lead)
-        self._lead_support.append(support)
+        self._leads_at[support[0][0] if support else len(lead)].append((h, support))
         self._lead_odd.append(odd)
         self._basis_odd.append(any(t[i] for t, _ in terms for i in self._odd_slots))
         # x * h for each exterior x in the lead, whose own lead vanishes
@@ -523,14 +605,15 @@ class GradedPresentation:
         non-standard monomial, brought to reduced echelon form by
         ``_kernels.echelon``.  Those rows span the ideal's degree piece and
         have distinct leading monomials, so the form is the unique one."""
-        data = self._degree_data(degree)
+        data = self._columns(degree)
         if data.reducer is None:
             index, monos = data.index, data.monomials
-            rows = []
-            for m in monos:
-                k = self._divisor(m)
-                if k is not None:
-                    rows.append({index[t]: c for t, c in self._multiple(k, m).items()})
+            standard = set(data.basis)
+            rows = [
+                {index[t]: c for t, c in self._multiple(self._divisor(m), m).items()}
+                for m in monos
+                if m not in standard
+            ]
             # each row is a pivot row as it stands, so the pivots keep the
             # rows' column order; a reduced row is 1 on its pivot and 0 on
             # every other pivot column, so the rest of it lies on the basis
@@ -625,9 +708,11 @@ class _MonomialTable:
     their order, and these blocks for k = 0, 1, ... follow each other in
     descending lex order.  So a degree is built from lower degrees only, in
     increasing order, without recursion, and the same recurrence on the
-    lengths alone counts a degree before it is listed: a list of more than
-    ``MAX_MACAULAY_CELLS`` exponent entries is refused.  Presentations on the
-    same generators and prime (a quotient, its free twin) share one table.
+    lengths alone counts a degree without listing it (``count``): the
+    budgets and the dimensions of a relation-free ring need the counts only,
+    and a list of more than ``MAX_MACAULAY_CELLS`` exponent entries is
+    refused before it is made.  Presentations on the same generators and
+    prime (a quotient, its free twin) share one table.
     """
 
     def __init__(self, degrees: tuple, odd: tuple):
@@ -642,17 +727,9 @@ class _MonomialTable:
         """The degree's monomials (``degree`` >= 0)."""
         entry = self._entries.get(degree)
         if entry is None:
-            self._count(degree)
-            n = len(self._degrees)
+            self.count(degree)
             for d in range(degree + 1):
                 if d not in self._entries:
-                    size = self._tails[d][0]
-                    if size * n > MAX_MACAULAY_CELLS:
-                        raise DegreeCapError(
-                            f"degree {d}: the monomial list would hold {size} monomials of "
-                            f"{n} generators, above the budget of {MAX_MACAULAY_CELLS} "
-                            "exponent entries; lower the cap"
-                        )
                     self._entries[d] = self._build(d)
             entry = self._entries[degree]
         return entry
@@ -665,8 +742,10 @@ class _MonomialTable:
             self._index[degree] = idx
         return idx
 
-    def _count(self, degree: int) -> None:
-        """Fill the suffix block lengths through ``degree``, listing nothing."""
+    def count(self, degree: int) -> int:
+        """How many monomials the degree has (``degree`` >= 0).  Fills the
+        suffix block lengths through it, listing nothing, and refuses the
+        lowest degree whose list would exceed the budget."""
         n = len(self._degrees)
         for d in range(len(self._tails), degree + 1):
             tails = [0] * n + [int(d == 0)]
@@ -674,7 +753,14 @@ class _MonomialTable:
                 g = self._degrees[k]
                 block = self._tails[d - g][k + 1 if self._odd[k] else k] if g <= d else 0
                 tails[k] = tails[k + 1] + block
+            if tails[0] * n > MAX_MACAULAY_CELLS:
+                raise DegreeCapError(
+                    f"degree {d}: the monomial list would hold {tails[0]} monomials of "
+                    f"{n} generators, above the budget of {MAX_MACAULAY_CELLS} "
+                    "exponent entries; lower the cap"
+                )
             self._tails.append(tails)
+        return self._tails[degree][0]
 
     def _build(self, degree: int) -> tuple:
         out = [(0,) * len(self._degrees)] if degree == 0 else []
@@ -691,11 +777,24 @@ def _bits(slots) -> int:
     return sum(1 << s for s in slots)
 
 
+def _divides_any(supports, m) -> bool:
+    """Does a monomial with one of the given supports divide ``m``?"""
+    for support in supports:
+        for i, e in support:
+            if m[i] < e:
+                break
+        else:
+            return True
+    return False
+
+
 @dataclass
 class _DegreeData:
-    """One degree of a quotient: its free monomials and their columns, the
-    basis (standard) monomials, which no leading monomial divides, and the
-    reducer, filled on first use.
+    """One degree of a quotient: its dimension, its basis (standard)
+    monomials, which no leading monomial divides, in table order, and, filled
+    on first use, its free monomials with their columns and the reducer.  A
+    relation-free degree is counted: its basis, every monomial, is read from
+    the table only when asked for.
 
     ``reducer`` maps each non-standard monomial to its row of the reduced
     echelon form of the ideal's degree piece, read off the pivot,
@@ -704,9 +803,10 @@ class _DegreeData:
     pivot, so one substitution pass gives the normal form.
     """
 
-    monomials: tuple
-    index: dict
-    basis: tuple
+    dimension: int
+    basis: tuple | None = None
+    monomials: tuple | None = None
+    index: dict | None = None
     reducer: dict | None = None
 
 
@@ -876,7 +976,7 @@ def in_span(e: Element, spanning) -> bool:
     spanning = [s for s in spanning if not s.is_zero() and s.degree() == d]
     if not spanning:
         return False
-    index = spanning[0].pres._degree_data(d).index
+    index = spanning[0].pres._columns(d).index
     p = e.pres.prime
     echelon = _kernels.echelon([{index[m]: c for m, c in s.terms.items()} for s in spanning], p)
     return not _kernels.reduce_vector({index[m]: c for m, c in e.terms.items()}, echelon, p)

@@ -175,6 +175,28 @@ def test_family_parameter_bound(capsys, family, flag, last):
     assert "hilbert" not in body
 
 
+def test_extraspecial_e_parameter_bound(capsys):
+    # n = 24 passes the parameter gate: at --cap 4 its page is refused by a
+    # budget of degree 4, as every n >= 13 is (the relation matrix's cells
+    # through n = 19, the monomial list's entries from n = 20); 25 is refused
+    # by name before anything is built
+    code, body = run_json(capsys, "hilbert", "extraspecial-e", "--n", "24", "--cap", "4")
+    assert code == EXIT_USAGE
+    assert "degree 4: the monomial list would hold 249900 monomials" in body["error"]
+    code, body = run_json(capsys, "hilbert", "extraspecial-e", "--n", "25", "--cap", "4")
+    assert code == EXIT_USAGE
+    assert "takes no --n 25" in body["error"] and "at most 24" in body["error"]
+    assert "hilbert" not in body
+
+
+def test_hilbert_refuses_negative_cap(capsys):
+    # a negative cap is refused by name, not answered with no dimensions
+    code, body = run_json(capsys, "hilbert", "g2", "--cap", "-3")
+    assert code == EXIT_USAGE
+    assert "--cap -3" in body["error"]
+    assert "hilbert" not in body
+
+
 def test_family_refuses_foreign_parameter(capsys):
     code, body = run_json(capsys, "hilbert", "g2", "--p", "7")
     assert code == EXIT_USAGE
@@ -512,6 +534,11 @@ GOLDEN_CLI = {
     # Chern-ideal tests on detection rings larger than any of ``report --all``
     "dh-table elementary --p 2 --n 6": (0, "e7c93668d4ed1a88315f76b0c84e0951e0cdb516a2d251ba651d5cb63355223f"),
     "dh-table extraspecial-e --n 8 --p 3": (0, "b461f0511b018081f1f2a65e044dbbec665560d9f74e0849215989a35657f078"),
+    # graded dimensions and a stable quotient, and a cell-budget refusal that
+    # pins the order of the budget checks
+    "hilbert extraspecial-d --n 3 --cap 8": (0, "584f0895bdcabce91b3cec96b7b2defcd58926df5caa4d44f87e4a94e5e6e438"),
+    "stable-quotient extraspecial-e --n 6 --p 3": (0, "14bc665ab964b625f795d401d1ade6e24ed61b36028da4cfecb071ac9770d5ba"),
+    "hilbert extraspecial-e --n 13 --p 3 --cap 4": (2, "96061670a980dc20d311b23e5047eb731cf68f0d051374ca729ebc7d4859dea1"),
 }
 
 

@@ -241,6 +241,8 @@ def test_hilbert_tensor_convolution():
 def test_hilbert_cap_guard():
     with pytest.raises(DegreeCapError):
         exterior(2, 2, cap=4).hilbert_series(9)
+    with pytest.raises(ValueError, match="negative degree cap -3"):
+        exterior(2, 2, cap=4).hilbert_series(-3)
 
 
 # -- the monomial table ------------------------------------------------------------

@@ -15,7 +15,13 @@ from coniveau import certificates as C
 from coniveau.fp import Generator, GradedPresentation
 from coniveau.milnor import QAction, op_degree
 
-from helpers import element_vector, oracle_ideal_dimension, oracle_in_span, oracle_rref
+from helpers import (
+    element_vector,
+    oracle_ideal_dimension,
+    oracle_in_span,
+    oracle_monomials,
+    oracle_rref,
+)
 
 SEED = 0x5EED
 
@@ -206,6 +212,35 @@ def test_dimension_against_ideal_oracle():
     print(f"dimensions against the ideal oracle: {checks} checks")
 
 
+def unit_relation():
+    """F_3[y] (x) Lambda(x) modulo x*y and the unit 2: the zero ring."""
+    P = GradedPresentation(3, [Generator("y", 2), Generator("x", 1)], 8)
+    return P.quotient([P.gen("x") * P.gen("y"), 2 * P.one()])
+
+
+def test_standard_monomials_against_divisibility_filter():
+    # the bases grown from lower degrees are the free monomials that no
+    # leading monomial divides, in descending lex order; the divisor lookup
+    # finds the lowest-index lead that divides a monomial
+    checks = 0
+    for pres in quotient_pool() + [unit_relation()]:
+        degrees = [g.degree for g in pres.generators]
+        odd = [pres.prime != 2 and d % 2 == 1 for d in degrees]
+        for d in range(min(pres.degree_cap, 10) + 1):
+            basis = [next(iter(b.terms)) for b in pres.graded_basis(d)]
+            monos = oracle_monomials(degrees, odd, d)
+            divisors = [
+                next((k for k, g in enumerate(pres._leads) if all(map(int.__ge__, m, g))), None)
+                for m in monos
+            ]
+            want = [m for m, k in zip(monos, divisors) if k is None]
+            assert basis == want, (str(pres), d)
+            assert pres.dimension(d) == len(want), (str(pres), d)
+            assert [pres._divisor(m) for m in monos] == divisors, (str(pres), d)
+            checks += 1
+    print(f"standard monomials against the divisibility filter: {checks} checks")
+
+
 def operation_pool(rng):
     """(ring, action) pairs on ``quotient_pool()``: the elementary-abelian
     table on the rings it fits, and a seeded random table on every ring."""
@@ -313,6 +348,16 @@ def test_regular_pair_truncated_basis(monkeypatch):
             assert cols == sorted(cols)
             filled += len(row) > 1
     assert filled
+
+
+def test_regular_pair_lists_no_monomials():
+    # the pair's dimensions are grown from lower degrees' standard monomials
+    # and its free twin's are counted, so the monomial table the pair, the
+    # twin and the polynomial ring share lists no degree at all
+    report, quotient, _ = C.comparison_regular_pair(3, 44)
+    assert report.regular
+    assert quotient.free.hilbert_series(44)[44] == 2300
+    assert not quotient._table._entries
 
 
 def test_graded_commutativity():
