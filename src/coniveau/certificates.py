@@ -411,6 +411,8 @@ def detect(scenario: Scenario, element, sequence, _maps=None) -> Certificate:
             scenario, label, sequence, "operation value is zero", trail=trail
         )
 
+    if _maps is None and isinstance(element, str) and (cand := scenario.candidate(element)):
+        _maps = cand.maps  # a candidate's label brings its declared maps
     via = _certify_nonzero(scenario, _maps, value)
     if via is None:
         return _inconclusive(
@@ -453,12 +455,8 @@ def _sequence_problem(degree: int, sequence: tuple[int, ...]) -> str | None:
 def _certify_nonzero(scenario: Scenario, candidate_maps, value: Element) -> str | None:
     maps = candidate_maps if candidate_maps is not None else scenario.nonvanish_maps
     for name, morphism in maps:
-        if morphism is None:
-            if not value.is_zero():
-                return name
-        else:
-            if not morphism(value).is_zero():
-                return name
+        if not (value if morphism is None else morphism(value)).is_zero():
+            return name
     return None
 
 
@@ -962,43 +960,30 @@ def simply_connected(p: int) -> Scenario:
     )
 
 
-def _pair_maps(cover: GradedPresentation, n: int, i: int, j: int):
-    """Declared nonvanishing maps for the candidate Q_0(x_i x_j)."""
-    p = cover.prime
-    sym_pairs = {(2 * k - 1, 2 * k) for k in range(1, n + 1)}
-    if (i, j) not in sym_pairs:
-        # commuting pair: restrict to the rank-2 elementary abelian subgroup
-        target = _elementary_pres(p, 2, cover.degree_cap)
-        images = {}
-        for g in cover.generators:
-            kind, idx = g.name[0], int(g.name[1:])
-            slot = {i: "1", j: "2"}.get(idx)
-            if slot is None:
-                images[g.name] = target.zero()
-            elif p == 2:
-                images[g.name] = target.gen(f"x{slot}")
-            else:
-                images[g.name] = target.gen(f"{kind}{slot}")
-        return (
-            (f"restriction to the abelian subgroup on ({i},{j})",
-             AlgebraMorphism(cover, target, images)),
-        )
-    if p == 2:
+def _pair_maps(cover: GradedPresentation, i: int, j: int):
+    """Declared nonvanishing maps for the candidate Q_0(x_i x_j): a
+    projection that keeps the generators x_k, y_k for k in a slot map
+    {cover index: target index} and sends the rest to zero.
+
+    A commuting pair restricts to the abelian subgroup on (i, j), whose ring
+    is the cover's subring on x_i, x_j, y_i, y_j, so the target is the cover
+    itself.  A symplectic pair (2k - 1, 2k) maps to the comparison quotient
+    on the slots 1, 2, i, j, declared at odd p only."""
+    if i % 2 == 0 or j != i + 1:
+        target, slots = cover, {i: i, j: j}
+        via = f"restriction to the abelian subgroup on ({i},{j})"
+    elif cover.prime == 2:
         return ()  # no declared comparison at p = 2: rows stay inconclusive
-    ring, _ = symplectic_comparison(p, cap=cover.degree_cap)
+    else:
+        target, _ = symplectic_comparison(cover.prime, cap=cover.degree_cap)
+        slots = {1: 1, 2: 2, i: 3, j: 4}
+        via = "comparison quotient with declared kernel (regular pair)"
+    zero = target.zero()
     images = {}
     for g in cover.generators:
-        kind, idx = g.name[0], int(g.name[1:])
-        if idx in (1, 2):
-            images[g.name] = ring.gen(f"{kind}{idx}")
-        elif idx in (i, j):
-            images[g.name] = ring.gen(f"{kind}{3 + (idx == j)}")
-        else:
-            images[g.name] = ring.zero()
-    return (
-        ("comparison quotient with declared kernel (regular pair)",
-         AlgebraMorphism(cover, ring, images)),
-    )
+        slot = slots.get(int(g.name[1:]))
+        images[g.name] = zero if slot is None else target.gen(f"{g.name[0]}{slot}")
+    return ((via, AlgebraMorphism(cover, target, images)),)
 
 
 def _pair_candidates(cover: GradedPresentation, action: QAction, n: int) -> tuple:
@@ -1008,7 +993,7 @@ def _pair_candidates(cover: GradedPresentation, action: QAction, n: int) -> tupl
         DhCandidate(
             f"Q0(x{i}*x{j})",
             action.apply(0, cover.gen(f"x{i}") * cover.gen(f"x{j}")),
-            maps=_pair_maps(cover, n, i, j),
+            maps=_pair_maps(cover, i, j),
         )
         for i, j in combinations(range(1, 2 * n + 1), 2)
         if (i, j) != (1, 2)

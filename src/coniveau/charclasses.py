@@ -127,7 +127,7 @@ class SplitRing:
             out = out + self.w_pres.monomial(tuple(w_exps), coeff)
             remaining = remaining - coeff * e_prod
         if self.so:
-            out = _drop_w1(out)
+            out = _kill(out, ("w1",))
         return out
 
     def q_on_t(self, j: int, e: Element) -> Element:
@@ -215,10 +215,6 @@ class SplitRing:
             raise ValueError("expected an element of the w-presentation")
         if self.so and any(m[0] for m in e.terms):
             raise ValueError("w1 is not available when the SO flag is set")
-
-
-def _drop_w1(e: Element) -> Element:
-    return e.pres.element({m: c for m, c in e.terms.items() if m[0] == 0})
 
 
 def _subsets(n: int, k: int):

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from coniveau import certificates as C
-from coniveau.fp import MAX_MACAULAY_CELLS, Generator, GradedPresentation
+from coniveau.fp import MAX_MACAULAY_CELLS, DegreeCapError, Generator, GradedPresentation
 from coniveau.milnor import op_degree, validate_q_axioms
 from coniveau.parser import parse_expression
 
@@ -312,6 +312,55 @@ def test_cover_value_needs_a_declared_map(scenario):
     assert cert.verdict == C.INCONCLUSIVE
     assert cert.reason == "value is nonzero in the cover but no declared restriction certifies it"
     assert cert.value and cert.value != "0"
+
+
+@pytest.mark.parametrize("scenario", [C.extraspecial_e(2, 3), C.extraspecial_d(2)], ids=["e", "d"])
+def test_detect_by_candidate_label_uses_its_maps(scenario):
+    # a candidate's label names its element and its declared restriction
+    cert = C.detect(scenario, "Q0(x1*x3)", (1,))
+    assert cert.verdict == C.NOT_IN_STRONG_CONIVEAU
+    assert cert == C.search_witness(scenario, scenario.candidate("Q0(x1*x3)"))
+
+
+def _pair(label):
+    """(i, j) from a candidate label Q0(xi*xj)."""
+    i, j = label[len("Q0(x"):-1].split("*x")
+    return int(i), int(j)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [C.extraspecial_e(n, 3) for n in (2, 3, 4)] + [C.extraspecial_d(n) for n in (2, 3)],
+    ids=lambda s: s.name,
+)
+def test_pair_restriction_against_term_support(scenario):
+    # a commuting pair's declared map sends an operation value to zero
+    # exactly when no term of the value lies on the pair's generators alone
+    # (x_i, x_j and, at odd p, y_i, y_j); the support is read off exponent
+    # tuples and generator names, and each map also meets the other
+    # candidates' values, most of which it must kill
+    index = [int(g.name[1:]) for g in scenario.detect_pres.generators]
+    values = []
+    for cand in scenario.dh_candidates:
+        for k in range(1, scenario.max_search_index + 1):
+            try:
+                values.append(scenario.q_action.apply_sequence((k,), cand.element)[0])
+            except DegreeCapError:
+                pass
+    outcomes = set()
+    for cand in scenario.dh_candidates:
+        i, j = _pair(cand.label)
+        if i % 2 and j == i + 1:
+            continue  # a symplectic pair: the comparison quotient, or no map at p = 2
+        ((via, morphism),) = cand.maps
+        assert via == f"restriction to the abelian subgroup on ({i},{j})"
+        for value in values:
+            on_pair = any(
+                all(e == 0 or index[s] in (i, j) for s, e in enumerate(m)) for m in value.terms
+            )
+            assert morphism(value).is_zero() == (not on_pair)
+            outcomes.add(on_pair)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("p", [3, 5])

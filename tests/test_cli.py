@@ -214,6 +214,37 @@ def test_verify_inconclusive_is_math_fail(capsys):
     assert body["certificate"]["verdict"] == "inconclusive"
 
 
+@pytest.mark.parametrize(
+    "family", [("extraspecial-e", "--n", "2", "--p", "3"), ("extraspecial-d", "--n", "2")],
+    ids=["e", "d"],
+)
+def test_verify_candidate_label_keeps_its_maps(capsys, family):
+    # a candidate's label given to --element brings the candidate's declared
+    # restriction, so it certifies the class as the default verify does
+    code, default = run_json(capsys, "verify", *family)
+    assert code == EXIT_OK
+    code, body = run_json(capsys, "verify", *family, "--element", "Q0(x1*x3)", "--I", "1")
+    assert code == EXIT_OK
+    assert body["certificate"] == default["certificate"]
+
+
+def test_package_import_loads_only_the_kernel():
+    # the package root exports backend_name and __version__ only; importing
+    # it loads no other package module
+    script = (
+        "import sys, coniveau\n"
+        "mods = sorted(m for m in sys.modules if m.startswith('coniveau.'))\n"
+        "print(mods, coniveau.backend_name())\n"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['coniveau._kernels'] sparse"
+
+
 def test_determinism_byte_identical(capsys):
     _, first = run(capsys, "dh-table", "elementary", "--p", "3", "--n", "3")
     _, second = run(capsys, "dh-table", "elementary", "--p", "3", "--n", "3")
