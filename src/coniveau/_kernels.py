@@ -5,7 +5,8 @@ elimination is ``echelon``: the reduced row echelon form of their span,
 {pivot column: monic reduced row}, whose pivot count is the rank.  Vector
 reduction and nullspace extraction read it off.  ``fp`` keys its rows by a
 degree's table columns (a reducer, the span of ``in_span``) and
-``certificates`` by basis positions (the Q_0 kernel of ``q0_kernel_basis``);
+``certificates`` by basis positions (the Q_0 kernel of ``q0_kernel_basis``)
+or by a degree's columns (the Chern-ideal reducer of ``chern_survival``);
 no caller keeps an array.  The one dense boundary is ``rref``, which takes
 and returns an int64 numpy array for ``fp``'s S-pair matrices.
 

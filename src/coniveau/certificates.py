@@ -66,10 +66,14 @@ _N1_TORSION = (
 # extraspecial-d(n) has cap 8 for n >= 3 and a generator of degree 2^n.
 # extraspecial-e answers for every n, but its table grows with its n(2n - 1) - 1
 # candidates: at p = 3 on 2 cores, n = 24 takes 7.8 s and 64 MiB, n = 28
-# takes 13 s, and n = 40 did not finish in 2 minutes.
+# takes 13 s, and n = 40 did not finish in 2 minutes.  Every command on
+# elementary builds its 2^n - n - 1 candidates first; the p = 2 table, the
+# slowest prime's, takes 2.8 s and 92 MiB at n = 10 and 5.6 s and 149 MiB at
+# n = 11 on 2 cores, and at n = 30 the candidates alone grew past 3 GiB.
 MAX_SO_M = 15
 MAX_EXTRASPECIAL_D_N = 3
 MAX_EXTRASPECIAL_E_N = 24
+MAX_ELEMENTARY_N = 10
 
 
 class ScenarioError(fp.FpAlgebraError):
@@ -168,6 +172,11 @@ class Scenario:
     default_target: tuple[str, tuple[int, ...] | None] = ("", None)
     restriction: tuple | None = None  # (target Scenario, AlgebraMorphism, note)
     canonical_text: str = ""  # a presentation file's rendered text, hashed as is
+    # ("kernel", d) -> q0_kernel_basis, ("chern", d) -> the Chern reducer
+    # (see _chern_reducer), valid while the flags and the operation table
+    # stay as built; not an init field, so dataclasses.replace starts a copy
+    # with an empty cache
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def resolve(self, text: str) -> Element:
         """An element of the detection ring from a name or expression."""
@@ -305,7 +314,16 @@ def required_length(degree: int) -> int | None:
 
 def q0_kernel_basis(scenario: Scenario, degree: int) -> list[Element]:
     """Basis of the Bockstein kernel in one degree of the detection ring
-    (the mod-p image of the integral classes for exponent-p torsion)."""
+    (the mod-p image of the integral classes for exponent-p torsion).
+    Computed once per degree and cached on the scenario; each call returns
+    a fresh list."""
+    key = ("kernel", degree)
+    if key not in scenario._cache:
+        scenario._cache[key] = _q0_kernel(scenario, degree)
+    return list(scenario._cache[key])
+
+
+def _q0_kernel(scenario: Scenario, degree: int) -> list[Element]:
     pres = scenario.detect_pres
     if degree == 0:
         return [pres.one()]
@@ -332,7 +350,9 @@ def chern_survival(scenario: Scenario, e: Element) -> bool:
     (the span of single flagged classes times Bockstein-kernel classes).
 
     Refuses a flag of degree at most |e| that Q_0 does not kill: only for
-    such a flag would products of flags span more than single flags."""
+    such a flag would products of flags span more than single flags.  The
+    flags are checked on every call; the span's echelon form is built once
+    per degree, and each class costs one reduction against it."""
     if e.is_zero():
         return False
     d = e.degree()
@@ -344,6 +364,21 @@ def chern_survival(scenario: Scenario, e: Element) -> bool:
         if not scenario.q_action.apply(0, f).is_zero():
             raise ScenarioError(f"Chern flag {name} = {f} is not killed by Q_0")
         by_degree.setdefault(fd, []).append(f)
+    key = ("chern", d)
+    if key not in scenario._cache:
+        scenario._cache[key] = _chern_reducer(scenario, d, by_degree)
+    reducer = scenario._cache[key]
+    if reducer is None:
+        return True
+    index, basis = reducer
+    vec = {index[m]: c for m, c in e.terms.items()}
+    return bool(_kernels.reduce_vector(vec, basis, scenario.detect_pres.prime))
+
+
+def _chern_reducer(scenario: Scenario, d: int, by_degree: dict) -> tuple | None:
+    """The degree-d Chern span's echelon form on the degree's columns,
+    (column index, ``_kernels.echelon`` result), or None when the span is
+    empty."""
     span = [
         fk
         for fd, flags in by_degree.items()
@@ -351,7 +386,11 @@ def chern_survival(scenario: Scenario, e: Element) -> bool:
         for f in flags
         if not (fk := f * k).is_zero()
     ]
-    return not span or not fp.in_span(e, span)
+    if not span:
+        return None
+    index = scenario.detect_pres._columns(d).index
+    rows = [{index[m]: c for m, c in s.terms.items()} for s in span]
+    return index, _kernels.echelon(rows, scenario.detect_pres.prime)
 
 
 # -- detection -----------------------------------------------------------------
@@ -802,6 +841,11 @@ def elementary_abelian(p: int, n: int, cap: int = 40) -> Scenario:
     fp.check_prime(p)
     if n < 1:
         raise ScenarioError("rank must be >= 1")
+    if n > MAX_ELEMENTARY_N:
+        raise ScenarioError(
+            f"elementary takes no --n {n}: --n is at most {MAX_ELEMENTARY_N}, a bound "
+            f"on run time, and the table would have {2**n - n - 1} candidates"
+        )
     pres = _elementary_pres(p, n, cap)
     max_index = 1
     while 2 * p ** (max_index + 1) <= cap and max_index < 4:

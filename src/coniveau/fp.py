@@ -292,7 +292,7 @@ class GradedPresentation:
     # -- monomial bookkeeping ----------------------------------------------
 
     def monomial_degree(self, exps) -> int:
-        return sum(e * d for e, d in zip(exps, self._degrees))
+        return sum(map(mul, exps, self._degrees))
 
     def monomials(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """All monomials of the free algebra in one degree, descending

@@ -4,6 +4,10 @@ Q_i raises degree by 2p^i - 1 and is odd: Q_i(ab) = Q_i(a)b + (-1)^|a| a Q_i(b).
 An action is a table of values on generators, extended over monomials by the
 Leibniz rule; tables may be filled lazily through a supplier callback (used
 for the splitting-principle computations, where entries are expensive).
+Q_i is a derivation, so on each degree it is a fixed linear map (Milnor,
+Ann. of Math. 67, 1958): an action keeps the raw Leibniz products of Q_i on
+each monomial it has met, and an application sums those columns and
+reduces once.
 Axiom validation checks Q_i^2 = 0, Q_iQ_j + Q_jQ_i = 0 and that relations
 map into the relation ideal, all within the degree cap.
 """
@@ -30,13 +34,19 @@ def op_degree(prime: int, i: int) -> int:
 
 class QAction:
     """Action table (operation index, generator) -> Element, plus the
-    Leibniz extension over the whole presentation."""
+    Leibniz extension over the whole presentation, cached per (index,
+    monomial).  The cache holds one column per index and monomial that an
+    application has met, so it grows no faster than the elements the caller
+    has built."""
 
     def __init__(self, pres: GradedPresentation, table=None, max_index: int = 0, supplier=None):
         self.pres = pres
         self.max_index = max_index
         self._supplier = supplier
         self._table: dict[tuple[int, str], Element] = {}
+        # (i, monomial) -> the raw Leibniz terms of Q_i on it; table entries
+        # never change once set, so neither do these
+        self._columns: dict[tuple[int, tuple], dict] = {}
         for (i, gname), value in (table or {}).items():
             self._set_entry(i, gname, value)
 
@@ -76,41 +86,55 @@ class QAction:
         return self.apply_raw_terms(i, e.terms)
 
     def apply_raw_terms(self, i: int, terms: dict) -> Element:
+        """Q_i on a raw term map: the sum of each term's coefficient times
+        its monomial's Leibniz column, reduced once."""
         pres = self.pres
-        p = pres.prime
-        shift = op_degree(p, i)
+        shift = op_degree(pres.prime, i)
+        columns = self._columns
+        # a cached monomial passed this check when its column was built
         for m in terms:
-            if pres.monomial_degree(m) + shift > pres.degree_cap:
+            if (i, m) not in columns and pres.monomial_degree(m) + shift > pres.degree_cap:
                 raise DegreeCapError(
                     f"Q_{i} lands in degree {pres.monomial_degree(m) + shift}, above cap"
                 )
-        # the raw Leibniz products left * Q_i(g_k) * right, summed and reduced once
-        mul = pres._mul_monomials
         raw: dict = {}
-        names = [g.name for g in pres.generators]
-        degrees = [g.degree for g in pres.generators]
         for m, c in terms.items():
-            prefix_deg = 0
-            for k, ek in enumerate(m):
-                if ek:
-                    coeff = (ek % p) * c
-                    if coeff % p:
-                        if p != 2 and prefix_deg % 2:
-                            coeff = -coeff
-                        left = m[:k] + (ek - 1,) + (0,) * (len(m) - k - 1)
-                        right = (0,) * (k + 1) + m[k + 1:]
-                        for t, ct in self.entry(i, names[k]).terms.items():
-                            prod = mul(left, t)
-                            if prod is None:
-                                continue
-                            mono, s1 = prod
-                            prod = mul(mono, right)
-                            if prod is None:
-                                continue
-                            mono, s2 = prod
-                            raw[mono] = raw.get(mono, 0) + s1 * s2 * coeff * ct
-                prefix_deg += ek * degrees[k]
+            column = columns.get((i, m))
+            if column is None:
+                column = columns[(i, m)] = self._leibniz_terms(i, m)
+            for t, v in column.items():
+                raw[t] = raw.get(t, 0) + c * v
         return pres.element(raw)
+
+    def _leibniz_terms(self, i: int, m: tuple) -> dict:
+        """The raw Leibniz products left * Q_i(g_k) * right of one monomial,
+        summed but not reduced: Q_i is a derivation, so its value on a sum is
+        the sum of these columns."""
+        pres = self.pres
+        p = pres.prime
+        mul = pres._mul_monomials
+        column: dict = {}
+        prefix_deg = 0
+        for k, ek in enumerate(m):
+            if ek:
+                coeff = ek % p
+                if coeff:
+                    if p != 2 and prefix_deg % 2:
+                        coeff = -coeff
+                    left = m[:k] + (ek - 1,) + (0,) * (len(m) - k - 1)
+                    right = (0,) * (k + 1) + m[k + 1:]
+                    for t, ct in self.entry(i, pres.generators[k].name).terms.items():
+                        prod = mul(left, t)
+                        if prod is None:
+                            continue
+                        mono, s1 = prod
+                        prod = mul(mono, right)
+                        if prod is None:
+                            continue
+                        mono, s2 = prod
+                        column[mono] = column.get(mono, 0) + s1 * s2 * coeff * ct
+                prefix_deg += ek * pres._degrees[k]
+        return column
 
     def apply_sequence(self, indices, e: Element):
         """Apply Q_{i_1}, then Q_{i_2}, ... (left to right); returns the

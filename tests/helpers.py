@@ -3,9 +3,11 @@
 Everything here is deliberately naive and shares no code with the package
 kernels: plain-list Gauss-Jordan elimination for reduced echelon forms,
 ranks and memberships, monomial lists from a product of exponent ranges,
-monomial products signed by counting inversions, a one-variable
-total-Steenrod-square model for the degree-1 operation rule, and closed
-forms for the Rost motive's subalgebra and the quadric's additive ranks.
+monomial products signed by counting inversions, the dh table of an
+elementary abelian ring from the closed forms of Q_i and dense nullspaces,
+a one-variable total-Steenrod-square model for the degree-1 operation rule,
+and closed forms for the Rost motive's subalgebra and the quadric's
+additive ranks.
 """
 
 from __future__ import annotations
@@ -109,6 +111,157 @@ def oracle_ideal_dimension(pres, gens, degree) -> int:
     if not rows:
         return 0
     return oracle_rank(rows, pres.prime)
+
+
+def oracle_nullspace(columns: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the vectors v with sum(v[k] * columns[k]) = 0 over F_p, read
+    off the dense reduced echelon form: one per free column, ascending."""
+    k = len(columns)
+    if not k or not columns[0]:
+        return [[int(j == f) for j in range(k)] for f in range(k)]
+    rows = [[col[r] for col in columns] for r in range(len(columns[0]))]
+    reduced, pivots = oracle_rref(rows, p)
+    out = []
+    for free in (f for f in range(k) if f not in pivots):
+        vec = [0] * k
+        vec[free] = 1
+        for row, c in zip(reduced, pivots):
+            vec[c] = (-row[free]) % p
+        out.append(vec)
+    return out
+
+
+class ElementaryOracle:
+    """The dh table of the rank-n elementary abelian ring, rebuilt from the
+    closed forms alone.
+
+    The ring is F_2[x_1..x_n] at p = 2, and F_p[y_1..y_n] (x) Lambda(x_1..x_n)
+    with |y| = 2 and |x| = 1 at odd p, its exponent tuples in that slot
+    order.  Q_i is the derivation with Q_i x_j = x_j^(2^(i+1)) at p = 2 and
+    Q_i x_j = y_j^(p^i) at odd p, Q_i y_j = 0, and the graded sign: an x
+    moved past k exterior factors picks up (-1)^k.  The Chern flags are x_j^2
+    (p = 2) or y_j; a class is rejected when it lies in the span of the
+    flags times the Bockstein kernel, a dense nullspace, and otherwise
+    certified by the first strictly increasing index tuple, in lexicographic
+    order, whose value is nonzero within the degree cap.
+    """
+
+    def __init__(self, p: int, n: int, cap: int = 40):
+        self.p, self.n, self.cap = p, n, cap
+        if p == 2:
+            self.degrees, self.odd = (1,) * n, (False,) * n
+            self.names = [f"x{j}" for j in range(1, n + 1)]
+            self.flags = [self._unit(j, 2) for j in range(n)]
+        else:
+            self.degrees, self.odd = (2,) * n + (1,) * n, (False,) * n + (True,) * n
+            self.names = [f"{v}{j}" for v in "yx" for j in range(1, n + 1)]
+            self.flags = [self._unit(j, 1) for j in range(n)]
+        # the largest index i <= 4 with 2p^i within the cap, at least 1
+        self.max_index = max([1] + [i for i in range(2, 5) if 2 * p**i <= cap])
+        self._kernels: dict = {}
+
+    def _unit(self, slot: int, exponent: int) -> tuple:
+        return tuple(exponent if k == slot else 0 for k in range(len(self.degrees)))
+
+    def degree(self, terms: dict) -> int:
+        (d,) = {sum(e * g for e, g in zip(m, self.degrees)) for m in terms}
+        return d
+
+    def monomials(self, d: int) -> list[tuple]:
+        return oracle_monomials(self.degrees, self.odd, d)
+
+    def vector(self, terms: dict, d: int) -> list[int]:
+        return [terms.get(m, 0) % self.p for m in self.monomials(d)]
+
+    def q(self, i: int, terms: dict) -> dict:
+        """Q_i on a {exponent tuple: coefficient} map, term by term."""
+        p, n = self.p, self.n
+        out: dict = {}
+        for m, c in terms.items():
+            sign = 1
+            for j in range(n):
+                t = list(m)
+                if p == 2:
+                    if not m[j] % 2:
+                        continue
+                    t[j] += 2 ** (i + 1) - 1
+                else:
+                    if not m[n + j]:
+                        continue
+                    t[n + j], t[j] = 0, t[j] + p**i
+                out[tuple(t)] = out.get(tuple(t), 0) + sign * c
+                if p != 2:
+                    sign = -sign  # the next x moves past this one
+        return {m: c % p for m, c in out.items() if c % p}
+
+    def candidates(self) -> list[tuple[str, dict]]:
+        """(label, Q_0(x_S)) for every index set S of size at least 2,
+        by size, then lexicographically."""
+        out = []
+        first_x = 0 if self.p == 2 else self.n
+        for size in range(2, self.n + 1):
+            for subset in itertools.combinations(range(1, self.n + 1), size):
+                mono = [0] * len(self.degrees)
+                for j in subset:
+                    mono[first_x + j - 1] = 1
+                label = "Q0(" + "*".join(f"x{j}" for j in subset) + ")"
+                out.append((label, self.q(0, {tuple(mono): 1})))
+        return out
+
+    def kernel(self, d: int) -> list[dict]:
+        """The Bockstein kernel in degree d: the nullspace of Q_0 on the
+        degree's monomials."""
+        if d not in self._kernels:
+            monos = self.monomials(d)
+            columns = [self.vector(self.q(0, {m: 1}), d + 1) for m in monos]
+            self._kernels[d] = [
+                {m: c for m, c in zip(monos, vec) if c}
+                for vec in oracle_nullspace(columns, self.p)
+            ]
+        return self._kernels[d]
+
+    def chern_span(self, d: int) -> list[dict]:
+        """Each flag times each Bockstein-kernel class of degree d - 2; the
+        flags are even and central, so a product adds exponents."""
+        return [
+            {tuple(a + b for a, b in zip(f, m)): c for m, c in k.items()}
+            for f in self.flags
+            for k in self.kernel(d - 2)
+        ]
+
+    def search(self, terms: dict) -> tuple[str, tuple | None, dict]:
+        """(verdict, witness, value) of the witness search on a nonzero
+        homogeneous class of degree at least 3."""
+        d = self.degree(terms)
+        need = 1 if d in (3, 4) else d - 3
+        sequences = list(itertools.combinations(range(1, self.max_index + 1), need))
+        if not sequences:
+            return "inconclusive", None, {}
+        span = [self.vector(s, d) for s in self.chern_span(d)]
+        if oracle_in_span(self.vector(terms, d), span, self.p):
+            return "rejected-chern", None, {}
+        for seq in sequences:
+            value = terms
+            for i in seq:
+                if value and self.degree(value) + 2 * self.p**i - 1 > self.cap:
+                    break  # the package refuses to apply Q_i above its cap
+                value = self.q(i, value)
+            else:
+                if value:
+                    return "not-in-strong-coniveau", seq, value
+        return "inconclusive", None, {}
+
+    def render(self, terms: dict) -> str:
+        """A homogeneous value as the certificates print it: terms in
+        descending exponent order, c*name^e*..."""
+        parts = []
+        for m in sorted(terms, reverse=True):
+            mono = "*".join(
+                name if e == 1 else f"{name}^{e}" for name, e in zip(self.names, m) if e
+            )
+            c = terms[m]
+            parts.append(mono if c == 1 else f"{c}*{mono}")
+        return " + ".join(parts) if parts else "0"
 
 
 class TotalSquareOracle:

@@ -12,6 +12,7 @@ from coniveau.milnor import op_degree, validate_q_axioms
 from coniveau.parser import parse_expression
 
 from helpers import (
+    ElementaryOracle,
     element_vector,
     oracle_ideal_dimension,
     oracle_in_span,
@@ -155,6 +156,47 @@ def test_leading_monomial_in_witness_value():
             exps[index[f"x{subset[-1]}"]] = 1
         value = s.resolve(row.certificate.value)
         assert value.coefficient(tuple(exps)) != 0, row.label
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_dh_table_against_elementary_oracle(p, n):
+    # every row of the table, then the witness search on seeded classes drawn
+    # from the whole degree and from the Chern span, against an oracle built
+    # from the closed forms of Q_i alone
+    s = C.elementary_abelian(p, n)
+    oracle = ElementaryOracle(p, n)
+    table = C.dh_table(s)
+    expected = oracle.candidates()
+    assert [r.label for r in table.rows] == [label for label, _ in expected]
+    for row, cand, (label, terms) in zip(table.rows, s.dh_candidates, expected):
+        assert cand.element.terms == terms, label
+        verdict, witness, value = oracle.search(terms)
+        cert = row.certificate
+        assert (cert.verdict, row.witness) == (verdict, witness), label
+        if value:
+            assert cert.value == oracle.render(value), label
+    rng = random.Random(f"elementary-oracle-{p}-{n}")
+    verdicts = set()
+    for d in range(3, 6):
+        for pool in ([{m: 1} for m in oracle.monomials(d)], oracle.chern_span(d)):
+            for _ in range(3 if pool else 0):
+                terms: dict = {}
+                for part in rng.sample(pool, min(6, len(pool))):
+                    c = rng.randint(1, p - 1)
+                    for m, v in part.items():
+                        terms[m] = (terms.get(m, 0) + c * v) % p
+                terms = {m: c for m, c in terms.items() if c}
+                if not terms:
+                    continue
+                verdict, witness, value = oracle.search(terms)
+                cand = C.DhCandidate("class", s.detect_pres.element(terms))
+                cert = C.search_witness(s, cand)
+                got = cert.sequence if cert.verdict == C.NOT_IN_STRONG_CONIVEAU else None
+                assert (cert.verdict, got) == (verdict, witness), (d, terms)
+                if value:
+                    assert cert.value == oracle.render(value), (d, terms)
+                verdicts.add(verdict)
+    assert {C.REJECTED_CHERN, C.NOT_IN_STRONG_CONIVEAU} <= verdicts
 
 
 # -- stable quotients ------------------------------------------------------------------
@@ -466,6 +508,48 @@ def test_q0_kernel_basis_against_oracle(key):
         assert len(kernel) == len(basis) - oracle_rank(images, p), (key, d)
         assert oracle_rank([element_vector(k, d) for k in kernel], p) == len(kernel)
         assert all(s.q_action.apply(0, k).is_zero() for k in kernel), (key, d)
+
+
+def test_chern_reducer_cached_per_degree(monkeypatch):
+    # one nullspace per kernel degree, then one reduction per class; the
+    # kernel list handed out is a copy of the cached one
+    s = dataclasses.replace(C.elementary_abelian(3, 3))
+    calls = []
+    nullspace = C._kernels.nullspace
+    monkeypatch.setattr(C._kernels, "nullspace", lambda *a: calls.append(a) or nullspace(*a))
+    classes = [c.element for c in s.dh_candidates if c.element.degree() == 4]
+    assert [C.chern_survival(s, e) for e in classes] == [True] * len(classes)
+    assert len(calls) == 1  # the degree-2 kernel
+    y1, y2 = s.detect_pres.gen("y1"), s.detect_pres.gen("y2")
+    assert not C.chern_survival(s, y1 * y2)
+    assert len(calls) == 1
+    kernel = C.q0_kernel_basis(s, 2)
+    kernel.clear()
+    assert len(C.q0_kernel_basis(s, 2)) == 3
+    assert len(calls) == 1
+
+
+def test_replaced_scenario_builds_its_own_reducer():
+    # a copy with more flags starts with an empty cache, so it does not reuse
+    # the degree's reducer of the scenario it was copied from
+    s = dataclasses.replace(C.elementary_abelian(3, 2))
+    alpha = s.resolve("Q0(x1*x2)")
+    assert C.chern_survival(s, alpha)
+    enlarged = dataclasses.replace(s, chern_flags={**s.chern_flags, "extra": alpha})
+    assert not C.chern_survival(enlarged, alpha)
+    assert C.chern_survival(s, alpha)
+    assert dataclasses.replace(s) == s  # the filled cache takes no part in equality
+
+
+def test_unkilled_flag_refused_after_reducer_cached():
+    # the flags are checked against Q_0 on every call, not only when the
+    # degree's reducer is built
+    s = dataclasses.replace(C.elementary_abelian(3, 2))
+    alpha = s.resolve("Q0(x1*x2)")
+    assert C.chern_survival(s, alpha)
+    s.chern_flags = {**s.chern_flags, "x1": s.detect_pres.gen("x1")}
+    with pytest.raises(C.ScenarioError, match="not killed by Q_0"):
+        C.chern_survival(s, alpha)
 
 
 def test_quadric_hyperplane_multiples_flagged():

@@ -189,6 +189,21 @@ def test_extraspecial_e_parameter_bound(capsys):
     assert "hilbert" not in body
 
 
+def test_elementary_parameter_bound(capsys):
+    # n = 10 answers; above it the rank is refused by name before any of the
+    # 2^n - n - 1 candidates is built, where --n 30 used to grow past 3 GiB
+    code, body = run_json(capsys, "hilbert", "elementary", "--p", "2", "--n", "10", "--cap", "4")
+    assert code == EXIT_OK
+    for n, candidates in (("11", 2036), ("30", 1073741793)):
+        start = time.perf_counter()
+        code, body = run_json(capsys, "hilbert", "elementary", "--p", "3", "--n", n, "--cap", "8")
+        assert time.perf_counter() - start < 5
+        assert code == EXIT_USAGE
+        assert f"takes no --n {n}" in body["error"] and "at most 10" in body["error"]
+        assert f"{candidates} candidates" in body["error"]
+        assert "hilbert" not in body
+
+
 def test_hilbert_refuses_negative_cap(capsys):
     # a negative cap is refused by name, not answered with no dimensions
     code, body = run_json(capsys, "hilbert", "g2", "--cap", "-3")
@@ -565,6 +580,7 @@ GOLDEN_CLI = {
     # Chern-ideal tests on detection rings larger than any of ``report --all``
     "dh-table elementary --p 2 --n 6": (0, "e7c93668d4ed1a88315f76b0c84e0951e0cdb516a2d251ba651d5cb63355223f"),
     "dh-table extraspecial-e --n 8 --p 3": (0, "b461f0511b018081f1f2a65e044dbbec665560d9f74e0849215989a35657f078"),
+    "dh-table extraspecial-e --n 10 --p 3": (0, "469dedb221081db7d66c2c9ff1a90f44885a7ce2d953806ae7f392935a917d9a"),
     # graded dimensions and a stable quotient, and a cell-budget refusal that
     # pins the order of the budget checks
     "hilbert extraspecial-d --n 3 --cap 8": (0, "584f0895bdcabce91b3cec96b7b2defcd58926df5caa4d44f87e4a94e5e6e438"),

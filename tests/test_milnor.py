@@ -1,7 +1,10 @@
 """Operation tables: Leibniz extension and axioms."""
 
+import random
+
 import pytest
 
+from coniveau import certificates as C
 from coniveau.fp import DegreeCapError, Generator, GradedPresentation
 from coniveau.milnor import (
     QAction,
@@ -148,3 +151,100 @@ def test_skipped_counted():
     report = validate_q_axioms(act, cap=8)  # Q_1 Q_1 lands in degree 11 > 8
     assert report.skipped > 0
 
+
+# -- the per-monomial Leibniz cache ---------------------------------------------
+
+
+def uncached_apply(action, i, terms):
+    """Q_i on a raw term map, term by term with no cache: the raw Leibniz
+    products left * Q_i(g_k) * right, summed and reduced once."""
+    pres, p = action.pres, action.pres.prime
+    shift = op_degree(p, i)
+    for m in terms:
+        if pres.monomial_degree(m) + shift > pres.degree_cap:
+            raise DegreeCapError(f"Q_{i} lands in degree {pres.monomial_degree(m) + shift}, above cap")
+    raw = {}
+    for m, c in terms.items():
+        prefix_deg = 0
+        for k, ek in enumerate(m):
+            if ek and (ek * c) % p:
+                coeff = -(ek * c) if p != 2 and prefix_deg % 2 else ek * c
+                left = m[:k] + (ek - 1,) + (0,) * (len(m) - k - 1)
+                right = (0,) * (k + 1) + m[k + 1:]
+                for t, ct in action.entry(i, pres.generators[k].name).terms.items():
+                    prod = pres._mul_monomials(left, t)
+                    if prod is None:
+                        continue
+                    prod2 = pres._mul_monomials(prod[0], right)
+                    if prod2 is None:
+                        continue
+                    raw[prod2[0]] = raw.get(prod2[0], 0) + prod[1] * prod2[1] * coeff * ct
+            prefix_deg += ek * pres.generators[k].degree
+    return pres.element(raw)
+
+
+def cache_pool():
+    """(detection ring, action) of scenarios with and without exterior
+    generators, a splitting ring, a cover, and a quotient with relations."""
+    scenarios = [
+        C.elementary_abelian(2, 4),
+        C.elementary_abelian(3, 3),
+        C.so_odd(2),
+        C.g2_scenario(),
+        C.extraspecial_e(3, 3),
+        C.extraspecial_d(2),
+    ]
+    pool = [(s.detect_pres, s.q_action) for s in scenarios]
+    P = abelian_ring(3, 2, cap=24)
+    Q = P.quotient([P.gen("y1") ** 3 * P.gen("x2") - P.gen("y2") ** 3 * P.gen("x1")])
+    pool.append((Q, abelian_action(Q)))
+    return pool
+
+
+def test_cached_application_matches_uncached():
+    # seeded elements of several rings, each applied twice so that the second
+    # call reads every column from the cache, and the relations' free-ring
+    # terms as validate_q_axioms passes them
+    rng = random.Random(0xC0105)
+    checks = 0
+    for pres, action in cache_pool():
+        for _ in range(40):
+            i = rng.randint(0, action.max_index)
+            room = pres.degree_cap - op_degree(pres.prime, i)
+            d = rng.randint(1, min(room, 12))
+            monos = pres.monomials(d)
+            if not monos:
+                continue
+            e = pres.element({monos[rng.randrange(len(monos))]: rng.randint(1, pres.prime - 1)
+                              for _ in range(rng.randint(1, 5))})
+            expected = uncached_apply(action, i, e.terms)
+            assert action.apply(i, e) == expected, (pres, i, str(e))
+            cached = len(action._columns)
+            assert action.apply(i, e) == expected
+            assert len(action._columns) == cached
+            checks += 1
+        for r in pres.relations:
+            for i in range(action.max_index + 1):
+                if r.degree() + op_degree(pres.prime, i) <= pres.degree_cap:
+                    assert action.apply_raw_terms(i, r.terms) == uncached_apply(action, i, r.terms)
+                    checks += 1
+    assert checks > 200
+
+
+def test_cached_application_cap_message():
+    # a term over the cap raises the uncached path's message, for the same
+    # first term, also when the other terms' columns are cached
+    P = abelian_ring(3, 2, cap=12)
+    act = abelian_action(P, max_index=1)
+    low = P.gen("x1") * P.gen("y1")  # degree 3: Q_1 lands in 8
+    high = P.gen("x2") * P.gen("y2") ** 4  # degree 9: Q_1 lands in 14
+    higher = P.gen("x1") * P.gen("y1") ** 5  # degree 11: Q_1 lands in 16
+    act.apply(1, low)
+    for terms in ({**low.terms, **high.terms, **higher.terms},
+                  {**low.terms, **higher.terms, **high.terms}):
+        with pytest.raises(DegreeCapError) as want:
+            uncached_apply(act, 1, terms)
+        with pytest.raises(DegreeCapError) as got:
+            act.apply_raw_terms(1, terms)
+        assert str(got.value) == str(want.value)
+    assert str(got.value) == "Q_1 lands in degree 16, above cap"
