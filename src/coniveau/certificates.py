@@ -35,6 +35,7 @@ Two soundness points shape the implementation:
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import combinations
@@ -168,15 +169,25 @@ class Scenario:
     stable_declared_basis: tuple[str, ...] | None = None
     stable_note: str = ""
     declared_n1: dict = field(default_factory=dict)
-    dh_candidates: tuple[DhCandidate, ...] = ()
+    # builds the candidate family on the first read of dh_candidates
+    candidates: Callable[[], tuple[DhCandidate, ...]] = field(
+        default=tuple, repr=False, compare=False
+    )
     default_target: tuple[str, tuple[int, ...] | None] = ("", None)
     restriction: tuple | None = None  # (target Scenario, AlgebraMorphism, note)
     canonical_text: str = ""  # a presentation file's rendered text, hashed as is
-    # ("kernel", d) -> q0_kernel_basis, ("chern", d) -> the Chern reducer
-    # (see _chern_reducer), valid while the flags and the operation table
-    # stay as built; not an init field, so dataclasses.replace starts a copy
-    # with an empty cache
+    # "candidates" -> dh_candidates, ("kernel", d) -> q0_kernel_basis,
+    # ("chern", d) -> the Chern reducer (see _chern_reducer), valid while the
+    # flags and the operation table stay as built; not an init field, so
+    # dataclasses.replace starts a copy with an empty cache
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def dh_candidates(self) -> tuple[DhCandidate, ...]:
+        """The candidate family, built on first read: most commands read none."""
+        if "candidates" not in self._cache:
+            self._cache["candidates"] = tuple(self.candidates())
+        return self._cache["candidates"]
 
     def resolve(self, text: str) -> Element:
         """An element of the detection ring from a name or expression."""
@@ -249,6 +260,7 @@ class Scenario:
         return _detect_candidate(self, cand, seq)
 
     def dh_table(self, cap: int | None = None) -> DhTable:
+        _check_cap("dh-table", cap)
         if not self.dh_candidates:
             raise ScenarioError(f"scenario {self.name} has no candidate family")
         return dh_table(self, cap=cap)
@@ -259,8 +271,7 @@ class Scenario:
     def hilbert(self, cap: int | None = None) -> dict:
         pres = self.presentation
         cap = cap if cap is not None else min(pres.degree_cap, 12)
-        if cap < 0:
-            raise ScenarioError(f"hilbert takes no --cap {cap}: --cap is a degree, at least 0")
+        _check_cap("hilbert", cap)
         if cap > pres.degree_cap:
             raise ScenarioError(f"cap {cap} exceeds the scenario maximum {pres.degree_cap}")
         return {"cap": cap, "dimensions": pres.hilbert_series(cap)}
@@ -299,6 +310,11 @@ class Scenario:
             hcap = min(self.presentation.degree_cap, 10)
             section["hilbert"] = self.presentation.hilbert_series(hcap)
         return section, problems
+
+
+def _check_cap(command: str, cap: int | None) -> None:
+    if cap is not None and cap < 0:
+        raise ScenarioError(f"{command} takes no --cap {cap}: --cap is a degree, at least 0")
 
 
 def required_length(degree: int) -> int | None:
@@ -785,6 +801,7 @@ class QModuleScenario:
         return pgl_detect(self)
 
     def dh_table(self, cap: int | None = None) -> DhTable:
+        _check_cap("dh-table", cap)
         rows = ()
         if cap is None or cap >= 3:
             cert = pgl_detect(self)
@@ -864,14 +881,6 @@ def elementary_abelian(p: int, n: int, cap: int = 40) -> Scenario:
     for i in range(1, n + 1):
         top = top * pres.gen(f"x{i}")
     aliases["alpha"] = action.apply(0, top)
-    candidates = []
-    for size in range(2, n + 1):
-        for subset in combinations(range(1, n + 1), size):
-            mono = pres.one()
-            for i in subset:
-                mono = mono * pres.gen(f"x{i}")
-            label = "Q0(" + "*".join(f"x{i}" for i in subset) + ")"
-            candidates.append(DhCandidate(label, action.apply(0, mono)))
     stable = _elementary_stable(p, n)
     return Scenario(
         name=f"elementary(p={p},n={n})",
@@ -886,9 +895,22 @@ def elementary_abelian(p: int, n: int, cap: int = 40) -> Scenario:
         stable_pres=stable,
         stable_top=n,
         stable_note="quotient by the ideal of the degree-2 Chern classes",
-        dh_candidates=tuple(candidates),
+        candidates=partial(_elementary_candidates, pres, action, n),
         default_target=("alpha", None),
     )
+
+
+def _elementary_candidates(pres: GradedPresentation, action: QAction, n: int) -> tuple:
+    """Q_0(x_S) for every subset S of at least two of the n exterior slots."""
+    candidates = []
+    for size in range(2, n + 1):
+        for subset in combinations(range(1, n + 1), size):
+            mono = pres.one()
+            for i in subset:
+                mono = mono * pres.gen(f"x{i}")
+            label = "Q0(" + "*".join(f"x{i}" for i in subset) + ")"
+            candidates.append(DhCandidate(label, action.apply(0, mono)))
+    return tuple(candidates)
 
 
 def _elementary_stable(p: int, n: int) -> GradedPresentation:
@@ -911,9 +933,6 @@ def so_odd(m: int, cap: int = 64) -> Scenario:
     rank = 2 * m + 1
     pres, action = so_q_action(rank, cap=cap, max_index=3)
     chern = {f"c{i}": pres.gen(f"w{i}") ** 2 for i in range(2, rank + 1)}
-    candidates = tuple(
-        DhCandidate(f"w{2 * j + 1}", pres.gen(f"w{2 * j + 1}")) for j in range(1, m + 1)
-    )
     stable_rels = [pres.gen(f"w{i}") * pres.gen(f"w{j}") for i in range(2, rank + 1) for j in range(i, rank + 1) if i + j <= cap]
     stable_rels += [pres.gen(f"w{i}") for i in range(3, rank + 1, 2)]
     stable = pres.quotient(stable_rels)
@@ -932,7 +951,9 @@ def so_odd(m: int, cap: int = 64) -> Scenario:
         stable_top=2 * m,
         stable_note="declared coniveau ideal: all products and the odd classes",
         stable_declared_basis=declared_basis,
-        dh_candidates=candidates,
+        candidates=lambda: tuple(
+            DhCandidate(f"w{2 * j + 1}", pres.gen(f"w{2 * j + 1}")) for j in range(1, m + 1)
+        ),
         default_target=("w3", (1,)),
     )
 
@@ -941,11 +962,6 @@ def so_odd(m: int, cap: int = 64) -> Scenario:
 def g2_scenario(cap: int = 40) -> Scenario:
     pres, action = g2_q_action(cap=cap, max_index=2)
     chern = {f"c{i}": pres.gen(f"w{i}") ** 2 for i in (4, 6, 7)}
-    candidates = (
-        DhCandidate("w4", pres.gen("w4")),
-        DhCandidate("w7", pres.gen("w7")),
-        DhCandidate("w4*w7", pres.gen("w4") * pres.gen("w7")),
-    )
     return Scenario(
         name="g2",
         kind="g2",
@@ -960,7 +976,11 @@ def g2_scenario(cap: int = 40) -> Scenario:
             "w4": "twice the degree-4 class is a Chern class, so the class is "
             "integrally torsion on the complement; coniveau membership is declared input"
         },
-        dh_candidates=candidates,
+        candidates=lambda: (
+            DhCandidate("w4", pres.gen("w4")),
+            DhCandidate("w7", pres.gen("w7")),
+            DhCandidate("w4*w7", pres.gen("w4") * pres.gen("w7")),
+        ),
         default_target=("w4", (1,)),
     )
 
@@ -998,7 +1018,7 @@ def simply_connected(p: int) -> Scenario:
             "w": "p times the degree-4 class is a Chern class, hence the class is "
             "p-torsion away from a divisor; coniveau membership is declared input"
         },
-        dh_candidates=(DhCandidate("w", source.gen("w")),),
+        candidates=lambda: (DhCandidate("w", source.gen("w")),),
         default_target=("w", (1,)),
         restriction=(target, morphism, note),
     )
@@ -1077,7 +1097,7 @@ def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
         stable_pres=stable,
         stable_top=2 * n,
         stable_note="exterior classes modulo the symplectic form",
-        dh_candidates=_pair_candidates(cover, action, n),
+        candidates=partial(_pair_candidates, cover, action, n),
         default_target=("Q0(x1*x3)", (1,)),
     )
 
@@ -1118,7 +1138,7 @@ def extraspecial_d(n: int, cap: int | None = None) -> Scenario:
         stable_pres=_lambda_mod_f(n, 2),
         stable_top=2 * n,
         stable_note="exterior classes modulo the symplectic form",
-        dh_candidates=_pair_candidates(cover, action, n),
+        candidates=partial(_pair_candidates, cover, action, n),
         default_target=("Q0(x1*x3)", (1,)),
     )
 

@@ -301,68 +301,60 @@ def _markdown(body: dict, level: int = 1) -> str:
 # -- entry point --------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "markdown"), default="json")
-    common.add_argument("--output", help="write the report to a file instead of stdout")
+# every command's arguments follow these two, as (flag, keywords) pairs
+_OUTPUT_ARGS = (
+    ("--format", {"choices": ("json", "markdown"), "default": "json"}),
+    ("--output", {"help": "write the report to a file instead of stdout"}),
+)
+_SCENARIO_ARGS = (
+    ("scenario", {"help": "family name or presentation file"}),
+    ("--p", {"type": int, "help": "prime parameter"}),
+    ("--n", {"type": int, "help": "rank parameter"}),
+    ("--m", {"type": int, "help": "rank parameter (special orthogonal)"}),
+)
+_ELEMENT_ARGS = (
+    ("--I", {"help": "comma-separated operation indices"}),
+    ("--element", {"help": "class name or polynomial expression"}),
+)
 
+# name -> (help, handler, arguments), in the order the help lists them
+_COMMANDS = {
+    "list": ("list built-in scenarios", _cmd_list, ()),
+    "verify": ("issue a certificate", _cmd_verify, _SCENARIO_ARGS + _ELEMENT_ARGS),
+    "dh-table": ("emit the candidate certificate table", _cmd_dh_table, _SCENARIO_ARGS + (
+        ("--cap", {"type": int, "help": "skip candidates above this degree"}),
+    )),
+    "stable-quotient": ("declared coniveau quotient", _cmd_stable_quotient, _SCENARIO_ARGS),
+    "hilbert": ("graded dimensions of the scenario ring", _cmd_hilbert, _SCENARIO_ARGS + (
+        ("--cap", {"type": int}),
+    )),
+    "qop": ("apply an operation sequence", _cmd_qop, _SCENARIO_ARGS + _ELEMENT_ARGS),
+    "rost": ("quadric / motive reconstruction and checks", _cmd_rost, (
+        ("--n", {"type": int, "required": True, "help": "quadric parameter, 2 <= n <= "
+                 f"{motivic.MAX_QUADRIC_N} (dimension 2^n - 1)"}),
+        ("--force-n1", {"help": "testing hook: force membership"}),
+    )),
+    "report": ("full reproduction run", _cmd_report, (("--all", {"action": "store_true"}),)),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Every command is declared, so usage, choices
+    and errors read the same for any argv, but only the command that argv
+    names gets its arguments: the first token not starting with "-", since
+    the top-level parser has no option that takes a value."""
     parser = argparse.ArgumentParser(
         prog="coniveau",
         description="exact mod-p coniveau / stable-rationality certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list built-in scenarios", parents=[common])
-
-    def scenario_args(p, with_element=False):
-        p.add_argument("scenario", help="family name or presentation file")
-        p.add_argument("--p", type=int, help="prime parameter")
-        p.add_argument("--n", type=int, help="rank parameter")
-        p.add_argument("--m", type=int, help="rank parameter (special orthogonal)")
-        if with_element:
-            p.add_argument("--I", help="comma-separated operation indices")
-            p.add_argument("--element", help="class name or polynomial expression")
-
-    scenario_args(
-        sub.add_parser("verify", help="issue a certificate", parents=[common]),
-        with_element=True,
-    )
-    p = sub.add_parser("dh-table", help="emit the candidate certificate table", parents=[common])
-    scenario_args(p)
-    p.add_argument("--cap", type=int, help="skip candidates above this degree")
-    scenario_args(
-        sub.add_parser("stable-quotient", help="declared coniveau quotient", parents=[common])
-    )
-    p = sub.add_parser("hilbert", help="graded dimensions of the scenario ring", parents=[common])
-    scenario_args(p)
-    p.add_argument("--cap", type=int)
-    scenario_args(
-        sub.add_parser("qop", help="apply an operation sequence", parents=[common]),
-        with_element=True,
-    )
-    p = sub.add_parser("rost", help="quadric / motive reconstruction and checks", parents=[common])
-    p.add_argument(
-        "--n",
-        type=int,
-        required=True,
-        help=f"quadric parameter, 2 <= n <= {motivic.MAX_QUADRIC_N} (dimension 2^n - 1)",
-    )
-    p.add_argument("--force-n1", dest="force_n1", help="testing hook: force membership")
-    p = sub.add_parser("report", help="full reproduction run", parents=[common])
-    p.add_argument("--all", action="store_true")
+    named = next((a for a in argv if not a.startswith("-")), None)
+    for name, (help_text, _, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == named:
+            for flag, keywords in _OUTPUT_ARGS + arguments:
+                p.add_argument(flag, **keywords)
     return parser
-
-
-_COMMANDS = {
-    "list": _cmd_list,
-    "verify": _cmd_verify,
-    "dh-table": _cmd_dh_table,
-    "stable-quotient": _cmd_stable_quotient,
-    "hilbert": _cmd_hilbert,
-    "qop": _cmd_qop,
-    "rost": _cmd_rost,
-    "report": _cmd_report,
-}
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -373,11 +365,11 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     body = {"schema_version": SCHEMA_VERSION, "command": args.command}
     try:
-        code, payload = _COMMANDS[args.command](args)
+        code, payload = _COMMANDS[args.command][1](args)
         body.update(payload)
     except UsageError as exc:
         body["error"] = str(exc)

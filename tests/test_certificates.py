@@ -541,6 +541,24 @@ def test_replaced_scenario_builds_its_own_reducer():
     assert dataclasses.replace(s) == s  # the filled cache takes no part in equality
 
 
+def test_candidates_built_once_per_instance(monkeypatch):
+    # the family is built on its first read and kept; a dataclasses.replace
+    # copy starts with an empty cache and builds the same family again
+    calls = []
+    build = C._elementary_candidates
+    monkeypatch.setattr(C, "_elementary_candidates", lambda *a: calls.append(a) or build(*a))
+    s = C.elementary_abelian.__wrapped__(3, 3)
+    assert calls == []
+    table = s.dh_table().to_dict()
+    assert s.dh_table().to_dict() == table
+    assert len(calls) == 1
+    copy = dataclasses.replace(s)
+    family = [(c.label, c.element.terms) for c in copy.dh_candidates]
+    assert len(calls) == 2
+    assert family == [(c.label, c.element.terms) for c in s.dh_candidates]
+    assert len(family) == 4
+
+
 def test_unkilled_flag_refused_after_reducer_cached():
     # the flags are checked against Q_0 on every call, not only when the
     # degree's reducer is built

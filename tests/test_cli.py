@@ -212,6 +212,45 @@ def test_hilbert_refuses_negative_cap(capsys):
     assert "hilbert" not in body
 
 
+@pytest.mark.parametrize("scenario", [("elementary", "--p", "3", "--n", "2"), ("pgl", "--p", "3")])
+def test_dh_table_refuses_negative_cap(capsys, scenario):
+    # refused by name as for hilbert, where it printed an empty lower-bound
+    # table with exit code 0
+    code, body = run_json(capsys, "dh-table", *scenario, "--cap", "-5")
+    assert code == EXIT_USAGE
+    assert "dh-table takes no --cap -5" in body["error"]
+    assert "dh_table" not in body
+
+
+def test_commands_that_read_no_candidates_build_none(capsys, monkeypatch):
+    # the builders run anew, past their lru caches, and any candidate build
+    # fails the command
+    from coniveau import certificates
+
+    refusal = ("hilbert", "extraspecial-e", "--n", "24", "--p", "3", "--cap", "4")
+    _, refused = run_json(capsys, *refusal)
+
+    def no_candidates(*args):
+        raise AssertionError("candidates built")
+
+    for builder in ("elementary_abelian", "so_odd", "g2_scenario", "simply_connected",
+                    "extraspecial_e", "extraspecial_d"):
+        monkeypatch.setattr(certificates, builder, getattr(certificates, builder).__wrapped__)
+    monkeypatch.setattr(certificates, "_pair_candidates", no_candidates)
+    monkeypatch.setattr(certificates, "_elementary_candidates", no_candidates)
+    for argv in (
+        ("list",),
+        ("hilbert", "extraspecial-e", "--n", "2", "--cap", "8"),
+        ("stable-quotient", "elementary", "--p", "2", "--n", "4"),
+    ):
+        code, body = run_json(capsys, *argv)
+        assert code == EXIT_OK, argv
+    code, body = run_json(capsys, *refusal)
+    assert code == EXIT_USAGE
+    assert body == refused
+    assert "degree 4: the monomial list would hold 249900 monomials" in body["error"]
+
+
 def test_family_refuses_foreign_parameter(capsys):
     code, body = run_json(capsys, "hilbert", "g2", "--p", "7")
     assert code == EXIT_USAGE
