@@ -9,10 +9,10 @@ order).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import certificates as certs
 from . import motivic
@@ -301,7 +301,10 @@ def _markdown(body: dict, level: int = 1) -> str:
 # -- entry point --------------------------------------------------------------------
 
 
-# every command's arguments follow these two, as (flag, keywords) pairs
+# every command's arguments follow these two, as (flag, keywords) pairs; the
+# keywords are argparse's, limited to the ones ``_parse_from_table`` also
+# reads: help, type (raising ValueError), default, choices, required and
+# action="store_true"
 _OUTPUT_ARGS = (
     ("--format", {"choices": ("json", "markdown"), "default": "json"}),
     ("--output", {"help": "write the report to a file instead of stdout"}),
@@ -338,23 +341,74 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  Every command is declared, so usage, choices
-    and errors read the same for any argv, but only the command that argv
-    names gets its arguments: the first token not starting with "-", since
-    the top-level parser has no option that takes a value."""
+def build_parser():
+    """The argparse parser for every command.  ``main`` builds it only for
+    an argv that ``_parse_from_table`` leaves alone, so argparse is the one
+    place that prints usage, help and errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="coniveau",
         description="exact mod-p coniveau / stable-rationality certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = next((a for a in argv if not a.startswith("-")), None)
     for name, (help_text, _, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name == named:
-            for flag, keywords in _OUTPUT_ARGS + arguments:
-                p.add_argument(flag, **keywords)
+        for flag, keywords in _OUTPUT_ARGS + arguments:
+            p.add_argument(flag, **keywords)
     return parser
+
+
+def _parse_from_table(argv):
+    """The namespace argparse gives for a well-formed argv, read off the
+    command table, or None.  Taken as is: the command first, then exact
+    ``--flag value`` pairs, ``store_true`` flags and the declared
+    positionals, in any order; a repeated flag's last value wins.  Anything
+    else -- help, an unknown, abbreviated or ``--flag=value`` option, ``--``,
+    an empty value or one starting with "-", a bad ``int`` or choice, a
+    missing or extra positional, a missing required flag -- is None, and
+    argparse answers it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = _OUTPUT_ARGS + _COMMANDS[argv[0]][2]
+    options = {flag: keywords for flag, keywords in arguments if flag.startswith("-")}
+    positionals = [flag for flag, _ in arguments if not flag.startswith("-")]
+    values = {"command": argv[0]}
+    for flag, keywords in arguments:
+        store_true = keywords.get("action") == "store_true"
+        values[_dest(flag)] = False if store_true else keywords.get("default")
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if not token or not positionals:
+                return None
+            flag, value = positionals.pop(0), token
+        elif token not in options:
+            return None
+        elif options[token].get("action") == "store_true":
+            flag, value = token, True
+        else:
+            flag, value, keywords = token, next(tokens, ""), options[token]
+            if not value or value.startswith("-"):
+                return None
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        values[_dest(flag)] = value
+    # a given value is never None, so a required flag still at None is missing
+    missing = [f for f, k in options.items() if k.get("required") and values[_dest(f)] is None]
+    if positionals or missing:
+        return None
+    return SimpleNamespace(**values)
+
+
+def _dest(flag: str) -> str:
+    """argparse's attribute name for a flag or positional."""
+    return flag.lstrip("-").replace("-", "_")
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -366,7 +420,9 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_from_table(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     body = {"schema_version": SCHEMA_VERSION, "command": args.command}
     try:
         code, payload = _COMMANDS[args.command][1](args)

@@ -31,9 +31,8 @@ the dict rows u * g, one per non-standard monomial, which span the ideal's
 degree piece with distinct leading monomials.  Reduced row echelon form is
 unique, so the reducer is the one a full elimination of every cofactor x
 relation product ("Macaulay matrix") gives, and a normal form is one
-substitution pass over it in dict arithmetic.  ``in_span`` eliminates on
-the same dict rows; only the S-pair matrices of a basis step pass through
-the int64 array of ``_kernels.rref``.
+substitution pass over it in dict arithmetic.  Only the S-pair matrices of
+a basis step pass through the int64 array of ``_kernels.rref``.
 
 Every ``Element`` is a normal form: only its constructors (``element``,
 ``monomial``, ``gen``, ``one`` and products) reduce, all through
@@ -55,9 +54,9 @@ The free monomials of each degree come from one table per generator list
 (``_MonomialTable``), filled on demand and shared by a presentation, its
 quotients and its free twin.  The table counts a degree before it lists it:
 the budgets, the Macaulay cell count and a relation-free ring's dimensions
-read the counts, and only ``monomials(d)``, a reducer and ``in_span`` list
-a degree.  Within a degree the table's order is descending lex, so the
-columns of an S-pair matrix are its monomials sorted in reverse.
+read the counts, and only ``monomials(d)`` and a reducer list a degree.
+Within a degree the table's order is descending lex, so the columns of an
+S-pair matrix are its monomials sorted in reverse.
 
 Elements are immutable and their operations pure.  A presentation fills
 its monomial table, its Groebner basis and its per-degree caches on demand;
@@ -921,10 +920,25 @@ class Element:
         return NotImplemented
 
     def __pow__(self, n: int):
+        """Without a constant term each factor raises the lowest degree, so
+        the product is zero or refused by the cap within cap + 1 factors.
+        With one the powers need not grow (a unit's, or 1 + x for an
+        exterior x), so they are taken by squaring: O(log n) products."""
         if n < 0:
             raise ValueError("negative power")
         out = self.pres.one()
+        if any(not any(m) for m in self.terms):
+            base = self
+            while n:
+                if n & 1:
+                    out = out * base
+                n >>= 1
+                if n:
+                    base = base * base
+            return out
         for _ in range(n):
+            if out.is_zero():
+                break
             out = out * self
         return out
 
@@ -969,7 +983,9 @@ class Element:
 
 def in_span(e: Element, spanning) -> bool:
     """Is ``e`` an F_p combination of the given homogeneous elements
-    (all of the same degree, same presentation)?"""
+    (all of the same degree, same presentation)?  No computation calls it:
+    the Chern-ideal test reduces against a cached reducer instead.  It stays
+    while ``perfbench/tracer.py`` patches it by name."""
     if e.is_zero():
         return True
     d = e.degree()

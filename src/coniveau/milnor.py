@@ -65,7 +65,7 @@ class QAction:
 
     def entry(self, i: int, gname: str) -> Element:
         if i < 0 or i > self.max_index:
-            raise QActionError(f"operation index {i} beyond table (max {self.max_index})")
+            raise QActionError(f"operation index {i} outside 0..{self.max_index}")
         key = (i, gname)
         if key not in self._table:
             if self._supplier is None:

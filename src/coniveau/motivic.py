@@ -484,10 +484,17 @@ def dh_quadric_check(n: int, force_n1: tuple[int, ...] = ()) -> QuadricCertifica
     quadric vanishes: every pure torsion generator fails the coniveau
     membership test, and hyperplane multiples carry the strong-coniveau
     flag by reciprocity.  ``force_n1`` injects membership verdicts for the
-    listed exponents (negative control); any injected or genuine membership
-    yields "cannot conclude", never a silent pass.
+    listed degrees (negative control); any injected or genuine membership
+    yields "cannot conclude", never a silent pass.  A listed degree that is
+    no torsion generator's would inject nothing, so it is refused.
     """
     _check_quadric_n(n, 2)
+    for s in force_n1:
+        if s % 4 or not 0 < s < 4 * 2 ** (n - 1):
+            raise ValueError(
+                f"forced degree {s} is no torsion generator's: for n = {n} they lie "
+                f"in degrees 4i, 1 <= i < {2 ** (n - 1)}"
+            )
     basis = RostBasis(n)
     checks = []
     detail = []

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -110,6 +111,24 @@ def test_rost_ok_and_negative_control(capsys):
     code, body = run_json(capsys, "rost", "--n", "2", "--force-n1", "4")
     assert code == EXIT_MATH_FAIL
     assert body["dh_check"]["verdict"] == "cannot conclude"
+
+
+@pytest.mark.parametrize("degree", ["6", "-4", "400", "4,30"])
+def test_rost_refuses_forced_degree_of_no_generator(capsys, degree):
+    # n = 3 has torsion generators in degrees 4, 8, 12 only; a mistyped
+    # negative control must not pass as DH=0
+    code, body = run_json(capsys, "rost", "--n", "3", "--force-n1", degree)
+    assert code == EXIT_USAGE
+    assert "4i, 1 <= i < 4" in body["error"]
+    assert "dh_check" not in body
+
+
+def test_qop_negative_operation_index(capsys):
+    code, body = run_json(
+        capsys, "qop", "elementary", "--p", "2", "--n", "2", "--I", "-1", "--element", "x1"
+    )
+    assert code == EXIT_USAGE
+    assert body["error"] == "operation index -1 outside 0..4"
 
 
 def test_rost_parameter_above_bound(capsys):
@@ -297,6 +316,30 @@ def test_package_import_loads_only_the_kernel():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['coniveau._kernels'] sparse"
+
+
+def test_well_formed_commands_load_no_argparse():
+    # a well-formed argv is read off the command table; argparse, and the
+    # gettext catalogue lookups it makes, load only for help and errors
+    script = (
+        "import sys\n"
+        "from coniveau import cli\n"
+        "def loaded():\n"
+        "    mods = sorted(m for m in ('argparse', 'gettext') if m in sys.modules)\n"
+        "    print(mods, file=sys.stderr)\n"
+        "for argv in (['list'], ['verify', 'g2', '--I', '1']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "loaded()\n"
+        "cli.main(['hilbert', 'g2', '--cap', '-1'])  # a value starting with '-'\n"
+        "loaded()\n"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["[]", "['argparse', 'gettext']"], proc.stderr
 
 
 def test_determinism_byte_identical(capsys):
@@ -551,6 +594,84 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert code == EXIT_OK
     assert (tmp_path / "cert.json").exists()
+
+
+# lines a hand-written file might get wrong, one put into a fifth of the files
+BAD_LINES = (
+    "gen", "gen x9 -1", "gen x9 2 odd", "prime 4", "cap -3", "rel x1 +", "rel zz",
+    "Q 40 x1 = 0", "Q 0 x1 = x1 = x1", "alias = x1", "chern c = x1^", "bogus line",
+    "rel x1^99999999999", "rel (1 + x1)^99999999999", "rel (x1", "gen x1 1",
+)
+
+
+def random_presentation(rng):
+    """Text of a small random presentation file, with a random command to
+    run on it: mostly well formed, sometimes with a bad line."""
+    p = rng.choice((2, 3, 5))
+    gens = [(f"x{k}", rng.randint(1, 3)) for k in range(1, rng.randint(1, 4) + 1)]
+    by_degree = {}
+    for name, d in gens:
+        by_degree.setdefault(d, set()).add(name)
+    for _ in range(12):
+        factors = sorted(rng.choice(gens) for _ in range(rng.randint(1, 3)))
+        odd = [name for name, d in factors if d % 2 and p > 2]
+        if len(odd) == len(set(odd)):  # odd classes square to zero at odd p
+            mono = "*".join(name for name, _ in factors)
+            by_degree.setdefault(sum(d for _, d in factors), set()).add(mono)
+
+    def expression(degree=None):
+        if degree is None:
+            degree = rng.choice(sorted(by_degree))
+        monos = sorted(by_degree.get(degree, ()))
+        if not monos:
+            return "0"
+        picked = rng.sample(monos, rng.randint(1, min(3, len(monos))))
+        return " + ".join(f"{rng.randint(1, p - 1)}*{m}" for m in picked)
+
+    lines = [f"prime {p}", f"cap {rng.randint(6, 14)}"]
+    lines += [f"gen {name} {d}" for name, d in gens]
+    lines += [f"rel {expression()}" for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.7:
+        for i in range(rng.randint(1, 2)):
+            for name, d in gens:
+                value = expression(d + 2 * p**i - 1) if rng.random() < 0.3 else "0"
+                lines.append(f"Q {i} {name} = {value}")
+    for keyword, name in (("alias", "alpha"), ("chern", "c1"), ("n1", "u")):
+        if rng.random() < 0.3:
+            lines.append(f"{keyword} {name} = {expression()}")
+    if rng.random() < 0.2:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(BAD_LINES))
+    element = rng.choice(["alpha", "x1", "x1*x2", "1", "x1^2"])
+    argv = rng.choice([
+        ["hilbert", "--cap", str(rng.randint(0, 10))],
+        ["stable-quotient"],
+        ["dh-table"],
+        ["qop", "--I", rng.choice(["0", "1", "0,1"]), "--element", element],
+        ["verify", "--element", element, "--I", rng.choice(["1", "0,1"])],
+    ])
+    return "\n".join(lines) + "\n", argv
+
+
+def test_random_presentation_files(tmp_path, capsys):
+    # every random file ends in a JSON body with an exit code of 0, 1 or 2,
+    # never a traceback, and quickly
+    rng = random.Random(0xF11E)
+    path = tmp_path / "random.pres"
+    codes = []
+    for _ in range(150):
+        text, argv = random_presentation(rng)
+        path.write_text(text)
+        argv = [argv[0], str(path), *argv[1:]]
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert code in (EXIT_OK, EXIT_MATH_FAIL, EXIT_USAGE), (argv, text)
+        body = json.loads(out)
+        assert isinstance(body, dict) and body["exit_code"] == code, (argv, text)
+        assert elapsed < 2.0 and len(out) < 200_000, (argv, text, elapsed, len(out))
+        codes.append(code)
+    # the files reach the commands' verdicts, not only their refusals
+    assert min(codes.count(code) for code in (EXIT_OK, EXIT_MATH_FAIL, EXIT_USAGE)) >= 10, codes
 
 
 def test_markdown_dh_table(capsys):

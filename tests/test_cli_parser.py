@@ -1,10 +1,13 @@
-"""The per-command argument parser against a fully populated one.
+"""What ``cli.main`` parses against a fully populated argparse parser.
 
-``cli.build_parser(argv)`` declares every command but gives arguments only to
-the one argv names.  For fixed and seeded argv it must answer as a parser with
-every command populated does: the same exit code, output and namespace.  An
-argv that parses must then run through ``cli.main`` to an exit code of 0, 1
-or 2 with a rendered body.  Everything runs in-process.
+``cli.main`` reads a well-formed argv off the command table and hands every
+other argv to ``cli.build_parser``.  For fixed and seeded argv, what main
+parses must be what a parser with every command populated gives: the same
+namespace, or the same exit code, output and errors.  Forms the table
+leaves to argparse (``--n=3``, abbreviations, values starting with "-")
+must reach argparse even where argparse accepts them.  An argv that parses
+must then run through ``cli.main`` to an exit code of 0, 1 or 2 with a
+rendered body.  Everything runs in-process.
 """
 
 import argparse
@@ -12,6 +15,7 @@ import contextlib
 import io
 import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -24,7 +28,7 @@ def reference_parser():
     common = argparse.ArgumentParser(add_help=False)
     for flag, keywords in cli._OUTPUT_ARGS:
         common.add_argument(flag, **keywords)
-    plain = cli.build_parser([])
+    plain = cli.build_parser()
     parser = argparse.ArgumentParser(prog=plain.prog, description=plain.description)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, arguments) in cli._COMMANDS.items():
@@ -45,9 +49,35 @@ def outcome(parser, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+class Parsed(Exception):
+    """Raised by a stand-in command with the namespace main handed it."""
+
+
+def main_outcome(argv):
+    """What cli.main parses from argv, in the shape of ``outcome``: every
+    command is replaced by one that raises ``Parsed``."""
+
+    def record(args):
+        raise Parsed(vars(args))
+
+    stand_ins = {name: (h, record, a) for name, (h, _, a) in cli._COMMANDS.items()}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli._COMMANDS, stand_ins), contextlib.redirect_stdout(out):
+        with contextlib.redirect_stderr(err):
+            try:
+                cli.main(argv)
+                raise AssertionError(f"{argv}: main ran no command")
+            except Parsed as exc:
+                result = exc.args[0]
+            except SystemExit as exc:
+                result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 def check_argv(argv, outdir):
-    """Compare the two parsers on argv; run cli.main when argv parses."""
-    got = outcome(cli.build_parser(argv), argv)
+    """Compare main's parse of argv with the reference parser's; run
+    cli.main when argv parses."""
+    got = main_outcome(argv)
     assert got == outcome(reference_parser(), argv), argv
     parsed = got[0]
     if not isinstance(parsed, dict):
@@ -67,6 +97,37 @@ def check_argv(argv, outdir):
         assert text.startswith("# report\n"), argv
 
 
+# argv that only argparse answers, though it accepts most of them
+DECLINED = [
+    ["rost", "--n=3"],
+    ["verify", "g2", "--elem", "x1"],
+    ["hilbert", "elementary", "--p", "-1", "--n", "2"],
+    ["qop", "g2", "--I", "0", "--element", "-"],
+    ["qop", "g2", "--I", "0", "--element", ""],
+    ["qop", "g2", "--element", "--I", "0"],
+    ["hilbert", "g2", "--cap"],
+    ["hilbert", "g2", "--", "--cap", "4"],
+    ["hilbert", "g2", "--cap", "4", "g2"],
+    ["hilbert", "--cap", "4"],
+    ["dh-table", "g2", "--format", "yaml"],
+    ["report", "--all", "extra"],
+    ["rost", "--force-n1", "4"],
+    ["--format", "json", "list"],
+    ["--", "list"],
+    ["verify", "g2", "--I", "1", "-h"],
+]
+
+# well-formed argv, which the table reads without argparse
+TAKEN = [
+    ["list"],
+    ["verify", "g2", "--I", "1"],
+    ["hilbert", "--cap", "4", "g2"],
+    ["hilbert", "g2", "--cap", "9", "--cap", "4"],
+    ["verify", "--format", "markdown", "--format", "json", "g2", "--element", "Q0(x1*x3)"],
+    ["rost", "--force-n1", "4", "--n", "2"],
+    ["report"],
+]
+
 FIXED = [
     [],
     ["-h"],
@@ -76,8 +137,8 @@ FIXED = [
     ["hilbert", "g2", "--cap", "4", "--bogus"],
     ["hilbert", "g2", "--cap", "four"],
     ["rost"],
-    ["--format", "json", "list"],
-    ["--", "list"],
+    *DECLINED,
+    *TAKEN,
 ]
 
 
@@ -87,26 +148,42 @@ def test_parser_matches_fully_populated(argv, tmp_path, monkeypatch):
     check_argv(argv, tmp_path)
 
 
+@pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+def test_table_leaves_other_forms_to_argparse(argv):
+    assert cli._parse_from_table(argv) is None
+
+
+@pytest.mark.parametrize("argv", TAKEN, ids=" ".join)
+def test_table_takes_well_formed_argv(argv):
+    assert cli._parse_from_table(argv) is not None
+
+
 # (usual values, rare bad ones); small, so that every run that parses stays quick
 VALUES = {
     "scenario": (tuple(certificates.FAMILIES), ("no-such-family",)),
     "--format": (("json", "markdown"), ("yaml",)),
     "--output": (("out.txt",), ()),
-    "--I": (("1", "0,1", "1,2"), ("x",)),
-    "--element": (("alpha", "x1", "w3", "x1*x2", "Q0(x1*x3)"), ("(x1",)),
+    "--I": (("1", "0,1", "1,2"), ("x", "-1")),
+    "--element": (("alpha", "x1", "w3", "x1*x2", "Q0(x1*x3)"), ("(x1", "-", "", "--I")),
     "--force-n1": (("4",), ("x",)),
     int: (("1", "2", "3"), ("-1", "0", "x")),
 }
-STRAYS = ("-h", "--bogus", "extra", "--", "list")
+# token runs put in at a random place, on their own or splitting a pair
+STRAYS = (
+    ("-h",), ("--bogus",), ("extra",), ("--",), ("list",), ("--n=3",), ("--elem", "x1"),
+    ("--format", "markdown"), ("--p", "-1"),
+)
 
 
 def fuzz_argv(rng):
     """A command from the table (or an unknown one) with a random subset of
     its arguments, mostly the parameters its family takes, sometimes a bad
-    value, sometimes a stray token."""
+    value, sometimes a stray run of tokens.  Returns the argv and whether it
+    has neither a bad value nor a stray."""
     name = rng.choice((*cli._COMMANDS, "no-such-command"))
     arguments = cli._OUTPUT_ARGS + cli._COMMANDS.get(name, (None, None, ()))[2]
     argv = [name]
+    clean = name in cli._COMMANDS
     family = None
     for flag, keywords in arguments:
         if flag in ("--p", "--n", "--m") and family is not None and rng.random() < 0.9:
@@ -118,19 +195,31 @@ def fuzz_argv(rng):
             argv.append(flag)
             continue
         usual, bad = VALUES[keywords.get("type", flag)]
-        value = rng.choice(bad if bad and rng.random() < 0.1 else usual)
+        if bad and rng.random() < 0.1:
+            value, clean = rng.choice(bad), False
+        else:
+            value = rng.choice(usual)
         if flag == "scenario":
             argv.append(value)
             family = certificates.FAMILIES.get(value)
         else:
             argv += [flag, value]
     if rng.random() < 0.1:
-        argv.insert(rng.randrange(len(argv) + 1), rng.choice(STRAYS))
-    return argv
+        at = rng.randrange(len(argv) + 1)
+        argv[at:at] = rng.choice(STRAYS)
+        clean = False
+    return argv, clean
 
 
 def test_parser_matches_fully_populated_on_seeded_argv(tmp_path, monkeypatch):
     monkeypatch.setenv("CONIVEAU_OUTPUT_DIR", str(tmp_path))
     rng = random.Random(16)
+    taken = 0
     for _ in range(200):
-        check_argv(fuzz_argv(rng), tmp_path)
+        argv, clean = fuzz_argv(rng)
+        check_argv(argv, tmp_path)
+        # a clean argv that argparse accepts never needs argparse
+        if clean and isinstance(outcome(reference_parser(), argv)[0], dict):
+            assert cli._parse_from_table(argv) is not None, argv
+            taken += 1
+    assert taken >= 100

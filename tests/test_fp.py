@@ -128,6 +128,26 @@ def test_degree_cap_overflow():
         (x1**2) * (x1**2)
 
 
+def test_huge_powers_end():
+    # powers that stop growing (zero, a unit, 1 + an exterior class) took one
+    # product per unit of the exponent; a presentation file can write 10^11
+    P = GradedPresentation(3, [Generator("x", 1), Generator("y", 2)], 12)
+    x, y = P.gens()
+    n = 10**11 + 2  # = 0 mod 2, = 0 mod 3, = 2 mod 9
+    assert (x**n).is_zero() and ((x * y) ** n).is_zero()
+    assert (2 * P.one()) ** n == P.one()
+    assert (P.one() + x) ** n == P.one() + (n % 3) * x
+    with pytest.raises(DegreeCapError, match="degree 14 above cap 12"):
+        y ** n
+    with pytest.raises(DegreeCapError):
+        (P.one() + y) ** n
+    for k in range(7):  # the same products as repeated multiplication
+        e, f = P.one(), P.one() + x + 2 * y
+        for _ in range(k):
+            e = e * f
+        assert f**k == e
+
+
 # -- normal forms ----------------------------------------------------------------
 
 
