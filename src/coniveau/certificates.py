@@ -6,8 +6,9 @@ classifying-space approximations.  ``Scenario`` and the projective-linear
 label module ``QModuleScenario`` answer one protocol (``header``, ``verify``,
 ``dh_table``, ``stable_quotient``, ``hilbert``, ``qop``, ``report_section``),
 and the ``FAMILIES`` table names each family's builder, its parameters and
-its canonical instances.  ``detect`` issues machine-checkable
-certificates: a class is certified outside the strong coniveau filtration
+its canonical instances.  ``Scenario.candidate`` turns text into a class,
+and ``_detect_candidate`` issues machine-checkable certificates on such
+candidates: a class is certified outside the strong coniveau filtration
 when a strictly increasing operation sequence of the right length has a
 nonzero value and the class survives the Chern-ideal test.
 
@@ -50,7 +51,7 @@ from .fp import (
     GradedPresentation,
 )
 from .milnor import QAction
-from .parser import parse_expression, render_presentation
+from .parser import ParseError, parse_expression, render_presentation
 
 NOT_IN_STRONG_CONIVEAU = "not-in-strong-coniveau"
 INCONCLUSIVE = "inconclusive"
@@ -189,19 +190,24 @@ class Scenario:
             self._cache["candidates"] = tuple(self.candidates())
         return self._cache["candidates"]
 
-    def resolve(self, text: str) -> Element:
-        """An element of the detection ring from a name or expression."""
+    def candidate(self, text: str) -> DhCandidate:
+        """The class a name, alias or expression names, without building the
+        family; only text that does not parse is looked up among the candidate
+        labels (``Q0(x1*x3)``), which bring their declared maps.  A built-in
+        label that parses names its candidate's element and declares no maps."""
         names = {g.name: self.detect_pres.gen(g.name) for g in self.detect_pres.generators}
         names.update(self.aliases)
-        if text in names:
-            return names[text]
-        for cand in self.dh_candidates:
-            if cand.label == text:
-                return cand.element
-        return parse_expression(self.detect_pres, names, text)
+        try:
+            return DhCandidate(text, parse_expression(self.detect_pres, names, text))
+        except ParseError:
+            for cand in self.dh_candidates:
+                if cand.label == text:
+                    return cand
+            raise
 
-    def candidate(self, label: str) -> DhCandidate | None:
-        return next((c for c in self.dh_candidates if c.label == label), None)
+    def resolve(self, text: str) -> Element:
+        """An element of the detection ring from a name, expression or label."""
+        return self.candidate(text).element
 
     @property
     def max_search_index(self) -> int:
@@ -246,27 +252,62 @@ class Scenario:
 
     def verify(self, element: str | None, sequence) -> Certificate:
         """Certificate for a named class, or for the flagship target."""
-        if element:
-            if sequence is None:
-                raise ScenarioError("--element requires --I")
-            return detect(self, element, sequence)
-        label, default_seq = self.default_target
+        if element and sequence is None:
+            raise ScenarioError("--element requires --I")
+        label, default_seq = (element, None) if element else self.default_target
         if not label:
             raise ScenarioError("scenario has no default target; pass --element and --I")
         seq = tuple(sequence) if sequence is not None else default_seq
-        cand = self.candidate(label) or DhCandidate(label, self.resolve(label))
+        if self.q_action is None and self.restriction is None:
+            # refused before the class is read, whatever the text names
+            return _inconclusive(self, label, seq, "scenario carries no operation table")
+        cand = self.candidate(label)
         if seq is None:
             return search_witness(self, cand)
+        if self.restriction is not None:
+            return _restricted(self, label, _detect_candidate(*_restrict(self, cand), seq))
         return _detect_candidate(self, cand, seq)
 
     def dh_table(self, cap: int | None = None) -> DhTable:
+        """Certificate table over the candidate family, up to degree ``cap``."""
         _check_cap("dh-table", cap)
         if not self.dh_candidates:
             raise ScenarioError(f"scenario {self.name} has no candidate family")
-        return dh_table(self, cap=cap)
+        rows = []
+        limit = cap if cap is not None else self.detect_pres.degree_cap
+        skipped = False
+        for cand in self.dh_candidates:
+            degree = cand.element.degree()
+            if degree > limit:
+                skipped = True
+                continue
+            cert = search_witness(self, cand)
+            witness = cert.sequence if cert.verdict == NOT_IN_STRONG_CONIVEAU else None
+            rows.append(DhRow(cand.label, degree, witness, cert))
+        # an elementary abelian table is an equality only when it has a row for
+        # every candidate and every row is certified; a candidate left out above
+        # the cap, or a row without a witness, leaves it a lower bound
+        complete = not skipped and all(r.witness is not None for r in rows)
+        bound = "equality" if self.kind == "elementary" and complete else "lower-bound"
+        return DhTable(scenario=self.name, bound_kind=bound, rows=tuple(rows))
 
     def stable_quotient(self) -> StableQuotient:
-        return stable_quotient(self)
+        """Graded basis of the ring modulo the declared coniveau ideal."""
+        if self.stable_pres is None:
+            raise ScenarioError(f"scenario {self.name} declares no stable structure")
+        basis = tuple(
+            tuple(str(b) for b in self.stable_pres.graded_basis(d))
+            for d in range(self.stable_top + 1)
+        )
+        dims = tuple(len(layer) for layer in basis)
+        return StableQuotient(
+            scenario=self.name,
+            dims=dims,
+            basis=basis,
+            total_dimension=sum(dims),
+            note=self.stable_note,
+            declared=self.stable_declared_basis,
+        )
 
     def hilbert(self, cap: int | None = None) -> dict:
         pres = self.presentation
@@ -299,9 +340,9 @@ class Scenario:
         if cert.verdict != NOT_IN_STRONG_CONIVEAU:
             problems.append("flagship certificate not issued")
         if self.dh_candidates:
-            section["dh_table"] = dh_table(self).to_dict()
+            section["dh_table"] = self.dh_table().to_dict()
         if self.stable_pres is not None:
-            sq = stable_quotient(self)
+            sq = self.stable_quotient()
             section["stable_quotient"] = sq.to_dict()
             if sq.declared is not None:
                 if tuple(b for layer in sq.basis for b in layer) != sq.declared:
@@ -412,26 +453,20 @@ def _chern_reducer(scenario: Scenario, d: int, by_degree: dict) -> tuple | None:
 # -- detection -----------------------------------------------------------------
 
 
-def detect(scenario: Scenario, element, sequence, _maps=None) -> Certificate:
+def _detect_candidate(scenario: Scenario, cand: DhCandidate, sequence) -> Certificate:
     """Run the decision procedure on one homogeneous class.
 
     Verdict ``not-in-strong-coniveau`` requires: a strictly increasing
     sequence of indices >= 1 whose length matches the class degree, a
-    nonzero value certified in a declared ring, and survival of the class
-    modulo the Chern ideal.  Cap overflows and uncertified values are
-    reported as inconclusive, never as passes.
+    nonzero value certified in a declared ring (the candidate's maps, else
+    the scenario's), and survival of the class modulo the Chern ideal.
+    Cap overflows and uncertified values are reported as inconclusive, never
+    as passes.  The scenario has an operation table; ``verify`` and
+    ``search_witness`` pass a restriction scenario's classes to its target.
     """
-    label = element if isinstance(element, str) else str(element)
+    label = cand.label
     sequence = tuple(sequence)
-
-    if scenario.restriction is not None:
-        target, morphism, _ = scenario.restriction
-        alpha = scenario.resolve(label) if isinstance(element, str) else element
-        return _restricted(scenario, label, detect(target, morphism(alpha), sequence))
-
-    if scenario.q_action is None:
-        return _inconclusive(scenario, label, sequence, "scenario carries no operation table")
-    alpha = scenario.resolve(label) if isinstance(element, str) else element
+    alpha = cand.element
     if alpha.is_zero() or not alpha.is_homogeneous():
         return _inconclusive(scenario, label, sequence, "target class must be nonzero homogeneous")
     d = alpha.degree()
@@ -466,9 +501,7 @@ def detect(scenario: Scenario, element, sequence, _maps=None) -> Certificate:
             scenario, label, sequence, "operation value is zero", trail=trail
         )
 
-    if _maps is None and isinstance(element, str) and (cand := scenario.candidate(element)):
-        _maps = cand.maps  # a candidate's label brings its declared maps
-    via = _certify_nonzero(scenario, _maps, value)
+    via = _certify_nonzero(scenario, cand.maps, value)
     if via is None:
         return _inconclusive(
             scenario,
@@ -528,6 +561,15 @@ def _inconclusive(scenario, label, sequence, reason, trail=()) -> Certificate:
     )
 
 
+def _restrict(scenario: Scenario, cand: DhCandidate) -> tuple[Scenario, DhCandidate]:
+    """The restriction target and the candidate's image there, labelled by
+    the image's text: the target declares its inputs under that name (g2's
+    ``declared_n1`` names ``w4``), and the image uses the target's maps."""
+    target, morphism, _ = scenario.restriction
+    image = morphism(cand.element)
+    return target, DhCandidate(str(image), image)
+
+
 def _restricted(scenario: Scenario, label: str, inner: Certificate) -> Certificate:
     """Reissue a certificate of the restriction target for the scenario."""
     target, _, note = scenario.restriction
@@ -540,19 +582,11 @@ def _restricted(scenario: Scenario, label: str, inner: Certificate) -> Certifica
     )
 
 
-def _detect_candidate(scenario: Scenario, cand: DhCandidate, sequence) -> Certificate:
-    cert = detect(scenario, cand.element, sequence, _maps=cand.maps)
-    # DhCandidate labels are friendlier than raw element strings
-    return replace(cert, element=cand.label)
-
-
 def search_witness(scenario: Scenario, cand: DhCandidate) -> Certificate:
     """First certificate over ascending lexicographic index tuples of the
     required length, bounded by the scenario's operation table and cap."""
     if scenario.restriction is not None:
-        target, morphism, _ = scenario.restriction
-        inner = search_witness(target, DhCandidate(cand.label, morphism(cand.element)))
-        return _restricted(scenario, cand.label, inner)
+        return _restricted(scenario, cand.label, search_witness(*_restrict(scenario, cand)))
     d = cand.element.degree()
     need = required_length(d)
     if need is None:
@@ -572,27 +606,6 @@ def search_witness(scenario: Scenario, cand: DhCandidate) -> Certificate:
         scenario, cand.label, (),
         "no witnessing sequence found within the table and cap",
     )
-
-
-def dh_table(scenario: Scenario, cap: int | None = None) -> DhTable:
-    """Certificate table over the scenario's candidate family."""
-    rows = []
-    limit = cap if cap is not None else scenario.detect_pres.degree_cap
-    skipped = False
-    for cand in scenario.dh_candidates:
-        degree = cand.element.degree()
-        if degree > limit:
-            skipped = True
-            continue
-        cert = search_witness(scenario, cand)
-        witness = cert.sequence if cert.verdict == NOT_IN_STRONG_CONIVEAU else None
-        rows.append(DhRow(cand.label, degree, witness, cert))
-    # an elementary abelian table is an equality only when it has a row for
-    # every candidate and every row is certified; a candidate left out above
-    # the cap, or a row without a witness, leaves it a lower bound
-    complete = not skipped and all(r.witness is not None for r in rows)
-    bound = "equality" if scenario.kind == "elementary" and complete else "lower-bound"
-    return DhTable(scenario=scenario.name, bound_kind=bound, rows=tuple(rows))
 
 
 # -- stable quotients ------------------------------------------------------------
@@ -616,26 +629,6 @@ class StableQuotient:
             "note": self.note,
             "declared": list(self.declared) if self.declared else None,
         }
-
-
-def stable_quotient(scenario: Scenario) -> StableQuotient:
-    """Graded basis of the ring modulo the declared coniveau ideal."""
-    if scenario.stable_pres is None:
-        raise ScenarioError(f"scenario {scenario.name} declares no stable structure")
-    dims = []
-    basis = []
-    for d in range(scenario.stable_top + 1):
-        layer = tuple(str(b) for b in scenario.stable_pres.graded_basis(d))
-        dims.append(len(layer))
-        basis.append(layer)
-    return StableQuotient(
-        scenario=scenario.name,
-        dims=tuple(dims),
-        basis=tuple(basis),
-        total_dimension=sum(dims),
-        note=scenario.stable_note,
-        declared=scenario.stable_declared_basis,
-    )
 
 
 # -- ring builders for the central-extension scenarios ---------------------------

@@ -47,6 +47,7 @@ _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9']*)|([+\-*^()])")
 
 
 def _tokenize(text: str, line: int, col0: int):
+    """(token, column) pairs, closed by ("", the column past the last character)."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -58,6 +59,7 @@ def _tokenize(text: str, line: int, col0: int):
             raise ParseError(f"unexpected character {text[pos]!r}", line, col0 + pos + 1)
         tokens.append((m.group(0), col0 + pos + 1))
         pos = m.end()
+    tokens.append(("", col0 + len(text.rstrip()) + 1))
     return tokens
 
 
@@ -72,19 +74,19 @@ class _ExprParser:
         self.i = 0
 
     def _peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i][0]
 
     def _next(self):
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of expression", self.line, 0)
         tok = self.tokens[self.i]
+        if not tok[0]:
+            raise ParseError("unexpected end of expression", self.line, tok[1])
         self.i += 1
         return tok
 
     def parse(self) -> Element:
         e = self._expr()
-        if self.i != len(self.tokens):
-            tok, col = self.tokens[self.i]
+        tok, col = self.tokens[self.i]
+        if tok:
             raise ParseError(f"unexpected token {tok!r}", self.line, col)
         return e
 
@@ -131,15 +133,16 @@ class _ExprParser:
         raise ParseError(f"unknown name {tok!r}", self.line, col)
 
 
-def parse_expression(pres: GradedPresentation, names: dict, text: str, line: int = 1) -> Element:
-    return _ExprParser(pres, names, _tokenize(text, line, 0), line).parse()
+def parse_expression(pres: GradedPresentation, names: dict, text: str, line=1, col0=0) -> Element:
+    """The element ``text`` names, at column ``col0`` + 1 of its line."""
+    return _ExprParser(pres, names, _tokenize(text, line, col0), line).parse()
 
 
 def parse_presentation(text: str) -> PresentationFile:
     prime = None
     cap = None
     gens: list[Generator] = []
-    rel_lines: list[tuple[int, str]] = []
+    rel_lines: list[tuple[int, str, int]] = []  # (line, text after "rel", its offset)
     post_lines: list[tuple[int, list]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -162,7 +165,7 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise ParseError("'gen' before 'prime'/'cap'", lineno, 1)
             gens.append(_parse_gen(words, lineno))
         elif head == "rel":
-            rel_lines.append((lineno, line.lstrip()[len("rel"):].strip()))
+            rel_lines.append((lineno, line[indent + 3:], indent + 3))
         elif head in ("Q", "alias", "chern", "n1"):
             post_lines.append((lineno, words[:1] + [line, indent]))
         else:
@@ -174,10 +177,10 @@ def parse_presentation(text: str) -> PresentationFile:
     free = GradedPresentation(prime, gens, cap)
     names = {g.name: free.gen(g.name) for g in gens}
     relations = []
-    for lineno, expr in rel_lines:
-        if not expr:
+    for lineno, expr, col0 in rel_lines:
+        if not expr.strip():
             raise ParseError("empty relation", lineno, 1)
-        e = parse_expression(free, names, expr, lineno)
+        e = parse_expression(free, names, expr, lineno, col0)
         if e.is_zero():
             raise ParseError("relation is zero", lineno, 1)
         if not e.is_homogeneous():
@@ -188,22 +191,22 @@ def parse_presentation(text: str) -> PresentationFile:
 
     out = PresentationFile(presentation=pres)
     for lineno, (head, line, indent) in post_lines:
-        body = line.strip()
+        scope = {**names, **out.aliases}
         if head == "Q":
-            m = re.match(r"Q\s+(\d+)\s+([A-Za-z_][A-Za-z_0-9']*)\s*=\s*(.*)$", body)
+            m = re.match(r"\s*Q\s+(\d+)\s+([A-Za-z_][A-Za-z_0-9']*)\s*=\s*(.*)$", line)
             if not m:
                 raise ParseError("expected 'Q I NAME = EXPR'", lineno, indent + 1)
             idx, gname, expr = int(m.group(1)), m.group(2), m.group(3)
             if gname not in names:
-                raise ParseError(f"unknown generator {gname!r}", lineno, indent + 3)
-            out.q_table[(idx, gname)] = parse_expression(pres, {**names, **out.aliases}, expr, lineno)
+                raise ParseError(f"unknown generator {gname!r}", lineno, m.start(2) + 1)
+            out.q_table[(idx, gname)] = parse_expression(pres, scope, expr, lineno, m.start(3))
             out.max_q_index = max(out.max_q_index, idx)
         else:
-            m = re.match(rf"{head}\s+([A-Za-z_][A-Za-z_0-9']*)\s*=\s*(.*)$", body)
+            m = re.match(rf"\s*{head}\s+([A-Za-z_][A-Za-z_0-9']*)\s*=\s*(.*)$", line)
             if not m:
                 raise ParseError(f"expected '{head} NAME = EXPR'", lineno, indent + 1)
             name, expr = m.group(1), m.group(2)
-            value = parse_expression(pres, {**names, **out.aliases}, expr, lineno)
+            value = parse_expression(pres, scope, expr, lineno, m.start(2))
             if head == "chern" and not value.is_homogeneous():
                 raise ParseError(f"chern flag {name} is not homogeneous", lineno, 1)
             {"alias": out.aliases, "chern": out.chern, "n1": out.n1}[head][name] = value

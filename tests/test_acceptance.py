@@ -55,7 +55,7 @@ def test_criterion_1_elementary_dh_tables():
     for p, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
         scenario = C.elementary_abelian(p, n)  # cached; excluded from the timing below
         start = time.perf_counter()
-        table = C.dh_table(scenario)
+        table = scenario.dh_table()
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, (p, n, elapsed)
         expected = 2**n - n - 1
@@ -74,7 +74,7 @@ def test_criterion_1_elementary_dh_tables():
 def test_criterion_2_g2_certificate():
     scenario = C.g2_scenario()  # cached construction
     start = time.perf_counter()
-    cert = C.detect(scenario, "w4", (1,))
+    cert = scenario.verify("w4", (1,))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, elapsed
     assert cert.verdict == C.NOT_IN_STRONG_CONIVEAU
@@ -82,7 +82,7 @@ def test_criterion_2_g2_certificate():
     assert any("coniveau membership" in a for a in cert.assumptions)
     # the simply connected conclusion (degree-4 class survives) carries the
     # same declared-membership line plus the restriction provenance
-    sc = C.detect(C.simply_connected(2), "w", (1,))
+    sc = C.simply_connected(2).verify("w", (1,))
     assert sc.verdict == C.NOT_IN_STRONG_CONIVEAU
     assert any("coniveau membership" in a for a in sc.assumptions)
     assert any("restriction" in a for a in sc.assumptions)
@@ -93,7 +93,7 @@ def test_criterion_3_so_certificates():
     start = time.perf_counter()
     for m in (1, 2):
         scenario = C.so_odd(m, cap=64)
-        table = C.dh_table(scenario)
+        table = scenario.dh_table()
         assert len(table.rows) == m
         for row in table.rows:
             assert row.certificate.verdict == C.NOT_IN_STRONG_CONIVEAU, row.label
@@ -118,7 +118,7 @@ def test_criterion_4_extraspecial():
     y1, y2 = ring.gen("y1"), ring.gen("y2")
     assert not (y1**3 * y2 - y1 * y2**3).is_zero()
     for n in (2, 3):
-        table = C.dh_table(C.extraspecial_e(n, 3))
+        table = C.extraspecial_e(n, 3).dh_table()
         expected = (2 * n) * (2 * n - 1) // 2 - 1
         assert len(table.rows) == expected
         assert len(table.certified_rows()) == expected
@@ -156,13 +156,13 @@ def test_criterion_6_obstructions():
 
 def test_criterion_7_stable_quotients():
     for p, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        sq = C.stable_quotient(C.elementary_abelian(p, n))
+        sq = C.elementary_abelian(p, n).stable_quotient()
         assert sq.total_dimension == 2**n, (p, n)
         flat = [b for layer in sq.basis for b in layer]
         for b in flat:
             assert "y" not in b and "^" not in b, b  # squarefree exterior monomials
     for m in (1, 2):
-        sq = C.stable_quotient(C.so_odd(m))
+        sq = C.so_odd(m).stable_quotient()
         flat = tuple(b for layer in sq.basis for b in layer)
         assert flat == ("1",) + tuple(f"w{2 * k}" for k in range(1, m + 1))
     print("criterion 7: PASS - stable quotients (exterior bases and declared echo)")

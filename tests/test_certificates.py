@@ -9,7 +9,7 @@ import pytest
 from coniveau import certificates as C
 from coniveau.fp import MAX_MACAULAY_CELLS, DegreeCapError, Generator, GradedPresentation
 from coniveau.milnor import op_degree, validate_q_axioms
-from coniveau.parser import parse_expression
+from coniveau.parser import ParseError, parse_expression
 
 from helpers import (
     ElementaryOracle,
@@ -21,12 +21,12 @@ from helpers import (
 )
 
 
-# -- detect ------------------------------------------------------------------------
+# -- verify ------------------------------------------------------------------------
 
 
 def test_detect_elementary_flagship():
     s = C.elementary_abelian(3, 3)
-    cert = C.detect(s, "alpha", (1,))
+    cert = s.verify("alpha", (1,))
     assert cert.verdict == C.NOT_IN_STRONG_CONIVEAU
     assert cert.value_degree == 4 + 5
     assert any("coniveau membership" in a for a in cert.assumptions)
@@ -34,7 +34,7 @@ def test_detect_elementary_flagship():
 
 def test_detect_g2():
     s = C.g2_scenario()
-    cert = C.detect(s, "w4", (1,))
+    cert = s.verify("w4", (1,))
     assert cert.verdict == C.NOT_IN_STRONG_CONIVEAU
     assert cert.value == "w7"
 
@@ -42,29 +42,29 @@ def test_detect_g2():
 def test_detect_rejects_chern_class():
     s = C.elementary_abelian(3, 2)
     for seq in ((1,), (2,), (1, 2)):
-        assert C.detect(s, "y1", seq).verdict == C.REJECTED_CHERN
+        assert s.verify("y1", seq).verdict == C.REJECTED_CHERN
 
 
 def test_detect_zero_value_inconclusive():
     s = C.elementary_abelian(2, 2)
     # x1^2 = y1 is Chern; x1*x2 has degree 2, below the certifiable range
-    cert = C.detect(s, "x1*x2", (1,))
+    cert = s.verify("x1*x2", (1,))
     assert cert.verdict == C.INCONCLUSIVE
 
 
 def test_detect_sequence_shape_enforced():
     s = C.elementary_abelian(3, 3)
-    assert C.detect(s, "alpha", (0,)).verdict == C.INCONCLUSIVE      # index 0 certifies nothing
-    assert C.detect(s, "alpha", (1, 2)).verdict == C.INCONCLUSIVE    # wrong length
+    assert s.verify("alpha", (0,)).verdict == C.INCONCLUSIVE      # index 0 certifies nothing
+    assert s.verify("alpha", (1, 2)).verdict == C.INCONCLUSIVE    # wrong length
     s24 = C.elementary_abelian(2, 4)
     label = "Q0(x1*x2*x3*x4)"
-    assert C.detect(s24, label, (2, 2)).verdict == C.INCONCLUSIVE    # not increasing
-    assert C.detect(s24, label, (1, 2)).verdict == C.NOT_IN_STRONG_CONIVEAU
+    assert s24.verify(label, (2, 2)).verdict == C.INCONCLUSIVE    # not increasing
+    assert s24.verify(label, (1, 2)).verdict == C.NOT_IN_STRONG_CONIVEAU
 
 
 def test_detect_cap_overflow_is_inconclusive():
     s = C.elementary_abelian(3, 2, cap=12)
-    cert = C.detect(s, "Q0(x1*x2)", (2,))  # 3 + 17 = 20 > 12
+    cert = s.verify("Q0(x1*x2)", (2,))  # 3 + 17 = 20 > 12
     assert cert.verdict == C.INCONCLUSIVE
     assert "cap" in cert.reason
 
@@ -74,16 +74,16 @@ def test_detect_monotone_in_chern_flags():
 
     s = C.elementary_abelian(3, 2)
     alpha = s.resolve("Q0(x1*x2)")
-    assert C.detect(s, alpha, (1,)).verdict == C.NOT_IN_STRONG_CONIVEAU
+    assert s.verify("Q0(x1*x2)", (1,)).verdict == C.NOT_IN_STRONG_CONIVEAU
     enlarged = dataclasses.replace(s, chern_flags={**s.chern_flags, "extra": alpha})
-    cert = C.detect(enlarged, alpha, (1,))
+    cert = enlarged.verify("Q0(x1*x2)", (1,))
     assert cert.verdict == C.REJECTED_CHERN
 
 
 def test_certificate_audit_replay():
     # soundness: re-run the sequence and match every recorded intermediate
     s = C.elementary_abelian(2, 3)
-    cert = C.detect(s, "alpha", (1,))
+    cert = s.verify("alpha", (1,))
     assert cert.verdict == C.NOT_IN_STRONG_CONIVEAU
     e = s.resolve(cert.element)
     names = {g.name: s.detect_pres.gen(g.name) for g in s.detect_pres.generators}
@@ -100,7 +100,7 @@ def test_certificate_audit_replay():
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_dh_table_elementary_counts(p, n):
-    table = C.dh_table(C.elementary_abelian(p, n))
+    table = C.elementary_abelian(p, n).dh_table()
     assert table.bound_kind == "equality"
     assert len(table.rows) == 2**n - n - 1
     assert len(table.certified_rows()) == 2**n - n - 1
@@ -108,21 +108,21 @@ def test_dh_table_elementary_counts(p, n):
 
 def test_dh_table_elementary_uncertified_row_is_lower_bound():
     # the top row Q0(x1*..*x4) needs an index sequence the table does not reach
-    table = C.dh_table(C.elementary_abelian(5, 4))
+    table = C.elementary_abelian(5, 4).dh_table()
     assert len(table.rows) == 11
     assert len(table.certified_rows()) == 10
     assert table.bound_kind == "lower-bound"
 
 
 def test_dh_table_so3_single_row():
-    table = C.dh_table(C.so_odd(1))
+    table = C.so_odd(1).dh_table()
     assert [r.label for r in table.rows] == ["w3"]
     assert table.rows[0].certificate.verdict == C.NOT_IN_STRONG_CONIVEAU
     assert table.bound_kind == "lower-bound"
 
 
 def test_dh_table_g2_inconclusive_rows_by_design():
-    table = C.dh_table(C.g2_scenario())
+    table = C.g2_scenario().dh_table()
     by_label = {r.label: r.certificate.verdict for r in table.rows}
     assert by_label["w4"] == C.NOT_IN_STRONG_CONIVEAU
     assert by_label["w7"] == C.INCONCLUSIVE
@@ -139,7 +139,7 @@ def test_witness_search_order_deterministic():
 def test_leading_monomial_in_witness_value():
     # the certified value contains y_(a1)^(p^i1) ... y_(a_{s-1}) x_(a_s)
     s = C.elementary_abelian(3, 3)
-    table = C.dh_table(s)
+    table = s.dh_table()
     pres = s.detect_pres
     index = {g.name: k for k, g in enumerate(pres.generators)}
     for row in table.rows:
@@ -165,7 +165,7 @@ def test_dh_table_against_elementary_oracle(p, n):
     # from the closed forms of Q_i alone
     s = C.elementary_abelian(p, n)
     oracle = ElementaryOracle(p, n)
-    table = C.dh_table(s)
+    table = s.dh_table()
     expected = oracle.candidates()
     assert [r.label for r in table.rows] == [label for label, _ in expected]
     for row, cand, (label, terms) in zip(table.rows, s.dh_candidates, expected):
@@ -204,7 +204,7 @@ def test_dh_table_against_elementary_oracle(p, n):
 
 def test_stable_quotient_elementary():
     for p, n in ((2, 3), (3, 2), (3, 3)):
-        sq = C.stable_quotient(C.elementary_abelian(p, n))
+        sq = C.elementary_abelian(p, n).stable_quotient()
         assert sq.total_dimension == 2**n
         flat = [b for layer in sq.basis for b in layer]
         assert all("y" not in b for b in flat)  # squarefree exterior monomials
@@ -212,7 +212,7 @@ def test_stable_quotient_elementary():
 
 def test_stable_quotient_so_echo():
     for m in (1, 2):
-        sq = C.stable_quotient(C.so_odd(m))
+        sq = C.so_odd(m).stable_quotient()
         flat = tuple(b for layer in sq.basis for b in layer)
         assert flat == ("1",) + tuple(f"w{2 * k}" for k in range(1, m + 1))
         assert sq.declared == flat
@@ -220,15 +220,15 @@ def test_stable_quotient_so_echo():
 
 def test_stable_quotient_extraspecial_dimensions():
     # Lambda(x1..x4)/(f): frozen from the brute ideal oracle
-    sq = C.stable_quotient(C.extraspecial_e(2, 3))
+    sq = C.extraspecial_e(2, 3).stable_quotient()
     assert sq.dims == (1, 4, 5, 0, 0)
-    sq_d = C.stable_quotient(C.extraspecial_d(2))
+    sq_d = C.extraspecial_d(2).stable_quotient()
     assert sq_d.dims == (1, 4, 5, 0, 0)
 
 
 def test_stable_quotient_missing_declaration():
     with pytest.raises(C.ScenarioError):
-        C.stable_quotient(C.g2_scenario())
+        C.g2_scenario().stable_quotient()
 
 
 # -- extraspecial machinery ----------------------------------------------------------
@@ -284,14 +284,14 @@ def test_comparison_nonvanishing():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_extraspecial_dh_table_counts(n):
-    table = C.dh_table(C.extraspecial_e(n, 3))
+    table = C.extraspecial_e(n, 3).dh_table()
     expected = (2 * n) * (2 * n - 1) // 2 - 1
     assert len(table.rows) == expected
     assert len(table.certified_rows()) == expected
 
 
 def test_extraspecial_d_symplectic_rows_inconclusive():
-    table = C.dh_table(C.extraspecial_d(2))
+    table = C.extraspecial_d(2).dh_table()
     by_label = {r.label: r.certificate.verdict for r in table.rows}
     assert by_label["Q0(x3*x4)"] == C.INCONCLUSIVE
     certified = [l for l, v in by_label.items() if v == C.NOT_IN_STRONG_CONIVEAU]
@@ -315,7 +315,7 @@ def test_excluded_pair_value_in_span_of_rows():
 
 def test_simply_connected_p2():
     s = C.simply_connected(2)
-    cert = C.detect(s, "w", (1,))
+    cert = s.verify("w", (1,))
     assert cert.verdict == C.NOT_IN_STRONG_CONIVEAU
     assert cert.value == "w7"
     assert "restriction to g2" in cert.via
@@ -324,20 +324,20 @@ def test_simply_connected_p2():
 @pytest.mark.parametrize("p", [3, 5])
 def test_simply_connected_odd(p):
     s = C.simply_connected(p)
-    cert = C.detect(s, "w", (1,))
+    cert = s.verify("w", (1,))
     assert cert.verdict == C.NOT_IN_STRONG_CONIVEAU
     assert f"elementary(p={p},n=3)" in cert.via
 
 
 def test_restriction_wraps_a_failed_inner_search():
-    # w restricts to y1^2, a Chern multiple: the search and detect both
+    # w restricts to y1^2, a Chern multiple: the search and verify both
     # reissue the target's rejection for the simply connected scenario
     s = C.simply_connected(3)
     target, morphism, note = s.restriction
     square = C.AlgebraMorphism(morphism.source, target.detect_pres, {"w": target.resolve("y1") ** 2})
     s = dataclasses.replace(s, restriction=(target, square, note))
     searched = C.search_witness(s, s.candidate("w"))
-    detected = C.detect(s, "w", (1,))
+    detected = s.verify("w", (1,))
     assert searched == detected
     assert searched.scenario == "simply-connected(p=3)" and searched.element == "w"
     assert searched.verdict == C.REJECTED_CHERN and searched.sequence == (1,)
@@ -350,7 +350,7 @@ def test_cover_value_needs_a_declared_map(scenario):
     # detection runs on the polynomial cover, so a nonzero value there
     # certifies nothing without a candidate's own restriction map
     assert scenario.nonvanish_maps == ()
-    cert = C.detect(scenario, "x1*x2*x3", (1,))
+    cert = scenario.verify("x1*x2*x3", (1,))
     assert cert.verdict == C.INCONCLUSIVE
     assert cert.reason == "value is nonzero in the cover but no declared restriction certifies it"
     assert cert.value and cert.value != "0"
@@ -359,9 +359,33 @@ def test_cover_value_needs_a_declared_map(scenario):
 @pytest.mark.parametrize("scenario", [C.extraspecial_e(2, 3), C.extraspecial_d(2)], ids=["e", "d"])
 def test_detect_by_candidate_label_uses_its_maps(scenario):
     # a candidate's label names its element and its declared restriction
-    cert = C.detect(scenario, "Q0(x1*x3)", (1,))
+    cert = scenario.verify("Q0(x1*x3)", (1,))
     assert cert.verdict == C.NOT_IN_STRONG_CONIVEAU
     assert cert == C.search_witness(scenario, scenario.candidate("Q0(x1*x3)"))
+
+
+def test_candidate_labels_that_parse_name_their_element():
+    # Scenario.candidate parses text before it reads the family, so a label
+    # that also parses as an expression must name its candidate's element and
+    # declare no maps of its own; a label that does not parse is found as is
+    parsed = set()
+    for key, build in C.builtin_scenarios().items():
+        s = build()
+        if isinstance(s, C.QModuleScenario):
+            continue
+        names = {g.name: s.detect_pres.gen(g.name) for g in s.detect_pres.generators}
+        names.update(s.aliases)
+        for cand in s.dh_candidates:
+            try:
+                element = parse_expression(s.detect_pres, names, cand.label)
+            except ParseError:
+                assert s.candidate(cand.label) is cand, (key, cand.label)
+                parsed.add(False)
+                continue
+            assert element == cand.element and cand.maps is None, (key, cand.label)
+            assert s.candidate(cand.label).element == cand.element
+            parsed.add(True)
+    assert parsed == {True, False}
 
 
 def _pair(label):

@@ -746,6 +746,17 @@ GOLDEN_CLI = {
     "hilbert extraspecial-d --n 3 --cap 8": (0, "584f0895bdcabce91b3cec96b7b2defcd58926df5caa4d44f87e4a94e5e6e438"),
     "stable-quotient extraspecial-e --n 6 --p 3": (0, "14bc665ab964b625f795d401d1ade6e24ed61b36028da4cfecb071ac9770d5ba"),
     "hilbert extraspecial-e --n 13 --p 3 --cap 4": (2, "96061670a980dc20d311b23e5047eb731cf68f0d051374ca729ebc7d4859dea1"),
+    # --element by name, alias, candidate label (with its declared maps), an
+    # uncertified cover value, a restriction and an unknown name; qop by
+    # candidate label and by expression
+    "verify g2 --element w4 --I 1": (0, "6ee664bd7ba243aa65ced38d1cafac7cd108f626f416e47e76af986283d63ac0"),
+    "verify elementary --p 3 --n 2 --element alpha --I 1": (0, "d20ae3b31278f14461b54e9d1a59919616fe01a8cb494496808d14259ff59b23"),
+    "verify extraspecial-d --n 2 --element Q0(x1*x3) --I 1": (0, "35c52d06c3ba63df280e1791118cf3a8349f5a2833b88d452b77bd2953021152"),
+    "verify extraspecial-e --n 2 --p 3 --element x1*x2*x3 --I 1": (1, "c4fecaff3be5bebc5be1a53572f3596af147971858f56b5d393896919a1a1d94"),
+    "verify simply-connected --p 5 --element w --I 2": (1, "da96372814ee6371924e6854c0765bbfe4a6e7665b3b23515d9ee76e9de1f0bb"),
+    "verify g2 --element zz --I 1": (2, "1a07969e047e6bc1c397bce32d0d5d31ea2c35d6710e07fdf770369f318039dd"),
+    "qop elementary --p 3 --n 2 --I 1 --element Q0(x1*x2)": (0, "b5fb09cce212152eac040cd2f3b0dab5199a1d24f09682e677be26bc8b4f214b"),
+    "qop elementary --p 2 --n 3 --I 0 --element x1*x2": (0, "dc76aeaa1881a7ee03d85d0ede122bc934c23397d1bf329c8f7147812105a22c"),
 }
 
 
@@ -753,3 +764,23 @@ GOLDEN_CLI = {
 def test_cli_golden_hash(capsys, command):
     code, out = run(capsys, *command.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_CLI[command]
+
+
+def test_class_text_that_parses_builds_no_candidate(capsys, monkeypatch):
+    # a name, alias or expression is parsed without reading the candidate
+    # family: elementary's flagship alias and a qop expression answer at the
+    # largest rank without its 1013 candidates.  The builder is called
+    # uncached, so its family thunk binds the counting function.
+    from coniveau import certificates as C
+
+    calls = []
+    build = C._elementary_candidates
+    monkeypatch.setattr(C, "_elementary_candidates", lambda *a: calls.append(a) or build(*a))
+    monkeypatch.setattr(C, "elementary_abelian", C.elementary_abelian.__wrapped__)
+    code, body = run_json(capsys, "verify", "elementary", "--p", "2", "--n", "10")
+    assert code == EXIT_MATH_FAIL and body["certificate"]["element"] == "alpha"
+    code, body = run_json(
+        capsys, "qop", "elementary", "--p", "2", "--n", "10", "--I", "0", "--element", "x1*x2"
+    )
+    assert code == EXIT_OK and body["qop"]["value"] == "x1^2*x2 + x1*x2^2"
+    assert calls == []

@@ -55,6 +55,42 @@ def test_error_positions():
     assert "nope" in str(exc.value) and exc.value.line == 4
 
 
+HEAD = "prime 3\ncap 8\ngen x1 1\ngen y 2\n"
+
+
+@pytest.mark.parametrize(
+    "line,column,message",
+    [
+        # columns count from the start of the line, not of the expression
+        ("rel zz", 5, "unknown name 'zz'"),
+        ("  rel  x1 $ y", 11, "unexpected character '$'"),
+        ("n1 a = x1 x1", 11, "unexpected token 'x1'"),
+        ("Q 0 zz = y", 5, "unknown generator 'zz'"),
+        # an expression that ends early points one past its last character
+        ("rel x1 +", 9, "unexpected end of expression"),
+        ("chern c = x1^", 14, "unexpected end of expression"),
+        ("alias a = (x1", 14, "unexpected end of expression"),
+        ("Q 0 x1 = y +   # trailing comment", 13, "unexpected end of expression"),
+        ("alias a =", 10, "unexpected end of expression"),
+    ],
+)
+def test_error_columns_exact(line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(HEAD + line + "\n")
+    assert (exc.value.line, exc.value.column) == (5, column)
+    assert str(exc.value) == f"line 5, column {column}: {message}"
+
+
+def test_expression_error_columns():
+    data = parse_presentation(HEAD)
+    names = {"x1": data.presentation.gen("x1")}
+    with pytest.raises(ParseError, match="column 4: unexpected end") as exc:
+        parse_expression(data.presentation, names, "x1+")
+    with pytest.raises(ParseError, match="column 1: unknown name 'zz'"):
+        parse_expression(data.presentation, names, "zz")
+    assert exc.value.line == 1
+
+
 def test_statement_order_enforced():
     with pytest.raises(ParseError):
         parse_presentation("gen x 1\nprime 3\ncap 8\n")
