@@ -159,7 +159,6 @@ class Scenario:
     name: str
     kind: str
     group: str
-    prime: int
     presentation: GradedPresentation
     detect_pres: GradedPresentation
     q_action: QAction | None
@@ -182,6 +181,10 @@ class Scenario:
     # flags and the operation table stay as built; not an init field, so
     # dataclasses.replace starts a copy with an empty cache
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def prime(self) -> int:
+        return self.presentation.prime
 
     @property
     def dh_candidates(self) -> tuple[DhCandidate, ...]:
@@ -445,7 +448,7 @@ def _chern_reducer(scenario: Scenario, d: int, by_degree: dict) -> tuple | None:
     ]
     if not span:
         return None
-    index = scenario.detect_pres._columns(d).index
+    index = scenario.detect_pres._column_index(d)
     rows = [{index[m]: c for m, c in s.terms.items()} for s in span]
     return index, _kernels.echelon(rows, scenario.detect_pres.prime)
 
@@ -879,7 +882,6 @@ def elementary_abelian(p: int, n: int, cap: int = 40) -> Scenario:
         name=f"elementary(p={p},n={n})",
         kind="elementary",
         group=f"rank-{n} elementary abelian {p}-group",
-        prime=p,
         presentation=pres,
         detect_pres=pres,
         q_action=action,
@@ -934,7 +936,6 @@ def so_odd(m: int, cap: int = 64) -> Scenario:
         name=f"so(m={m})",
         kind="so",
         group=f"special orthogonal group of rank {rank}",
-        prime=2,
         presentation=pres,
         detect_pres=pres,
         q_action=action,
@@ -959,7 +960,6 @@ def g2_scenario(cap: int = 40) -> Scenario:
         name="g2",
         kind="g2",
         group="compact exceptional group of rank 2",
-        prime=2,
         presentation=pres,
         detect_pres=pres,
         q_action=action,
@@ -1003,7 +1003,6 @@ def simply_connected(p: int) -> Scenario:
         name=f"simply-connected(p={p})",
         kind="simply-connected",
         group=f"simply connected simple group with {p}-torsion",
-        prime=p,
         presentation=source,
         detect_pres=source,
         q_action=None,
@@ -1082,7 +1081,6 @@ def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
         name=f"extraspecial-e(n={n},p={p})",
         kind="extraspecial-e",
         group=f"extraspecial {p}-group of order p^(1+{2 * n}), exponent p",
-        prime=p,
         presentation=page,
         detect_pres=cover,
         q_action=action,
@@ -1123,7 +1121,6 @@ def extraspecial_d(n: int, cap: int | None = None) -> Scenario:
         name=f"extraspecial-d(n={n})",
         kind="extraspecial-d",
         group=f"central product of {n} dihedral groups of order 8",
-        prime=2,
         presentation=page,
         detect_pres=cover,
         q_action=action,

@@ -80,7 +80,6 @@ def _load_user_scenario(path: str) -> certs.Scenario:
         name=os.path.basename(resolved),
         kind="user",
         group="user scenario",
-        prime=pres.prime,
         presentation=pres,
         detect_pres=pres,
         q_action=action,

@@ -22,17 +22,17 @@ further elimination.  They form an order ideal (Cox, Little & O'Shea,
 Ideals, Varieties, and Algorithms, section 9.3): a standard monomial whose
 first nonzero exponent sits at slot k is g_k times a standard monomial of
 lower degree, and only a leading monomial whose first nonzero slot is k can
-divide the product.  So each degree's list is grown from the lists below it,
-the way ``_MonomialTable`` grows the free monomials, and no non-standard
-monomial is listed.  The normal form needs the reducer {non-standard
-monomial: its reduced row on the standard monomials}: it is filled when a
-normal form in that degree is first asked for, by ``_kernels.echelon`` on
-the dict rows u * g, one per non-standard monomial, which span the ideal's
-degree piece with distinct leading monomials.  Reduced row echelon form is
-unique, so the reducer is the one a full elimination of every cofactor x
-relation product ("Macaulay matrix") gives, and a normal form is one
-substitution pass over it in dict arithmetic.  Only the S-pair matrices of
-a basis step pass through the int64 array of ``_kernels.rref``.
+divide the product.  So each degree's list is grown from the lists below it
+(``_list_standard``), and no non-standard monomial is listed.  The normal
+form needs the reducer {non-standard monomial: its reduced row on the
+standard monomials}: it is filled when a normal form in that degree is first
+asked for, by ``_kernels.echelon`` on the dict rows u * g, one per
+non-standard monomial, which span the ideal's degree piece with distinct
+leading monomials.  Reduced row echelon form is unique, so the reducer is
+the one a full elimination of every cofactor x relation product ("Macaulay
+matrix") gives, and a normal form is one substitution pass over it in dict
+arithmetic.  Only the S-pair matrices of a basis step pass through the
+int64 array of ``_kernels.rref``.
 
 Every ``Element`` is a normal form: only its constructors (``element``,
 ``monomial``, ``gen``, ``one`` and products) reduce, all through
@@ -50,16 +50,19 @@ Conventions by characteristic:
     exponents are 0/1, odd*odd anticommutes and odd squares vanish.
   * p = 2: every generator is polynomial; odd-degree classes square freely.
 
-The free monomials of each degree come from one table per generator list
-(``_MonomialTable``), filled on demand and shared by a presentation, its
-quotients and its free twin.  The table counts a degree before it lists it:
-the budgets, the Macaulay cell count and a relation-free ring's dimensions
-read the counts, and only ``monomials(d)`` and a reducer list a degree.
-Within a degree the table's order is descending lex, so the columns of an
-S-pair matrix are its monomials sorted in reverse.
+The free monomials are the standard monomials of the zero ideal, so the
+same recurrence lists them: a presentation with no relations is its own
+``free``, a quotient shares the ``free`` of the presentation it came from,
+and that one relation-free presentation holds the free monomials and their
+column indices for all of them.  It counts a degree before it lists it
+(``_count``, the recurrence on the block lengths alone): the budgets, the
+Macaulay cell count and a relation-free ring's dimensions read the counts,
+and only ``monomials(d)`` and a reducer list a degree.  Within a degree
+the order is descending lex, so the columns of an S-pair matrix are its
+monomials sorted in reverse.
 
 Elements are immutable and their operations pure.  A presentation fills
-its monomial table, its Groebner basis and its per-degree caches on demand;
+its monomial lists, its Groebner basis and its per-degree caches on demand;
 the basis grows in place, so a presentation is for one thread at a time.
 A refused basis step changes nothing.
 """
@@ -101,8 +104,8 @@ MAX_PRIME = 1048573
 
 # The most cells (rows x monomial columns) a degree's Macaulay matrix, every
 # cofactor times every relation, may have before ``_build_degree`` refuses the
-# degree.  No such matrix is built; its size, counted from the table, keeps
-# the refusals of the full elimination this engine replaced.  The largest
+# degree.  No such matrix is built; its size, from the free monomial counts,
+# keeps the refusals of the full elimination this engine replaced.  The largest
 # built-in one is the regular pair's at degree 44 (4,105,500 cells); at degree
 # 48 it has 7,169,175.  A p = 3 file with five degree-2 generators and
 # relations of degrees 4..12 reaches 9,296,280 cells at degree 26 and is
@@ -164,7 +167,7 @@ class Generator:
 class GradedPresentation:
     """A finitely presented graded-commutative F_p algebra with a degree cap."""
 
-    def __init__(self, prime: int, generators, degree_cap: int, _relations=None, _table=None):
+    def __init__(self, prime: int, generators, degree_cap: int, _relations=None, _free=None):
         self.prime = check_prime(prime)
         gens = tuple(generators)
         if len({g.name for g in gens}) != len(gens):
@@ -183,10 +186,11 @@ class GradedPresentation:
         self._exterior = any(self._odd)
         self._odd_slots = tuple(i for i in reversed(range(len(gens))) if self._odd[i])
         self._index = {g.name: i for i, g in enumerate(gens)}
-        self._table = _table or _MonomialTable(self._degrees, self._odd)
+        # the relation-free presentation on these generators, which holds the
+        # free monomials of every quotient of it
+        self.free: GradedPresentation = _free or self
         self._relation_terms = tuple(_relations or ())
         self._cache: dict[int, _DegreeData] = {}
-        self._free_twin: GradedPresentation | None = None
         rel_degrees = []
         for terms in self._relation_terms:
             degs = {self.monomial_degree(m) for m in terms}
@@ -210,10 +214,13 @@ class GradedPresentation:
         self._basis_done = -1
         self._pairs: dict[int, dict] = {}  # lcm degree -> {(i, j): (lcm, its slot bits)}
         self._exterior_rows: dict[int, list] = {}  # degree -> [(element, odd slot)]
-        # each degree's standard monomials in table order, and their suffix
-        # block lengths (tails[k]: how many vanish before generator k)
+        # each degree's standard monomials in descending lex order, and their
+        # suffix block lengths (tails[k]: how many vanish before generator k);
+        # a relation-free presentation counts a degree before it lists it, so
+        # its block lengths may run ahead of its lists
         self._standard: list[tuple] = []
         self._standard_tails: list[list[int]] = []
+        self._columns_at: dict[int, dict] = {}  # degree -> {free monomial: column}
 
     # -- construction -----------------------------------------------------
 
@@ -232,19 +239,8 @@ class GradedPresentation:
             self.generators,
             self.degree_cap,
             _relations=self._relation_terms + tuple(extra),
-            _table=self._table,
+            _free=self.free,
         )
-
-    @property
-    def free(self) -> "GradedPresentation":
-        """The relation-free presentation on the same generators."""
-        if not self._relation_terms:
-            return self
-        if self._free_twin is None:
-            self._free_twin = GradedPresentation(
-                self.prime, self.generators, self.degree_cap, _table=self._table
-            )
-        return self._free_twin
 
     @property
     def relations(self) -> tuple["Element", ...]:
@@ -295,17 +291,19 @@ class GradedPresentation:
 
     def monomials(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """All monomials of the free algebra in one degree, descending
-        graded-lex order (deterministic).  A lookup in the monomial table
-        shared with the quotients and the free twin; no elimination runs."""
+        graded-lex order (deterministic): the standard monomials of the free
+        presentation, shared with its quotients; no elimination runs."""
         self._check_degree(degree)
-        return self._table.monomials(degree)
+        free = self.free
+        free._count(degree)
+        return free._list_standard(degree)
 
     def graded_basis(self, degree: int) -> list["Element"]:
         """Deterministic ordered basis of the degree-d piece of the quotient."""
         data = self._degree_data(degree)
         if data.basis is None:
             # a relation-free degree: every monomial
-            data.basis = self._table.monomials(degree)
+            data.basis = self.monomials(degree)
         return [Element(self, {m: 1}) for m in data.basis]
 
     def dimension(self, degree: int) -> int:
@@ -336,24 +334,48 @@ class GradedPresentation:
             self._cache[degree] = data
         return data
 
-    def _columns(self, degree: int) -> "_DegreeData":
-        """The degree's data with its free monomials and their columns
-        filled in, which only a reducer and ``in_span`` read."""
-        data = self._degree_data(degree)
-        if data.index is None:
-            data.monomials = self._table.monomials(degree)
-            data.index = self._table.index(degree)
-        return data
+    def _count(self, degree: int) -> int:
+        """How many free monomials the degree has (``degree`` >= 0).  The
+        recurrence of ``_list_standard`` with no leads, on the block lengths
+        alone: it fills the free presentation's block lengths through the
+        degree, listing nothing, and refuses the lowest degree whose list would hold more
+        than ``MAX_MACAULAY_CELLS`` exponent entries.  The budgets and a
+        relation-free ring's dimensions read these counts."""
+        tails_of = self.free._standard_tails
+        n = len(self._degrees)
+        for d in range(len(tails_of), degree + 1):
+            tails = [0] * n + [int(d == 0)]
+            for k in range(n - 1, -1, -1):
+                g = self._degrees[k]
+                block = tails_of[d - g][k + 1 if self._odd[k] else k] if g <= d else 0
+                tails[k] = tails[k + 1] + block
+            if tails[0] * n > MAX_MACAULAY_CELLS:
+                raise DegreeCapError(
+                    f"degree {d}: the monomial list would hold {tails[0]} monomials of "
+                    f"{n} generators, above the budget of {MAX_MACAULAY_CELLS} "
+                    "exponent entries; lower the cap"
+                )
+            tails_of.append(tails)
+        return tails_of[degree][0]
+
+    def _column_index(self, degree: int) -> dict:
+        """{free monomial: column} for the degree's monomials, cached on the
+        free presentation; the reducers (``_reducer``, the Chern-ideal test's)
+        and ``in_span`` read it."""
+        columns = self.free._columns_at
+        index = columns.get(degree)
+        if index is None:
+            index = columns[degree] = {m: j for j, m in enumerate(self.monomials(degree))}
+        return index
 
     def _macaulay_cells(self, degree: int) -> int:
         """Rows x columns of the degree's Macaulay matrix (every cofactor
-        times every relation), from the table's counts; the count of the
-        degree comes first, so the monomial-list budget of every degree
+        times every relation), from the free monomial counts; the count of
+        the degree comes first, so the monomial-list budget of every degree
         through it is checked, lowest first.  No monomial is listed and no
         such matrix is built; the number is the budget a degree must pass."""
-        table = self._table
-        cols = table.count(degree)
-        rows = sum(table.count(degree - d) for d in self._relation_degrees if d <= degree)
+        cols = self._count(degree)
+        rows = sum(self._count(degree - d) for d in self._relation_degrees if d <= degree)
         return rows * cols
 
     def _build_degree(self, degree: int) -> "_DegreeData":
@@ -367,26 +389,33 @@ class GradedPresentation:
                 f"above the budget of {MAX_MACAULAY_CELLS}; lower the cap"
             )
         if not self._relation_terms:
-            return _DegreeData(self._table.count(degree))
+            return _DegreeData(self._count(degree))
         for d in range(self._basis_done + 1, degree + 1):
             self._basis_step(d)
             self._basis_done = d
-        self._list_standard(degree)
-        basis = self._standard[degree]
+        basis = self._list_standard(degree)
         return _DegreeData(len(basis), basis)
 
-    def _list_standard(self, degree: int) -> None:
-        """Extend the standard monomial lists through ``degree``, whose basis
-        is complete.  The candidates of degree d are g_k times the suffix-k
-        block of the standard monomials of degree d - |g_k| (suffix k + 1
-        for an exterior g_k), for k = 0, 1, ..., as in ``_MonomialTable``;
-        their cofactors are standard, so a candidate is dropped only if a
-        lead whose first nonzero slot is k divides it, and such a lead has
-        the candidate's exponent at k (a smaller one would divide the
-        cofactor).  The order is the table's; a later basis element has a
+    def _list_standard(self, degree: int) -> tuple:
+        """The degree's standard monomials, extending the lists through
+        ``degree``, whose basis is complete.  The list of degree d holds the
+        standard monomials whose first nonzero slot is k, for k = 0, 1, ...
+        in turn, and those are g_k times the suffix-k block of the standard
+        monomials of degree d - |g_k| (suffix k + 1 for an exterior g_k,
+        whose exponent stops at 1): the trailing block of the lower list
+        that vanishes before slot k, kept as its length, not as a copy.
+        Raising one exponent keeps the order, so the list is in descending
+        lex order, built from lower degrees only, without recursion.  A
+        candidate's cofactor is standard, so it is dropped only if a lead
+        whose first nonzero slot is k divides it, and such a lead has the
+        candidate's exponent at k (a smaller one would divide the cofactor).
+        With no leads this lists every monomial, which is how the free
+        presentation lists its monomials.  A later basis element has a
         higher degree, so a degree's list never changes once made."""
-        n = len(self._degrees)
         std, tails_of = self._standard, self._standard_tails
+        if degree < len(std):
+            return std[degree]
+        n = len(self._degrees)
         # slot k -> {exponent at k: [the rest of the support of each lead
         # whose first nonzero slot is k]}
         rests = [{} for _ in range(n)]
@@ -412,7 +441,9 @@ class GradedPresentation:
             for k in range(n - 1, -1, -1):
                 blocks[k] += blocks[k + 1]
             std.append(tuple(out))
-            tails_of.append(blocks)
+            if d == len(tails_of):
+                tails_of.append(blocks)
+        return std[degree]
 
     def _divisor(self, m) -> int | None:
         """The first basis element whose leading monomial divides ``m``.  A
@@ -454,7 +485,7 @@ class GradedPresentation:
         return self._times(tuple(map(sub, m, self._leads[k])), k)
 
     def _matrix(self, rows: list[dict], cols) -> tuple[list, np.ndarray, list]:
-        """The rows on the given columns of one degree in table order
+        """The rows on the given columns of one degree in monomial order
         (descending lex), eliminated by one ``_kernels.rref`` call: (column
         monomials, reduced rows, pivots)."""
         order = sorted(cols, reverse=True)
@@ -604,9 +635,9 @@ class GradedPresentation:
         non-standard monomial, brought to reduced echelon form by
         ``_kernels.echelon``.  Those rows span the ideal's degree piece and
         have distinct leading monomials, so the form is the unique one."""
-        data = self._columns(degree)
+        data = self._degree_data(degree)
         if data.reducer is None:
-            index, monos = data.index, data.monomials
+            monos, index = self.monomials(degree), self._column_index(degree)
             standard = set(data.basis)
             rows = [
                 {index[t]: c for t, c in self._multiple(self._divisor(m), m).items()}
@@ -694,83 +725,6 @@ class GradedPresentation:
         return f"GradedPresentation(F_{self.prime}[{names}], cap={self.degree_cap}{rel})"
 
 
-class _MonomialTable:
-    """The free monomials of one generator list, per degree, filled on demand.
-
-    A degree's entry holds its exponent tuples in descending lex order.  For
-    each k, the trailing block of those that vanish on the generators before
-    k are the monomials of generator suffix k, kept as a slice of the
-    degree's list rather than as a copy; ``_tails`` holds the block lengths.
-    The monomials of degree d whose first nonzero exponent sits at k are g_k
-    times the suffix-k block of degree d - |g_k| (the suffix-(k+1) block when
-    g_k is exterior, whose exponent stops at 1); raising one exponent keeps
-    their order, and these blocks for k = 0, 1, ... follow each other in
-    descending lex order.  So a degree is built from lower degrees only, in
-    increasing order, without recursion, and the same recurrence on the
-    lengths alone counts a degree without listing it (``count``): the
-    budgets and the dimensions of a relation-free ring need the counts only,
-    and a list of more than ``MAX_MACAULAY_CELLS`` exponent entries is
-    refused before it is made.  Presentations on the same generators and
-    prime (a quotient, its free twin) share one table.
-    """
-
-    def __init__(self, degrees: tuple, odd: tuple):
-        self._degrees = degrees
-        self._odd = odd
-        self._entries: dict[int, tuple] = {}
-        # _tails[d][k]: how many degree-d monomials vanish before generator k
-        self._tails: list[list[int]] = []
-        self._index: dict[int, dict] = {}
-
-    def monomials(self, degree: int) -> tuple:
-        """The degree's monomials (``degree`` >= 0)."""
-        entry = self._entries.get(degree)
-        if entry is None:
-            self.count(degree)
-            for d in range(degree + 1):
-                if d not in self._entries:
-                    self._entries[d] = self._build(d)
-            entry = self._entries[degree]
-        return entry
-
-    def index(self, degree: int) -> dict:
-        """{monomial: column} for the degree's monomials."""
-        idx = self._index.get(degree)
-        if idx is None:
-            idx = {m: i for i, m in enumerate(self.monomials(degree))}
-            self._index[degree] = idx
-        return idx
-
-    def count(self, degree: int) -> int:
-        """How many monomials the degree has (``degree`` >= 0).  Fills the
-        suffix block lengths through it, listing nothing, and refuses the
-        lowest degree whose list would exceed the budget."""
-        n = len(self._degrees)
-        for d in range(len(self._tails), degree + 1):
-            tails = [0] * n + [int(d == 0)]
-            for k in range(n - 1, -1, -1):
-                g = self._degrees[k]
-                block = self._tails[d - g][k + 1 if self._odd[k] else k] if g <= d else 0
-                tails[k] = tails[k + 1] + block
-            if tails[0] * n > MAX_MACAULAY_CELLS:
-                raise DegreeCapError(
-                    f"degree {d}: the monomial list would hold {tails[0]} monomials of "
-                    f"{n} generators, above the budget of {MAX_MACAULAY_CELLS} "
-                    "exponent entries; lower the cap"
-                )
-            self._tails.append(tails)
-        return self._tails[degree][0]
-
-    def _build(self, degree: int) -> tuple:
-        out = [(0,) * len(self._degrees)] if degree == 0 else []
-        for k, (g, odd) in enumerate(zip(self._degrees, self._odd)):
-            if g <= degree:
-                lower = self._entries[degree - g]
-                size = self._tails[degree - g][k + 1 if odd else k]
-                out.extend(m[:k] + (m[k] + 1,) + m[k + 1:] for m in lower[len(lower) - size:])
-        return tuple(out)
-
-
 def _bits(slots) -> int:
     """A set of slots as the bits of an int."""
     return sum(1 << s for s in slots)
@@ -790,10 +744,11 @@ def _divides_any(supports, m) -> bool:
 @dataclass
 class _DegreeData:
     """One degree of a quotient: its dimension, its basis (standard)
-    monomials, which no leading monomial divides, in table order, and, filled
-    on first use, its free monomials with their columns and the reducer.  A
-    relation-free degree is counted: its basis, every monomial, is read from
-    the table only when asked for.
+    monomials, which no leading monomial divides, in descending lex order,
+    and, filled on first use, the reducer.  A relation-free degree is
+    counted: its basis, every monomial, is listed only when asked for.  The
+    free monomials and their columns, which a reducer reads, are the free
+    presentation's (``monomials``, ``_column_index``).
 
     ``reducer`` maps each non-standard monomial to its row of the reduced
     echelon form of the ideal's degree piece, read off the pivot,
@@ -804,8 +759,6 @@ class _DegreeData:
 
     dimension: int
     basis: tuple | None = None
-    monomials: tuple | None = None
-    index: dict | None = None
     reducer: dict | None = None
 
 
@@ -992,7 +945,7 @@ def in_span(e: Element, spanning) -> bool:
     spanning = [s for s in spanning if not s.is_zero() and s.degree() == d]
     if not spanning:
         return False
-    index = spanning[0].pres._columns(d).index
+    index = spanning[0].pres._column_index(d)
     p = e.pres.prime
     echelon = _kernels.echelon([{index[m]: c for m, c in s.terms.items()} for s in spanning], p)
     return not _kernels.reduce_vector({index[m]: c for m, c in e.terms.items()}, echelon, p)

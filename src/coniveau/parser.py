@@ -214,13 +214,14 @@ def parse_presentation(text: str) -> PresentationFile:
 
 
 def _int_field(words, i, lineno, what) -> int:
-    if len(words) <= i or not words[i].isdigit():
+    # isdecimal, not isdigit: int() refuses superscript digits such as '²'
+    if len(words) <= i or not words[i].isdecimal():
         raise ParseError(f"expected integer after '{what}'", lineno, 1)
     return int(words[i])
 
 
 def _parse_gen(words, lineno) -> Generator:
-    if len(words) < 3 or not words[2].isdigit():
+    if len(words) < 3 or not words[2].isdecimal():
         raise ParseError("expected 'gen NAME DEGREE [even|odd] [weight W]'", lineno, 1)
     name, degree = words[1], int(words[2])
     parity = None

@@ -624,6 +624,15 @@ def test_builtin_registry_complete():
         assert name == key
 
 
+def test_scenario_prime_is_the_presentations():
+    for ctor in C.builtin_scenarios().values():
+        s = ctor()
+        if isinstance(s, C.Scenario):
+            assert s.prime == s.presentation.prime
+            with pytest.raises(AttributeError):
+                s.prime = 5
+
+
 def test_builtin_matrices_within_cell_budget(monkeypatch):
     # every relation matrix the report builds is estimated and stays under
     # the budget that refuses oversized user presentations

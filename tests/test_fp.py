@@ -305,7 +305,7 @@ def test_monomial_list_budget():
         P.monomials(3)
     with pytest.raises(DegreeCapError, match="295240"):
         P.dimension(3)
-    assert 3 not in P._table._entries
+    assert len(P._standard) <= 3
 
 
 def test_monomials_of_many_generators():
@@ -318,20 +318,44 @@ def test_monomials_of_many_generators():
 
 
 @pytest.mark.parametrize("first", ["quotient", "free"])
-def test_monomial_table_shared_by_quotient_and_free_twin(first):
+def test_free_monomials_shared_by_quotient_and_free(first):
     P = mixed_p3()
     y1, x1, y2, x2, x3, y3 = P.gens()
     rels = [y1 * y3 - y2, y1 * x1 * x3 + x2 * x3]
     Q = P.quotient(rels)
-    filler, other = (Q, Q.free) if first == "quotient" else (Q.free, Q)
-    # fill the shared table from the top degree down through one presentation,
+    filler, other = (Q, P) if first == "quotient" else (P, Q)
+    # fill the shared lists from the top degree down through one presentation,
     # then query the other from the bottom up
     for d in range(P.degree_cap, -1, -1):
         filler.monomials(d)
     assert_monomials_match_oracle(other, range(P.degree_cap + 1))
-    assert all(Q.monomials(d) is Q.free.monomials(d) for d in range(P.degree_cap + 1))
-    # the eliminations on the filled table agree with a fresh presentation's
+    assert all(Q.monomials(d) is P.monomials(d) for d in range(P.degree_cap + 1))
+    # the eliminations on the filled lists agree with a fresh presentation's
     assert Q.hilbert_series() == mixed_p3().quotient(rels).hilbert_series()
+
+
+def test_quotients_share_one_free_presentation():
+    P = mixed_p3()
+    y1, x1, y2, x2, x3, y3 = P.gens()
+    assert P.free is P
+    Q = P.quotient([y1 * y3 - y2])
+    assert Q.free is P
+    R = Q.quotient([Q.gen("x1") * Q.gen("x3")])
+    assert R.free is P
+    assert [str(r) for r in R.relations] == ["y1*y3 + 2*y2", "x1*x3"]
+    assert all(r.pres is P for r in R.relations)
+    # the free monomials are shared, the standard monomials are not
+    trivial = P.quotient([P.one()])
+    assert trivial.free is P
+    assert trivial.hilbert_series() == [0] * (P.degree_cap + 1)
+    assert P.dimension(0) == 1 and P.graded_basis(0) == [P.one()]
+
+
+def test_relation_free_basis_lists_every_monomial():
+    P = mixed_p3()
+    assert_monomials_match_oracle(P, range(P.degree_cap + 1))
+    for d in range(P.degree_cap + 1):
+        assert [b.terms for b in P.graded_basis(d)] == [{m: 1} for m in P.monomials(d)]
 
 
 def test_mul_without_exterior_generators_adds_exponents():

@@ -91,6 +91,24 @@ def test_expression_error_columns():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        # superscript digits pass str.isdigit but not int(): a parse error with
+        # a position, not int()'s own message
+        ("prime \u00b3\ncap 8\ngen x 1\n", 1, "expected integer after 'prime'"),
+        ("prime 3\ncap \u00b2\ngen x 1\n", 2, "expected integer after 'cap'"),
+        ("prime 3\ncap 8\ngen y1 \u00b2\n", 3, "expected 'gen NAME DEGREE [even|odd] [weight W]'"),
+        ("prime 3\ncap 8\ngen y1 2 weight \u00b2\n", 3, "expected integer after 'weight'"),
+    ],
+    ids=["prime", "cap", "gen", "weight"],
+)
+def test_superscript_digits_refused_with_position(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == f"line {line}, column 1: {message}"
+
+
 def test_statement_order_enforced():
     with pytest.raises(ParseError):
         parse_presentation("gen x 1\nprime 3\ncap 8\n")

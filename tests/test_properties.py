@@ -335,16 +335,17 @@ def test_regular_pair_truncated_basis(monkeypatch):
     assert quotient._degree_data(44).reducer
     assert len(shapes) == steps
     filled = 0
-    for _, _, data in built:
+    for pres, d, data in built:
         for f in dataclasses.fields(data):
             assert not isinstance(getattr(data, f.name), np.ndarray), f.name
         reducer = data.reducer or {}
         assert all(isinstance(row, tuple) for row in reducer.values())
-        # pivots, and the entries of each row, in table column order
-        pivots = [data.index[m] for m in reducer]
+        # pivots, and the entries of each row, in free-monomial column order
+        index = pres._column_index(d)
+        pivots = [index[m] for m in reducer]
         assert pivots == sorted(pivots)
         for row in reducer.values():
-            cols = [data.index[b] for b, _ in row]
+            cols = [index[b] for b, _ in row]
             assert cols == sorted(cols)
             filled += len(row) > 1
     assert filled
@@ -352,12 +353,12 @@ def test_regular_pair_truncated_basis(monkeypatch):
 
 def test_regular_pair_lists_no_monomials():
     # the pair's dimensions are grown from lower degrees' standard monomials
-    # and its free twin's are counted, so the monomial table the pair, the
-    # twin and the polynomial ring share lists no degree at all
+    # and the polynomial ring's are counted, so the polynomial ring, which
+    # holds the free monomials of the pair, lists no degree at all
     report, quotient, _ = C.comparison_regular_pair(3, 44)
     assert report.regular
     assert quotient.free.hilbert_series(44)[44] == 2300
-    assert not quotient._table._entries
+    assert not quotient.free._standard
 
 
 def test_graded_commutativity():
