@@ -298,11 +298,13 @@ class Scenario:
         """Graded basis of the ring modulo the declared coniveau ideal."""
         if self.stable_pres is None:
             raise ScenarioError(f"scenario {self.name} declares no stable structure")
+        # every degree is counted, and any budget refusal made, before a
+        # basis element is formatted
+        dims = tuple(self.stable_pres.hilbert_series(self.stable_top))
         basis = tuple(
             tuple(str(b) for b in self.stable_pres.graded_basis(d))
             for d in range(self.stable_top + 1)
         )
-        dims = tuple(len(layer) for layer in basis)
         return StableQuotient(
             scenario=self.name,
             dims=dims,

@@ -55,11 +55,17 @@ same recurrence lists them: a presentation with no relations is its own
 ``free``, a quotient shares the ``free`` of the presentation it came from,
 and that one relation-free presentation holds the free monomials and their
 column indices for all of them.  It counts a degree before it lists it
-(``_count``, the recurrence on the block lengths alone): the budgets, the
-Macaulay cell count and a relation-free ring's dimensions read the counts,
-and only ``monomials(d)`` and a reducer list a degree.  Within a degree
-the order is descending lex, so the columns of an S-pair matrix are its
-monomials sorted in reverse.
+(``_count``, the recurrence on the block lengths alone): the monomial-list
+budget and a relation-free ring's dimensions read the counts, and only
+``monomials(d)`` and a reducer list a degree.  Within a degree the order is
+descending lex, so the columns of an S-pair matrix are its monomials sorted
+in reverse.
+
+A degree is guarded by the budgets of what the engine builds for it: the
+monomial list (``_count``, checked before anything is listed), each S-pair
+matrix and the size of the Groebner basis (``_basis_step``).  A presentation
+caches each degree's dimension once its basis is complete through it, and
+each degree's reducer once a normal form asks for it.
 
 Elements are immutable and their operations pure.  A presentation fills
 its monomial lists, its Groebner basis and its per-degree caches on demand;
@@ -102,23 +108,21 @@ class MorphismError(FpAlgebraError):
 # refusals into answers.  It also keeps the trial division short.
 MAX_PRIME = 1048573
 
-# The most cells (rows x monomial columns) a degree's Macaulay matrix, every
-# cofactor times every relation, may have before ``_build_degree`` refuses the
-# degree.  No such matrix is built; its size, from the free monomial counts,
-# keeps the refusals of the full elimination this engine replaced.  The largest
-# built-in one is the regular pair's at degree 44 (4,105,500 cells); at degree
-# 48 it has 7,169,175.  A p = 3 file with five degree-2 generators and
-# relations of degrees 4..12 reaches 9,296,280 cells at degree 26 and is
-# refused there.  The same number bounds each S-pair matrix of the Groebner
-# basis and the exponent entries (monomials x generators) of one degree's
-# monomial list, which a relation-free file with many generators would
-# otherwise fill.
+# The most cells (rows x monomial columns) one S-pair matrix of the Groebner
+# basis may have, and the most exponent entries (monomials x generators) one
+# degree's monomial list may hold; a degree over either is refused.  (The name
+# is from the full Macaulay matrices, every cofactor times every relation, that
+# the Groebner basis replaced.)  The largest S-pair matrix of ``report --all``
+# has 61 x 173 cells and the regular pair's through degree 48 have at most
+# 11 x 28; among the built-in families, ``stable-quotient extraspecial-e --n 6
+# --p 3`` builds one of 794 x 165.
 MAX_MACAULAY_CELLS = 8_000_000
 
 # The most elements a truncated Groebner basis may have.  Buchberger's worst
 # case is doubly exponential, so a small file can ask for a basis of any size,
 # and each new element is compared with every pending S-pair.  The largest
-# basis of ``report --all`` has 16 elements.
+# basis of ``report --all`` has 16 elements, the largest of a built-in family
+# 185 (``stable-quotient extraspecial-e --n 6 --p 3``).
 MAX_BASIS_ELEMENTS = 500
 
 
@@ -190,7 +194,12 @@ class GradedPresentation:
         # free monomials of every quotient of it
         self.free: GradedPresentation = _free or self
         self._relation_terms = tuple(_relations or ())
-        self._cache: dict[int, _DegreeData] = {}
+        # degree -> dimension, once the Groebner basis is complete through it
+        self._cache: dict[int, int] = {}
+        # degree -> {non-standard monomial: its reduced row, ((standard
+        # monomial, coefficient), ...)}, filled on first use: the monomial
+        # equals minus that combination in the quotient
+        self._reducers: dict[int, dict] = {}
         rel_degrees = []
         for terms in self._relation_terms:
             degs = {self.monomial_degree(m) for m in terms}
@@ -299,15 +308,13 @@ class GradedPresentation:
         return free._list_standard(degree)
 
     def graded_basis(self, degree: int) -> list["Element"]:
-        """Deterministic ordered basis of the degree-d piece of the quotient."""
-        data = self._degree_data(degree)
-        if data.basis is None:
-            # a relation-free degree: every monomial
-            data.basis = self.monomials(degree)
-        return [Element(self, {m: 1}) for m in data.basis]
+        """Deterministic ordered basis of the degree-d piece of the quotient:
+        its standard monomials, in descending lex order."""
+        self._degree_data(degree)  # the basis is complete through the degree
+        return [Element(self, {m: 1}) for m in self._list_standard(degree)]
 
     def dimension(self, degree: int) -> int:
-        return self._degree_data(degree).dimension
+        return self._degree_data(degree)
 
     def hilbert_series(self, cap: int | None = None) -> list[int]:
         """Dimensions of the graded pieces for degrees 0..cap."""
@@ -326,21 +333,22 @@ class GradedPresentation:
         if degree < 0:
             raise ValueError("negative degree")
 
-    def _degree_data(self, degree: int) -> "_DegreeData":
+    def _degree_data(self, degree: int) -> int:
+        """The degree's dimension, built once: the Groebner basis is complete
+        through every degree this has returned for."""
         self._check_degree(degree)
-        data = self._cache.get(degree)
-        if data is None:
-            data = self._build_degree(degree)
-            self._cache[degree] = data
-        return data
+        dim = self._cache.get(degree)
+        if dim is None:
+            dim = self._cache[degree] = self._build_degree(degree)
+        return dim
 
     def _count(self, degree: int) -> int:
         """How many free monomials the degree has (``degree`` >= 0).  The
         recurrence of ``_list_standard`` with no leads, on the block lengths
         alone: it fills the free presentation's block lengths through the
-        degree, listing nothing, and refuses the lowest degree whose list would hold more
-        than ``MAX_MACAULAY_CELLS`` exponent entries.  The budgets and a
-        relation-free ring's dimensions read these counts."""
+        degree, listing nothing, and refuses the lowest degree whose list
+        would hold more than ``MAX_MACAULAY_CELLS`` exponent entries.  That
+        budget and a relation-free ring's dimensions read these counts."""
         tails_of = self.free._standard_tails
         n = len(self._degrees)
         for d in range(len(tails_of), degree + 1):
@@ -368,33 +376,19 @@ class GradedPresentation:
             index = columns[degree] = {m: j for j, m in enumerate(self.monomials(degree))}
         return index
 
-    def _macaulay_cells(self, degree: int) -> int:
-        """Rows x columns of the degree's Macaulay matrix (every cofactor
-        times every relation), from the free monomial counts; the count of
-        the degree comes first, so the monomial-list budget of every degree
-        through it is checked, lowest first.  No monomial is listed and no
-        such matrix is built; the number is the budget a degree must pass."""
-        cols = self._count(degree)
-        rows = sum(self._count(degree - d) for d in self._relation_degrees if d <= degree)
-        return rows * cols
-
-    def _build_degree(self, degree: int) -> "_DegreeData":
-        """The degree's dimension and standard monomials, after the Groebner
-        basis is complete through the degree.  A relation-free degree is
-        counted, not listed.  No columns or reducer yet."""
-        cells = self._macaulay_cells(degree)
-        if cells > MAX_MACAULAY_CELLS:
-            raise DegreeCapError(
-                f"degree {degree}: the relation matrix would have {cells} cells, "
-                f"above the budget of {MAX_MACAULAY_CELLS}; lower the cap"
-            )
+    def _build_degree(self, degree: int) -> int:
+        """The degree's dimension, after the Groebner basis is complete
+        through the degree.  The count of the degree comes first, so the
+        monomial-list budget of every degree through it is checked, lowest
+        first; the basis steps carry the S-pair and basis budgets.  A
+        relation-free degree is counted, not listed."""
+        count = self._count(degree)
         if not self._relation_terms:
-            return _DegreeData(self._count(degree))
+            return count
         for d in range(self._basis_done + 1, degree + 1):
             self._basis_step(d)
             self._basis_done = d
-        basis = self._list_standard(degree)
-        return _DegreeData(len(basis), basis)
+        return len(self._list_standard(degree))
 
     def _list_standard(self, degree: int) -> tuple:
         """The degree's standard monomials, extending the lists through
@@ -635,10 +629,11 @@ class GradedPresentation:
         non-standard monomial, brought to reduced echelon form by
         ``_kernels.echelon``.  Those rows span the ideal's degree piece and
         have distinct leading monomials, so the form is the unique one."""
-        data = self._degree_data(degree)
-        if data.reducer is None:
+        self._degree_data(degree)  # the basis is complete through the degree
+        reducer = self._reducers.get(degree)
+        if reducer is None:
             monos, index = self.monomials(degree), self._column_index(degree)
-            standard = set(data.basis)
+            standard = set(self._list_standard(degree))
             rows = [
                 {index[t]: c for t, c in self._multiple(self._divisor(m), m).items()}
                 for m in monos
@@ -648,11 +643,11 @@ class GradedPresentation:
             # rows' column order; a reduced row is 1 on its pivot and 0 on
             # every other pivot column, so the rest of it lies on the basis
             # columns, sorted into column order here
-            data.reducer = {
+            reducer = self._reducers[degree] = {
                 monos[pivot]: tuple((monos[c], v) for c, v in sorted(row.items()) if c != pivot)
                 for pivot, row in _kernels.echelon(rows, self.prime).items()
             }
-        return data.reducer
+        return reducer
 
     def _mul_monomials(self, m1, m2):
         """Product of two exponent tuples: (monomial, sign) or None if zero."""
@@ -739,27 +734,6 @@ def _divides_any(supports, m) -> bool:
         else:
             return True
     return False
-
-
-@dataclass
-class _DegreeData:
-    """One degree of a quotient: its dimension, its basis (standard)
-    monomials, which no leading monomial divides, in descending lex order,
-    and, filled on first use, the reducer.  A relation-free degree is
-    counted: its basis, every monomial, is listed only when asked for.  The
-    free monomials and their columns, which a reducer reads, are the free
-    presentation's (``monomials``, ``_column_index``).
-
-    ``reducer`` maps each non-standard monomial to its row of the reduced
-    echelon form of the ideal's degree piece, read off the pivot,
-    ((basis monomial, coefficient), ...): the monomial equals minus that
-    combination in the quotient.  A reduced row is zero on every other
-    pivot, so one substitution pass gives the normal form.
-    """
-
-    dimension: int
-    basis: tuple | None = None
-    reducer: dict | None = None
 
 
 class Element:

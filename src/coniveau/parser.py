@@ -43,7 +43,8 @@ class PresentationFile:
     max_q_index: int = -1
 
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9']*)|([+\-*^()])")
+_NAME = r"[A-Za-z_][A-Za-z_0-9']*"  # a generator, alias or flag name
+_TOKEN = re.compile(rf"(\d+)|({_NAME})|([+\-*^()])")
 
 
 def _tokenize(text: str, line: int, col0: int):
@@ -163,7 +164,7 @@ def parse_presentation(text: str) -> PresentationFile:
         elif head == "gen":
             if prime is None or cap is None:
                 raise ParseError("'gen' before 'prime'/'cap'", lineno, 1)
-            gens.append(_parse_gen(words, lineno))
+            gens.append(_parse_gen(line, lineno, prime, cap, {g.name for g in gens}))
         elif head == "rel":
             rel_lines.append((lineno, line[indent + 3:], indent + 3))
         elif head in ("Q", "alias", "chern", "n1"):
@@ -193,7 +194,7 @@ def parse_presentation(text: str) -> PresentationFile:
     for lineno, (head, line, indent) in post_lines:
         scope = {**names, **out.aliases}
         if head == "Q":
-            m = re.match(r"\s*Q\s+(\d+)\s+([A-Za-z_][A-Za-z_0-9']*)\s*=\s*(.*)$", line)
+            m = re.match(rf"\s*Q\s+(\d+)\s+({_NAME})\s*=\s*(.*)$", line)
             if not m:
                 raise ParseError("expected 'Q I NAME = EXPR'", lineno, indent + 1)
             idx, gname, expr = int(m.group(1)), m.group(2), m.group(3)
@@ -202,10 +203,13 @@ def parse_presentation(text: str) -> PresentationFile:
             out.q_table[(idx, gname)] = parse_expression(pres, scope, expr, lineno, m.start(3))
             out.max_q_index = max(out.max_q_index, idx)
         else:
-            m = re.match(rf"\s*{head}\s+([A-Za-z_][A-Za-z_0-9']*)\s*=\s*(.*)$", line)
+            m = re.match(rf"\s*{head}\s+({_NAME})\s*=\s*(.*)$", line)
             if not m:
                 raise ParseError(f"expected '{head} NAME = EXPR'", lineno, indent + 1)
             name, expr = m.group(1), m.group(2)
+            if head == "alias" and name in names:
+                raise ParseError(f"alias {name} would shadow the generator {name}", lineno,
+                                 m.start(1) + 1)
             value = parse_expression(pres, scope, expr, lineno, m.start(2))
             if head == "chern" and not value.is_homogeneous():
                 raise ParseError(f"chern flag {name} is not homogeneous", lineno, 1)
@@ -220,23 +224,40 @@ def _int_field(words, i, lineno, what) -> int:
     return int(words[i])
 
 
-def _parse_gen(words, lineno) -> Generator:
-    if len(words) < 3 or not words[2].isdecimal():
+def _parse_gen(line, lineno, prime, cap, taken) -> Generator:
+    """A ``gen`` line; a malformed line is refused at column 1, a bad name,
+    degree or parity at its own column."""
+    words = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+    if len(words) < 3 or not words[2][0].isdecimal():
         raise ParseError("expected 'gen NAME DEGREE [even|odd] [weight W]'", lineno, 1)
-    name, degree = words[1], int(words[2])
+    (name, name_col), (degree, degree_col) = words[1], words[2]
+    degree = int(degree)
+    if not re.fullmatch(_NAME, name):
+        raise ParseError(f"generator name {name!r} is not an identifier", lineno, name_col)
+    if name in taken:
+        raise ParseError(f"duplicate generator {name!r}", lineno, name_col)
+    if degree < 1:
+        raise ParseError(f"generator {name}: degree must be >= 1", lineno, degree_col)
+    if degree > cap:
+        raise ParseError(f"generator {name}: degree {degree} above the cap {cap}", lineno,
+                         degree_col)
     parity = None
     weight = None
     rest = words[3:]
     while rest:
-        w = rest.pop(0)
+        w, col = rest.pop(0)
         if w in ("even", "odd"):
             parity = w
+            try:
+                Generator(name, degree, parity).resolved_parity(prime)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, col) from None
         elif w == "weight":
-            if not rest or not re.fullmatch(r"-?\d+", rest[0]):
+            if not rest or not re.fullmatch(r"-?\d+", rest[0][0]):
                 raise ParseError("expected integer after 'weight'", lineno, 1)
-            weight = int(rest.pop(0))
+            weight = int(rest.pop(0)[0])
         else:
-            raise ParseError(f"unknown generator attribute {w!r}", lineno, 1)
+            raise ParseError(f"unknown generator attribute {w!r}", lineno, col)
     return Generator(name, degree, parity, weight)
 
 

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from coniveau import _kernels
 from coniveau import certificates as C
 from coniveau.fp import MAX_MACAULAY_CELLS, DegreeCapError, Generator, GradedPresentation
 from coniveau.milnor import op_degree, validate_q_axioms
@@ -634,26 +635,33 @@ def test_scenario_prime_is_the_presentations():
 
 
 def test_builtin_matrices_within_cell_budget(monkeypatch):
-    # every relation matrix the report builds is estimated and stays under
-    # the budget that refuses oversized user presentations
-    cells = []
-    build = GradedPresentation._build_degree
+    # every S-pair matrix the report and the regular pair through degree 48
+    # eliminate stays under the budget that refuses oversized user
+    # presentations, far under it: the full relation matrices these replaced
+    # would have had up to 7,169,175 cells
+    shapes = []
+    rref = _kernels.rref
 
-    def recording(self, degree):
-        cells.append(self._macaulay_cells(degree))
-        return build(self, degree)
+    def recording(mat, p):
+        shapes.append(mat.shape)
+        return rref(mat, p)
 
-    monkeypatch.setattr(GradedPresentation, "_build_degree", recording)
+    monkeypatch.setattr(_kernels, "rref", recording)
+    # rings built by earlier tests have their bases already
+    for cached in vars(C).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
     for ctor in C.builtin_scenarios().values():
         ctor().report_section()
-    C.comparison_regular_pair(3, 40)
-    assert 0 < max(cells) <= MAX_MACAULAY_CELLS
-    # the largest built-in matrix is the regular pair's at degree 44; degree
-    # 48 stays under the budget too
+    report = len(shapes)
     _, small, pair = C.comparison_regular_pair(3, 20)
-    big = GradedPresentation(3, small.generators, 48).quotient(pair)
-    assert big._macaulay_cells(44) == 4_105_500
-    assert big._macaulay_cells(48) == 7_169_175 <= MAX_MACAULAY_CELLS
+    for cap in (44, 48):
+        big = GradedPresentation(3, small.generators, cap).quotient(pair)
+        assert big.hilbert_series(cap)[44] == 680
+    assert report and len(shapes) > report
+    cells = [rows * cols for rows, cols in shapes]
+    assert 0 < max(cells) <= MAX_MACAULAY_CELLS
+    assert max(cells[:report]) < 20_000 and max(cells[report:]) < 1_000
 
 
 def test_builtin_actions_validated():

@@ -7,11 +7,14 @@ import random
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from coniveau.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
+from coniveau.parser import parse_presentation
+from helpers import oracle_ideal_dimension, oracle_monomials
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -195,10 +198,9 @@ def test_family_parameter_bound(capsys, family, flag, last):
 
 
 def test_extraspecial_e_parameter_bound(capsys):
-    # n = 24 passes the parameter gate: at --cap 4 its page is refused by a
-    # budget of degree 4, as every n >= 13 is (the relation matrix's cells
-    # through n = 19, the monomial list's entries from n = 20); 25 is refused
-    # by name before anything is built
+    # n = 24 passes the parameter gate: at --cap 4 its page is refused by the
+    # monomial-list budget of degree 4, as every n >= 20 is (n <= 19 answers);
+    # 25 is refused by name before anything is built
     code, body = run_json(capsys, "hilbert", "extraspecial-e", "--n", "24", "--cap", "4")
     assert code == EXIT_USAGE
     assert "degree 4: the monomial list would hold 249900 monomials" in body["error"]
@@ -206,6 +208,58 @@ def test_extraspecial_e_parameter_bound(capsys):
     assert code == EXIT_USAGE
     assert "takes no --n 25" in body["error"] and "at most 24" in body["error"]
     assert "hilbert" not in body
+
+
+def koszul_page_series(n: int, cap: int) -> list[int]:
+    """(1 - t^2)(1 - t^3) times the series (1 + t)^(2n) / (1 - t^2)^(2n) of
+    the free ring on 2n exterior degree-1 and 2n polynomial degree-2
+    generators: the extraspecial page's relations, of degrees 2 and 3, form a
+    regular sequence in these degrees."""
+    series = [
+        sum(comb(2 * n, k) * comb(2 * n - 1 + (d - k) // 2, 2 * n - 1)
+            for k in range(d % 2, min(d, 2 * n) + 1, 2))
+        for d in range(cap + 1)
+    ]
+    for r in (2, 3):
+        series = [c - (series[d - r] if d >= r else 0) for d, c in enumerate(series)]
+    return series
+
+
+@pytest.mark.parametrize("n", [13, 19])
+def test_extraspecial_e_page_answers_at_large_n(capsys, n):
+    # the page through n = 19 answers; no relation-matrix estimate refuses it
+    code, body = run_json(capsys, "hilbert", "extraspecial-e", "--n", str(n), "--p", "3",
+                          "--cap", "4")
+    assert code == EXIT_OK
+    assert body["hilbert"]["dimensions"] == koszul_page_series(n, 4)
+    if n == 13:
+        assert body["hilbert"]["dimensions"] == [1, 26, 350, 3249, 23374]
+
+
+def test_stable_quotients_at_family_bounds(capsys, monkeypatch):
+    # inside the family bounds, and answered since no relation-matrix
+    # estimate refuses them; the elementary quotient at p = 2 is F_2[x1..xn]
+    # modulo the squares
+    code, body = run_json(capsys, "stable-quotient", "elementary", "--p", "2", "--n", "10")
+    assert code == EXIT_OK
+    assert body["stable_quotient"]["dims"] == [comb(10, k) for k in range(11)]
+    code, body = run_json(capsys, "stable-quotient", "so", "--m", "15")
+    assert code == EXIT_OK
+    sq = body["stable_quotient"]
+    assert sq["declared"] is not None
+    assert [b for layer in sq["basis"] for b in layer] == sq["declared"]
+    # every degree is counted before a basis element is formatted, so the
+    # budget refuses the command before any string is made
+    from coniveau import fp
+
+    formatted = []
+    monkeypatch.setattr(fp.Element, "__str__", lambda e: formatted.append(e) or "?")
+    start = time.perf_counter()
+    code, body = run_json(capsys, "stable-quotient", "extraspecial-e", "--n", "7", "--p", "3")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_USAGE
+    assert "budget of 500 basis elements" in body["error"]
+    assert "stable_quotient" not in body and not formatted
 
 
 def test_elementary_parameter_bound(capsys):
@@ -504,9 +558,10 @@ def test_user_scenario_hash_covers_every_line(tmp_path, capsys):
     assert body["scenario"]["hash"] == hashes["base"]
 
 
-# five degree-2 generators over F_3, relations in degrees 4..12: the degree-26
-# relation matrix would have 2380 columns x 3906 rows = 9,296,280 cells
-OVER_BUDGET = """\
+# five degree-2 generators over F_3, relations in degrees 4..12: the full
+# relation matrix of degree 26, every cofactor times every relation, would
+# have 9,296,280 cells, but the Groebner basis never builds it
+WIDE = """\
 prime 3
 cap 28
 gen y1 2
@@ -522,17 +577,50 @@ rel y5^6 + y1^3*y2^3
 """
 
 
+def test_wide_user_scenario_answers(tmp_path, capsys):
+    path = tmp_path / "wide.pres"
+    path.write_text(WIDE)
+    code, body = run_json(capsys, "hilbert", str(path), "--cap", "28")
+    assert code == EXIT_OK
+    dims = body["hilbert"]["dimensions"]
+    assert len(dims) == 29 and dims[26] == 26
+    # the low degrees against the rank of the brute-force ideal span
+    pres = parse_presentation(WIDE).presentation
+    for d in range(15):
+        free = len(oracle_monomials([2] * 5, [False] * 5, d))
+        assert dims[d] == free - oracle_ideal_dimension(pres.free, pres.relations, d), d
+
+
+# twelve degree-1 generators over F_2 and five 6-term quadratic relations: the
+# degree-7 S-pair matrix, reducer rows included, would have 15,053,624 cells
+OVER_BUDGET = """\
+prime 2
+cap 9
+""" + "".join(f"gen x{i} 1\n" for i in range(1, 13)) + """\
+rel x5*x12 + x6*x9 + x1*x6 + x4*x4 + x8*x10 + x7*x12
+rel x6*x7 + x4*x9 + x7*x11 + x5*x8 + x3*x7 + x8*x9
+rel x2*x7 + x4*x7 + x12*x12 + x2*x2 + x3*x12 + x9*x9
+rel x12*x12 + x2*x8 + x4*x10 + x2*x2 + x1*x10 + x5*x5
+rel x7*x10 + x9*x12 + x2*x2 + x5*x8 + x6*x11 + x4*x11
+"""
+
+
 def test_user_scenario_over_cell_budget(tmp_path, capsys):
     path = tmp_path / "wide.pres"
     path.write_text(OVER_BUDGET)
-    code, body = run_json(capsys, "hilbert", str(path), "--cap", "28")
+    start = time.perf_counter()
+    code, body = run_json(capsys, "hilbert", str(path), "--cap", "9")
+    assert time.perf_counter() - start < 2.0
     assert code == EXIT_USAGE
-    assert "degree 26" in body["error"] and "9296280 cells" in body["error"]
+    assert body["error"] == (
+        "degree 7: the S-pair matrix would have 15053624 cells, above the budget of "
+        "8000000; lower the cap"
+    )
     assert "hilbert" not in body
     # below the refused degree the same file runs
-    code, body = run_json(capsys, "hilbert", str(path), "--cap", "24")
+    code, body = run_json(capsys, "hilbert", str(path), "--cap", "6")
     assert code == EXIT_OK
-    assert body["hilbert"]["dimensions"][:5] == [1, 0, 5, 0, 14]
+    assert body["hilbert"]["dimensions"][:3] == [1, 12, 73]
 
 
 def test_user_scenario_over_monomial_budget(tmp_path, capsys):
@@ -741,11 +829,11 @@ GOLDEN_CLI = {
     "dh-table elementary --p 2 --n 6": (0, "e7c93668d4ed1a88315f76b0c84e0951e0cdb516a2d251ba651d5cb63355223f"),
     "dh-table extraspecial-e --n 8 --p 3": (0, "b461f0511b018081f1f2a65e044dbbec665560d9f74e0849215989a35657f078"),
     "dh-table extraspecial-e --n 10 --p 3": (0, "469dedb221081db7d66c2c9ff1a90f44885a7ce2d953806ae7f392935a917d9a"),
-    # graded dimensions and a stable quotient, and a cell-budget refusal that
-    # pins the order of the budget checks
+    # graded dimensions and a stable quotient; the extraspecial page at n = 13,
+    # refused by the old relation-matrix estimate, answers
     "hilbert extraspecial-d --n 3 --cap 8": (0, "584f0895bdcabce91b3cec96b7b2defcd58926df5caa4d44f87e4a94e5e6e438"),
     "stable-quotient extraspecial-e --n 6 --p 3": (0, "14bc665ab964b625f795d401d1ade6e24ed61b36028da4cfecb071ac9770d5ba"),
-    "hilbert extraspecial-e --n 13 --p 3 --cap 4": (2, "96061670a980dc20d311b23e5047eb731cf68f0d051374ca729ebc7d4859dea1"),
+    "hilbert extraspecial-e --n 13 --p 3 --cap 4": (0, "411d49ebba256b83a7cc00c36d3074b6dd9d675fe3925b774841612077aacb4d"),
     # --element by name, alias, candidate label (with its declared maps), an
     # uncertified cover value, a restriction and an unknown name; qop by
     # candidate label and by expression

@@ -109,6 +109,32 @@ def test_superscript_digits_refused_with_position(text, line, message):
     assert str(exc.value) == f"line {line}, column 1: {message}"
 
 
+@pytest.mark.parametrize(
+    "text,line,column,message",
+    [
+        # a name no expression could refer to
+        ("prime 3\ncap 8\ngen x+y 2\n", 3, 5, "generator name 'x+y' is not an identifier"),
+        ("prime 3\ncap 8\ngen x 1\n  gen x 2\n", 4, 7, "duplicate generator 'x'"),
+        ("prime 3\ncap 8\ngen x 0\n", 3, 7, "generator x: degree must be >= 1"),
+        ("prime 3\ncap 8\ngen x 9\n", 3, 7, "generator x: degree 9 above the cap 8"),
+        ("prime 3\ncap 8\ngen x 2 odd\n", 3, 9,
+         "generator x: parity 'odd' contradicts degree 2 at odd p"),
+        ("prime 2\ncap 8\ngen x 1 weight 1 odd\n", 3, 18,
+         "generator x: exterior generators do not exist at p = 2"),
+        ("prime 3\ncap 8\ngen x 1 heavy\n", 3, 9, "unknown generator attribute 'heavy'"),
+        # an alias may not stand in for a generator in later expressions
+        ("prime 3\ncap 8\ngen x 1\ngen y 2\nalias x = y\n", 5, 7,
+         "alias x would shadow the generator x"),
+    ],
+    ids=["name", "duplicate", "degree-0", "above-cap", "parity", "p2-exterior", "attribute",
+         "alias"],
+)
+def test_generator_errors_carry_their_column(text, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+
 def test_statement_order_enforced():
     with pytest.raises(ParseError):
         parse_presentation("gen x 1\nprime 3\ncap 8\n")

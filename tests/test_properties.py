@@ -4,10 +4,8 @@ Each property runs at least a thousand seeded checks spread over the
 scenario registry; failures print the scenario and the offending inputs.
 """
 
-import dataclasses
 import random
 
-import numpy as np
 import pytest
 
 from coniveau import _kernels, fp
@@ -313,18 +311,17 @@ def test_regular_pair_truncated_basis(monkeypatch):
         return rref(mat, p)
 
     def recording_build(self, degree):
-        data = build(self, degree)
-        built.append((self, degree, data))
-        return data
+        built.append((self, degree))
+        return build(self, degree)
 
     monkeypatch.setattr(_kernels, "rref", recording_rref)
     monkeypatch.setattr(fp.GradedPresentation, "_build_degree", recording_build)
     report, quotient, _ = C.comparison_regular_pair(3, 44)
     assert report.regular
-    (pair,) = {id(pres): pres for pres, _, _ in built if pres.relations}.values()
+    (pair,) = {id(pres): pres for pres, _ in built if pres.relations}.values()
     assert len(pair._basis) == 4
     assert max(rows * cols for rows, cols in shapes) <= 1_000_000
-    assert all(data.reducer is None for _, _, data in built)
+    assert not any(pres._reducers for pres, _ in built)
     # once the quotient's basis is complete through degree 44, a degree-44
     # normal form fills the reducers it meets on dict rows: the rref calls
     # are the Groebner basis steps only
@@ -332,13 +329,11 @@ def test_regular_pair_truncated_basis(monkeypatch):
     assert quotient.dimension(44)
     steps = len(shapes)
     assert not (y4**22).is_zero()
-    assert quotient._degree_data(44).reducer
+    assert quotient._reducers[44]
     assert len(shapes) == steps
     filled = 0
-    for pres, d, data in built:
-        for f in dataclasses.fields(data):
-            assert not isinstance(getattr(data, f.name), np.ndarray), f.name
-        reducer = data.reducer or {}
+    for pres, d in built:
+        reducer = pres._reducers.get(d, {})
         assert all(isinstance(row, tuple) for row in reducer.values())
         # pivots, and the entries of each row, in free-monomial column order
         index = pres._column_index(d)
