@@ -298,13 +298,12 @@ class Scenario:
         """Graded basis of the ring modulo the declared coniveau ideal."""
         if self.stable_pres is None:
             raise ScenarioError(f"scenario {self.name} declares no stable structure")
-        # every degree is counted, and any budget refusal made, before a
-        # basis element is formatted
-        dims = tuple(self.stable_pres.hilbert_series(self.stable_top))
-        basis = tuple(
-            tuple(str(b) for b in self.stable_pres.graded_basis(d))
-            for d in range(self.stable_top + 1)
-        )
+        # lowest degree first, each degree's monomial list is held to its
+        # budget before the degree's basis step; every degree is listed, and
+        # any refusal made, before a basis element is formatted
+        pres, degrees = self.stable_pres, range(self.stable_top + 1)
+        dims = tuple(len(pres.standard_monomials(d)) for d in degrees)
+        basis = tuple(tuple(str(b) for b in pres.graded_basis(d)) for d in degrees)
         return StableQuotient(
             scenario=self.name,
             dims=dims,

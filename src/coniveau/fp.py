@@ -17,22 +17,24 @@ vanishes, joins the matrix of its degree (Stokes, J. Automated Reasoning
 6, 1990).
 
 A degree's standard monomials, those no leading monomial divides, are the
-basis of the quotient, so dimensions and Hilbert series are counts with no
-further elimination.  They form an order ideal (Cox, Little & O'Shea,
-Ideals, Varieties, and Algorithms, section 9.3): a standard monomial whose
-first nonzero exponent sits at slot k is g_k times a standard monomial of
-lower degree, and only a leading monomial whose first nonzero slot is k can
-divide the product.  So each degree's list is grown from the lists below it
-(``_list_standard``), and no non-standard monomial is listed.  The normal
-form needs the reducer {non-standard monomial: its reduced row on the
-standard monomials}: it is filled when a normal form in that degree is first
-asked for, by ``_kernels.echelon`` on the dict rows u * g, one per
-non-standard monomial, which span the ideal's degree piece with distinct
-leading monomials.  Reduced row echelon form is unique, so the reducer is
-the one a full elimination of every cofactor x relation product ("Macaulay
-matrix") gives, and a normal form is one substitution pass over it in dict
-arithmetic.  Only the S-pair matrices of a basis step pass through the
-int64 array of ``_kernels.rref``.
+basis of the quotient, and a dimension counts them without listing them:
+the Hilbert series is that of S / (in(G) + (x_odd^2)), S the polynomial
+ring on the generators (signs do not change a dimension), counted from the
+leading monomials alone by Bigatti's pivot recursion (``_hilbert``).
+Where a list is read, it is grown from the lists below it: the standard
+monomials form an order ideal (Cox, Little & O'Shea, Ideals, Varieties, and
+Algorithms, section 9.3), a standard monomial whose first nonzero exponent
+sits at slot k is g_k times a standard monomial of lower degree, and only a
+leading monomial whose first nonzero slot is k can divide the product
+(``_list_standard``).  The normal form needs the reducer {non-standard
+monomial: its reduced row on the standard monomials}: it is filled when a
+normal form in that degree is first asked for, by ``_kernels.echelon`` on
+the dict rows u * g, one per non-standard monomial, which span the ideal's
+degree piece with distinct leading monomials.  Reduced row echelon form is
+unique, so the reducer is the one a full elimination of every cofactor x
+relation product ("Macaulay matrix") gives, and a normal form is one
+substitution pass over it in dict arithmetic.  Only the S-pair matrices of
+a basis step pass through the int64 array of ``_kernels.rref``.
 
 Every ``Element`` is a normal form: only its constructors (``element``,
 ``monomial``, ``gen``, ``one`` and products) reduce, all through
@@ -50,22 +52,18 @@ Conventions by characteristic:
     exponents are 0/1, odd*odd anticommutes and odd squares vanish.
   * p = 2: every generator is polynomial; odd-degree classes square freely.
 
-The free monomials are the standard monomials of the zero ideal, so the
-same recurrence lists them: a presentation with no relations is its own
+The free monomials are the standard monomials of the zero ideal, counted
+and listed the same way: a presentation with no relations is its own
 ``free``, a quotient shares the ``free`` of the presentation it came from,
 and that one relation-free presentation holds the free monomials and their
-column indices for all of them.  It counts a degree before it lists it
-(``_count``, the recurrence on the block lengths alone): the monomial-list
-budget and a relation-free ring's dimensions read the counts, and only
-``monomials(d)`` and a reducer list a degree.  Within a degree the order is
-descending lex, so the columns of an S-pair matrix are its monomials sorted
-in reverse.
+column indices for all of them.  Within a degree the order is descending
+lex, so the columns of an S-pair matrix are its monomials sorted in reverse.
 
-A degree is guarded by the budgets of what the engine builds for it: the
-monomial list (``_count``, checked before anything is listed), each S-pair
-matrix and the size of the Groebner basis (``_basis_step``).  A presentation
-caches each degree's dimension once its basis is complete through it, and
-each degree's reducer once a normal form asks for it.
+A degree is guarded by the budgets of what the engine builds for it: each
+S-pair matrix and the size of the Groebner basis (``_basis_step``), and a
+monomial list, wherever one is read, by its free count before the degree's
+basis step.  A presentation counts its series once per extent of its basis
+and fills each degree's reducer when a normal form first asks for it.
 
 Elements are immutable and their operations pure.  A presentation fills
 its monomial lists, its Groebner basis and its per-degree caches on demand;
@@ -80,7 +78,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from . import _kernels
+from . import _hilbert, _kernels
 
 
 class FpAlgebraError(Exception):
@@ -109,13 +107,14 @@ class MorphismError(FpAlgebraError):
 MAX_PRIME = 1048573
 
 # The most cells (rows x monomial columns) one S-pair matrix of the Groebner
-# basis may have, and the most exponent entries (monomials x generators) one
-# degree's monomial list may hold; a degree over either is refused.  (The name
-# is from the full Macaulay matrices, every cofactor times every relation, that
-# the Groebner basis replaced.)  The largest S-pair matrix of ``report --all``
-# has 61 x 173 cells and the regular pair's through degree 48 have at most
-# 11 x 28; among the built-in families, ``stable-quotient extraspecial-e --n 6
-# --p 3`` builds one of 794 x 165.
+# basis may have, and the most exponent entries (free monomials x generators)
+# a degree may hold where it is listed; a degree over either is refused.  A
+# dimension is counted, not listed, so only listing meets the second.  (The
+# name is from the full Macaulay matrices, every cofactor times every
+# relation, that the Groebner basis replaced.)  The largest S-pair matrix of
+# ``report --all`` has 61 x 173 cells and the regular pair's through degree
+# 48 have at most 11 x 28; among the built-in families, ``stable-quotient
+# extraspecial-e --n 6 --p 3`` builds one of 794 x 165.
 MAX_MACAULAY_CELLS = 8_000_000
 
 # The most elements a truncated Groebner basis may have.  Buchberger's worst
@@ -194,8 +193,8 @@ class GradedPresentation:
         # free monomials of every quotient of it
         self.free: GradedPresentation = _free or self
         self._relation_terms = tuple(_relations or ())
-        # degree -> dimension, once the Groebner basis is complete through it
-        self._cache: dict[int, int] = {}
+        # the degrees built, through each of which the Groebner basis is complete
+        self._built: set[int] = set()
         # degree -> {non-standard monomial: its reduced row, ((standard
         # monomial, coefficient), ...)}, filled on first use: the monomial
         # equals minus that combination in the quotient
@@ -223,10 +222,11 @@ class GradedPresentation:
         self._basis_done = -1
         self._pairs: dict[int, dict] = {}  # lcm degree -> {(i, j): (lcm, its slot bits)}
         self._exterior_rows: dict[int, list] = {}  # degree -> [(element, odd slot)]
+        # the Hilbert series through the degree the basis was complete through
+        # when it was counted
+        self._dims: list[int] = []
         # each degree's standard monomials in descending lex order, and their
-        # suffix block lengths (tails[k]: how many vanish before generator k);
-        # a relation-free presentation counts a degree before it lists it, so
-        # its block lengths may run ahead of its lists
+        # suffix block lengths (tails[k]: how many vanish before generator k)
         self._standard: list[tuple] = []
         self._standard_tails: list[list[int]] = []
         self._columns_at: dict[int, dict] = {}  # degree -> {free monomial: column}
@@ -301,29 +301,37 @@ class GradedPresentation:
     def monomials(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """All monomials of the free algebra in one degree, descending
         graded-lex order (deterministic): the standard monomials of the free
-        presentation, shared with its quotients; no elimination runs."""
-        self._check_degree(degree)
-        free = self.free
-        free._count(degree)
-        return free._list_standard(degree)
+        presentation, shared with its quotients and listed under the
+        monomial-list budget; no elimination runs."""
+        self.free._check_list(degree)
+        return self.free._list_standard(degree)
+
+    def standard_monomials(self, degree: int) -> tuple[tuple[int, ...], ...]:
+        """The monomials of ``graded_basis(degree)``.  The degree's list is
+        held to its budget before the basis is completed through it."""
+        self._check_list(degree)
+        self._degree_data(degree)
+        return self._list_standard(degree)
 
     def graded_basis(self, degree: int) -> list["Element"]:
         """Deterministic ordered basis of the degree-d piece of the quotient:
         its standard monomials, in descending lex order."""
-        self._degree_data(degree)  # the basis is complete through the degree
-        return [Element(self, {m: 1}) for m in self._list_standard(degree)]
+        return [Element(self, {m: 1}) for m in self.standard_monomials(degree)]
 
     def dimension(self, degree: int) -> int:
-        return self._degree_data(degree)
+        """Counted from the leading monomials; nothing is listed."""
+        self._degree_data(degree)
+        return self._series(degree)[degree]
 
     def hilbert_series(self, cap: int | None = None) -> list[int]:
-        """Dimensions of the graded pieces for degrees 0..cap."""
+        """Dimensions of the graded pieces for degrees 0..cap, read off one
+        count once the basis is complete through the cap."""
         cap = self.degree_cap if cap is None else cap
         if cap > self.degree_cap:
             raise DegreeCapError(f"requested degree {cap} above cap {self.degree_cap}")
         if cap < 0:
             raise ValueError(f"negative degree cap {cap}")
-        return [self.dimension(d) for d in range(cap + 1)]
+        return [self.dimension(d) for d in range(cap, -1, -1)][::-1]  # the top one first
 
     # -- the degreewise reduction engine ------------------------------------
 
@@ -333,38 +341,28 @@ class GradedPresentation:
         if degree < 0:
             raise ValueError("negative degree")
 
-    def _degree_data(self, degree: int) -> int:
-        """The degree's dimension, built once: the Groebner basis is complete
-        through every degree this has returned for."""
+    def _degree_data(self, degree: int) -> None:
+        """Complete the Groebner basis through the degree, with one
+        ``_build_degree`` call per degree asked for, as the benchmark's trace
+        counts builds."""
         self._check_degree(degree)
-        dim = self._cache.get(degree)
-        if dim is None:
-            dim = self._cache[degree] = self._build_degree(degree)
-        return dim
+        if degree not in self._built:
+            self._build_degree(degree)
+            self._built.add(degree)
 
-    def _count(self, degree: int) -> int:
-        """How many free monomials the degree has (``degree`` >= 0).  The
-        recurrence of ``_list_standard`` with no leads, on the block lengths
-        alone: it fills the free presentation's block lengths through the
-        degree, listing nothing, and refuses the lowest degree whose list
-        would hold more than ``MAX_MACAULAY_CELLS`` exponent entries.  That
-        budget and a relation-free ring's dimensions read these counts."""
-        tails_of = self.free._standard_tails
-        n = len(self._degrees)
-        for d in range(len(tails_of), degree + 1):
-            tails = [0] * n + [int(d == 0)]
-            for k in range(n - 1, -1, -1):
-                g = self._degrees[k]
-                block = tails_of[d - g][k + 1 if self._odd[k] else k] if g <= d else 0
-                tails[k] = tails[k + 1] + block
-            if tails[0] * n > MAX_MACAULAY_CELLS:
+    def _check_list(self, degree: int) -> None:
+        """Refuse the lowest degree through ``degree`` that is not listed
+        yet and whose free monomials, which bound its list, would hold more
+        than ``MAX_MACAULAY_CELLS`` exponent entries."""
+        self._check_degree(degree)
+        counts, n = self.free._series(degree), len(self._degrees)
+        for d in range(len(self._standard), degree + 1):
+            if counts[d] * n > MAX_MACAULAY_CELLS:
                 raise DegreeCapError(
-                    f"degree {d}: the monomial list would hold {tails[0]} monomials of "
+                    f"degree {d}: the monomial list would hold {counts[d]} monomials of "
                     f"{n} generators, above the budget of {MAX_MACAULAY_CELLS} "
                     "exponent entries; lower the cap"
                 )
-            tails_of.append(tails)
-        return tails_of[degree][0]
 
     def _column_index(self, degree: int) -> dict:
         """{free monomial: column} for the degree's monomials, cached on the
@@ -376,36 +374,42 @@ class GradedPresentation:
             index = columns[degree] = {m: j for j, m in enumerate(self.monomials(degree))}
         return index
 
-    def _build_degree(self, degree: int) -> int:
-        """The degree's dimension, after the Groebner basis is complete
-        through the degree.  The count of the degree comes first, so the
-        monomial-list budget of every degree through it is checked, lowest
-        first; the basis steps carry the S-pair and basis budgets.  A
-        relation-free degree is counted, not listed."""
-        count = self._count(degree)
-        if not self._relation_terms:
-            return count
+    def _build_degree(self, degree: int) -> None:
+        """Complete the Groebner basis through the degree, one basis step
+        per degree, each under the S-pair and basis budgets.  Nothing is
+        counted or listed here: ``dimension`` counts and the listing paths
+        list."""
         for d in range(self._basis_done + 1, degree + 1):
             self._basis_step(d)
             self._basis_done = d
-        return len(self._list_standard(degree))
+
+    def _series(self, degree: int) -> list[int]:
+        """The Hilbert series through at least ``degree``, whose basis is
+        complete: that of S / (in(G) + (x_odd^2)), counted through every
+        degree the basis is complete through."""
+        if degree >= len(self._dims):
+            ideal = [support for at in self._leads_at for _, support in at]
+            leads = set(ideal)  # an exterior generator that is a lead needs no square
+            ideal += [((i, 2),) for i in self._odd_slots if ((i, 1),) not in leads]
+            top = max(degree, self._basis_done)
+            self._dims = _hilbert.ideal_series(self._degrees, ideal, top)
+        return self._dims
 
     def _list_standard(self, degree: int) -> tuple:
         """The degree's standard monomials, extending the lists through
-        ``degree``, whose basis is complete.  The list of degree d holds the
-        standard monomials whose first nonzero slot is k, for k = 0, 1, ...
-        in turn, and those are g_k times the suffix-k block of the standard
-        monomials of degree d - |g_k| (suffix k + 1 for an exterior g_k,
-        whose exponent stops at 1): the trailing block of the lower list
-        that vanishes before slot k, kept as its length, not as a copy.
-        Raising one exponent keeps the order, so the list is in descending
-        lex order, built from lower degrees only, without recursion.  A
-        candidate's cofactor is standard, so it is dropped only if a lead
+        ``degree``, whose basis is complete; its callers hold the lists to
+        the budget.  The list of degree d holds the standard monomials whose
+        first nonzero slot is k, for k = 0, 1, ... in turn, and those are g_k
+        times the suffix-k block of the standard monomials of degree d - |g_k|
+        (suffix k + 1 for an exterior g_k, whose exponent stops at 1): the
+        trailing block of the lower list that vanishes before slot k, kept as
+        its length, not as a copy.  Raising one exponent keeps the order, so
+        the list is in descending lex order, built from lower degrees only.
+        A candidate's cofactor is standard, so it is dropped only if a lead
         whose first nonzero slot is k divides it, and such a lead has the
-        candidate's exponent at k (a smaller one would divide the cofactor).
-        With no leads this lists every monomial, which is how the free
-        presentation lists its monomials.  A later basis element has a
-        higher degree, so a degree's list never changes once made."""
+        candidate's exponent at k.  With no leads this lists every monomial.
+        A later basis element has a higher degree, so a degree's list never
+        changes once made."""
         std, tails_of = self._standard, self._standard_tails
         if degree < len(std):
             return std[degree]
@@ -435,8 +439,7 @@ class GradedPresentation:
             for k in range(n - 1, -1, -1):
                 blocks[k] += blocks[k + 1]
             std.append(tuple(out))
-            if d == len(tails_of):
-                tails_of.append(blocks)
+            tails_of.append(blocks)
         return std[degree]
 
     def _divisor(self, m) -> int | None:
@@ -629,10 +632,11 @@ class GradedPresentation:
         non-standard monomial, brought to reduced echelon form by
         ``_kernels.echelon``.  Those rows span the ideal's degree piece and
         have distinct leading monomials, so the form is the unique one."""
+        monos = self.monomials(degree)
         self._degree_data(degree)  # the basis is complete through the degree
         reducer = self._reducers.get(degree)
         if reducer is None:
-            monos, index = self.monomials(degree), self._column_index(degree)
+            index = self._column_index(degree)
             standard = set(self._list_standard(degree))
             rows = [
                 {index[t]: c for t, c in self._multiple(self._divisor(m), m).items()}

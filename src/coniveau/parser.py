@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .fp import Element, Generator, GradedPresentation
+from .fp import Element, Generator, GradedPresentation, check_prime
 
 
 class ParseError(Exception):
@@ -157,6 +157,10 @@ def parse_presentation(text: str) -> PresentationFile:
             if gens:
                 raise ParseError("'prime' must precede generators", lineno, 1)
             prime = _int_field(words, 1, lineno, "prime")
+            try:
+                check_prime(prime)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, line.index(words[1], indent + 5) + 1) from None
         elif head == "cap":
             if gens:
                 raise ParseError("'cap' must precede generators", lineno, 1)

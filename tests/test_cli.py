@@ -198,12 +198,12 @@ def test_family_parameter_bound(capsys, family, flag, last):
 
 
 def test_extraspecial_e_parameter_bound(capsys):
-    # n = 24 passes the parameter gate: at --cap 4 its page is refused by the
-    # monomial-list budget of degree 4, as every n >= 20 is (n <= 19 answers);
-    # 25 is refused by name before anything is built
+    # n = 24 passes the parameter gate, and its page at --cap 4 is counted from
+    # the leading monomials, not listed; 25 is refused by name before anything
+    # is built
     code, body = run_json(capsys, "hilbert", "extraspecial-e", "--n", "24", "--cap", "4")
-    assert code == EXIT_USAGE
-    assert "degree 4: the monomial list would hold 249900 monomials" in body["error"]
+    assert code == EXIT_OK
+    assert body["hilbert"]["dimensions"] == koszul_page_series(24, 4)
     code, body = run_json(capsys, "hilbert", "extraspecial-e", "--n", "25", "--cap", "4")
     assert code == EXIT_USAGE
     assert "takes no --n 25" in body["error"] and "at most 24" in body["error"]
@@ -300,7 +300,7 @@ def test_commands_that_read_no_candidates_build_none(capsys, monkeypatch):
     # fails the command
     from coniveau import certificates
 
-    refusal = ("hilbert", "extraspecial-e", "--n", "24", "--p", "3", "--cap", "4")
+    refusal = ("stable-quotient", "extraspecial-e", "--n", "24", "--p", "3")
     _, refused = run_json(capsys, *refusal)
 
     def no_candidates(*args):
@@ -315,13 +315,15 @@ def test_commands_that_read_no_candidates_build_none(capsys, monkeypatch):
         ("list",),
         ("hilbert", "extraspecial-e", "--n", "2", "--cap", "8"),
         ("stable-quotient", "elementary", "--p", "2", "--n", "4"),
+        ("hilbert", "extraspecial-e", "--n", "24", "--p", "3", "--cap", "4"),
     ):
         code, body = run_json(capsys, *argv)
         assert code == EXIT_OK, argv
+    assert body["hilbert"]["dimensions"] == koszul_page_series(24, 4)
     code, body = run_json(capsys, *refusal)
     assert code == EXIT_USAGE
     assert body == refused
-    assert "degree 4: the monomial list would hold 249900 monomials" in body["error"]
+    assert "degree 4: the monomial list would hold 194580 monomials" in body["error"]
 
 
 def test_family_refuses_foreign_parameter(capsys):
@@ -624,17 +626,19 @@ def test_user_scenario_over_cell_budget(tmp_path, capsys):
 
 
 def test_user_scenario_over_monomial_budget(tmp_path, capsys):
-    # no relations, so no relation matrix: the monomial list itself is refused.
-    # Degree 3 of 120 degree-1 generators would hold 295,240 x 120 exponents
+    # degree 3 of 120 degree-1 generators would list 295,240 x 120 exponents,
+    # over the monomial-list budget; hilbert counts the degree, listing nothing
     path = tmp_path / "many.pres"
     path.write_text("prime 2\ncap 3\n" + "".join(f"gen x{i} 1\n" for i in range(1, 121)))
     code, body = run_json(capsys, "hilbert", str(path), "--cap", "3")
-    assert code == EXIT_USAGE
-    assert "degree 3" in body["error"] and "295240 monomials" in body["error"]
-    assert "hilbert" not in body
-    code, body = run_json(capsys, "hilbert", str(path), "--cap", "2")
     assert code == EXIT_OK
-    assert body["hilbert"]["dimensions"] == [1, 120, 7260]
+    dims = body["hilbert"]["dimensions"]
+    assert dims == [comb(119 + d, d) for d in range(4)] == [1, 120, 7260, 295240]
+    # a stable quotient lists its basis, so the list budget refuses it
+    path.write_text(path.read_text() + "n1 z = x1\n")
+    code, body = run_json(capsys, "stable-quotient", str(path))
+    assert code == EXIT_USAGE
+    assert "degree 3: the monomial list would hold 295240 monomials" in body["error"]
 
 
 def test_user_scenario_over_basis_budget(tmp_path, capsys):

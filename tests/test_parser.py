@@ -135,6 +135,22 @@ def test_generator_errors_carry_their_column(text, line, column, message):
     assert str(exc.value) == f"line {line}, column {column}: {message}"
 
 
+@pytest.mark.parametrize(
+    "text,column,message",
+    [
+        ("prime 4\ncap 8\ngen x 2\n", 7, "not a prime: 4"),
+        ("  prime   1\ncap 8\ngen x 2\n", 11, "not a prime: 1"),
+        ("prime 1048583\ncap 8\ngen x 2\n", 7,
+         "prime 1048583 above the supported maximum 1048573"),
+    ],
+    ids=["composite", "one", "above-maximum"],
+)
+def test_bad_prime_carries_its_column(text, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == f"line 1, column {column}: {message}"
+
+
 def test_statement_order_enforced():
     with pytest.raises(ParseError):
         parse_presentation("gen x 1\nprime 3\ncap 8\n")

@@ -347,13 +347,15 @@ def test_regular_pair_truncated_basis(monkeypatch):
 
 
 def test_regular_pair_lists_no_monomials():
-    # the pair's dimensions are grown from lower degrees' standard monomials
-    # and the polynomial ring's are counted, so the polynomial ring, which
-    # holds the free monomials of the pair, lists no degree at all
+    # the pair's dimensions and the polynomial ring's are counted from their
+    # leading monomials, so neither the pair nor the polynomial ring, which
+    # holds the free monomials of the pair, lists any degree
     report, quotient, _ = C.comparison_regular_pair(3, 44)
     assert report.regular
     assert quotient.free.hilbert_series(44)[44] == 2300
+    assert quotient.hilbert_series(44) == list(report.quotient_series)
     assert not quotient.free._standard
+    assert not quotient._standard
 
 
 def test_graded_commutativity():
