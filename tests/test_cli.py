@@ -797,9 +797,12 @@ def test_report_all_golden_hash_under_optimize():
 
 # `rost --n k` stdout for parameters above the report's n = 2, 3, 4
 GOLDEN_ROST_SHA256 = {
+    5: "8f81a567f2bab310cbc25874e7fb4ac8520c9b04fe267690897975797c99182a",
     6: "9d7d7da11fdf14c15c8c46c7c596c4cb98501094870eda01965cfa652ed9fd91",
     7: "e185d16a21a3aaf661797f7eecae92c31398d8386d129dfe7eea0bb5f4195389",
     8: "96b22a30e875d81d7623480efa93cf5938f57147d0db56fa1fa437476b1bb462",
+    9: "15868b8d4d0445913ba1a1717ac388ad55bdb13461483a05e37c2f56d405aa4f",
+    10: "4a49dbbd0769bed996733720f3893ce1b65b150751e43bc0f0d3a1ecb38f8107",
 }
 
 
@@ -829,6 +832,7 @@ GOLDEN_CLI = {
     "verify elementary --n 3": (2, "74074e748d9b84875db352e8d17a5db57e42a310134e47528d345f186edbe2ef"),
     "verify no-such-scenario": (2, "87a22af0f774242fa754000f2de5522d021519d0270e04c37184f134a8be4672"),
     "dh-table so --m 2 --format markdown": (0, "229afb6f1eb6f79e02935f3e83f7f1de565a03d97ad43766a89201c808d4b355"),
+    "rost --n 3 --format markdown": (0, "22f63c55e4893ca8ef9d0638f71290193e09293273c44994fde3c6922e7568ba"),
     # Chern-ideal tests on detection rings larger than any of ``report --all``
     "dh-table elementary --p 2 --n 6": (0, "e7c93668d4ed1a88315f76b0c84e0951e0cdb516a2d251ba651d5cb63355223f"),
     "dh-table extraspecial-e --n 8 --p 3": (0, "b461f0511b018081f1f2a65e044dbbec665560d9f74e0849215989a35657f078"),
