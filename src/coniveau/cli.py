@@ -9,9 +9,10 @@ order).
 
 from __future__ import annotations
 
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from types import SimpleNamespace
 
 from . import certificates as certs
@@ -191,8 +192,8 @@ def quadric_report(n: int, force=()) -> dict:
 
 def _ring_dict(ring: motivic.EtaleRing) -> dict:
     return {
-        "free": [list(b) for b in ring.free_basis],
-        "torsion": [list(b) for b in ring.torsion_basis],
+        "free": list(map(list, ring.free_basis)),
+        "torsion": list(map(list, ring.torsion_basis)),
         "relations": list(ring.relations),
         "minimal_relations": list(ring.minimal_relations),
         "algebraic": sorted(ring.algebraic),
@@ -247,8 +248,55 @@ def _cmd_report(args) -> tuple[int, dict]:
 
 def _render(body: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(body, indent=2) + "\n"
+        return _json(body, "\n") + "\n"
     return _markdown(body)
+
+
+# one-step encoders for a column of JSON scalars of a single exact type
+_COLUMN_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` for obj nested at the line break and
+    indentation ``pad``, for str-keyed dicts, lists, tuples, str, int, bool
+    and None.  A list of scalars, or of equally long scalar lists (the
+    ``[name, degree]`` pairs), is joined in one step per one-type column."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # a key that is no str raises TypeError in encode_basestring_ascii
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + sep.join(items) + pad + "}"
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "[]"
+    items = _column(obj)
+    if items is None and set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1:
+        # rows of one length k >= 1: each column in one step, each row in one join
+        columns = [_column(list(map(itemgetter(c), obj))) for c in range(len(obj[0]))]
+        if columns and None not in columns:
+            head, tail = "[" + inner + "  ", inner + "]"
+            rows = map(("," + inner + "  ").join, zip(*columns))
+            return "[" + inner + head + (tail + sep + head).join(rows) + tail + pad + "]"
+    if items is None:
+        items = [_json(x, inner) for x in obj]
+    return "[" + inner + sep.join(items) + pad + "]"
+
+
+def _column(values):
+    """The JSON texts of values if all are of type str or all of type int."""
+    kinds = set(map(type, values))
+    encode = _COLUMN_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    return None if encode is None else map(encode, values)
 
 
 def _item_title(x: dict) -> str:

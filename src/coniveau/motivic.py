@@ -22,7 +22,7 @@ from functools import cached_property
 # Largest motive parameter the quadric layer accepts.  Each step costs about
 # 4x: the quadric's torsion basis has about 4^n / 8 classes (130,816 at
 # n = 10, a 14 MB `rost` report) and the reachability pass takes about 4^n
-# big-int shifts.
+# int additions.
 MAX_QUADRIC_N = 10
 
 
@@ -149,8 +149,8 @@ class RostBasis:
     by the operations in I; its exponents are forced by the bidegree:
     rho-exponent n+1 + sum(2^(i+1)-1), tau-exponent -1 - sum(2^i).
     Membership per bidegree is decided by reachability over the additive
-    monoid spanned by the generator exponent vectors, kept as one bitset
-    row per rho-exponent (see ``_reachability``).
+    monoid spanned by the generator exponent vectors, kept as the largest
+    reachable tau^-1 exponent per rho-exponent (see ``_reachability``).
     """
 
     def __init__(self, n: int):
@@ -173,49 +173,37 @@ class RostBasis:
         self._reach = self._reachability()
 
     def _reachability(self) -> list[int]:
-        """reach[s] is a bitset over -t: bit mt is set iff rho^s tau^-mt is
-        a product of non-tau generators (all have t <= 0), with s and mt at
-        most the rho bound S.
+        """reach[s] is the largest mt such that rho^s tau^-mt is a product of
+        non-tau generators (all have t <= 0).
 
         Every non-tau generator has rho-exponent ds >= 1, so one ascending
-        pass closes the monoid: reach[s] is the OR of reach[s - ds] shifted
-        up by -dt over the generators with ds <= s.  Exponents only grow
-        along a product, so masking each row to S + 1 bits drops exactly
-        the products that leave the bound (none in practice: every
-        generator has -dt <= ds, so mt <= s <= S).  Cost: O(S * G) big-int
-        operations for G generators, not the O(S^2 * G) of a cell table.
+        pass closes the monoid in the max-plus semiring: reach[s] is the
+        largest reach[s - ds] - dt over the generators with ds <= s.  rho
+        makes every s reachable, so each entry is at least 0, and every
+        generator has -dt <= ds, so reach[s] <= s.  Cost: O(S * G) int
+        operations for rho bound S and G generators.
         """
-        S = self.rho_bound
-        mask = (1 << (S + 1)) - 1
-        vecs = [(ds, -dt) for k, (ds, dt) in self.generators.items() if k != "tau"]
-        reach = [1]
-        for s in range(1, S + 1):
-            row = 0
+        vecs = sorted((ds, -dt) for k, (ds, dt) in self.generators.items() if k != "tau")
+        reach = [0]
+        for s in range(1, self.rho_bound + 1):
+            best = 0
             for ds, mt in vecs:
-                if ds <= s:
-                    row |= reach[s - ds] << mt
-            reach.append(row & mask)
+                if ds > s:
+                    break
+                if reach[s - ds] + mt > best:
+                    best = reach[s - ds] + mt
+            reach.append(best)
         return reach
 
     def contains_monomial(self, a: int, b: int) -> bool:
         """Is rho^a tau^b a product of generators (without truncating)?"""
-        if a < 0 or a > self.rho_bound:
-            return False
         # tau powers can raise b arbitrarily; everything else lowers it, so
         # any reachable rho^a tau^-mt with mt >= -b will do.
-        return bool(self._reach[a] >> max(0, -b))
+        return 0 <= a <= self.rho_bound and self._reach[a] >= -b
 
     def element(self, name: str) -> LaurentElement:
         s, t = self.generators[name]
         return laurent(self.n, s, t)
-
-
-def rost_membership(e: LaurentElement, basis: RostBasis) -> bool:
-    """Exact per-bidegree membership of e in the motive's subalgebra."""
-    if e.n != basis.n:
-        raise MotivicError("parameter mismatch")
-    e.bidegree()  # enforces homogeneity
-    return all(basis.contains_monomial(a, b) for (a, b) in e.terms)
 
 
 @dataclass(frozen=True)
@@ -342,14 +330,6 @@ def _rho_power_name(m: int) -> str:
     return "rho4" if m == 1 else f"rho4^{m}"
 
 
-def decomposition_ranks(n: int, degree: int) -> tuple[int, int]:
-    """Additive ranks of the quadric of dimension 2^n - 1 in one even
-    degree, from the motive decomposition (see ``_decomposition_table``)."""
-    if degree % 2:
-        raise ValueError("even degrees only")
-    return _decomposition_table(n).get(degree, (0, 0))
-
-
 def _decomposition_table(n: int) -> dict[int, tuple[int, int]]:
     """(free rank, torsion dimension) per degree of the quadric of
     dimension 2^n - 1, from the motive decomposition: the parameter-n motive
@@ -373,15 +353,16 @@ def quadric_etale_ring(n: int) -> EtaleRing:
     _check_quadric_n(n, 2)
     hmax = 2**n - 1
     free = tuple((f"h^{j}" if j > 1 else ("h" if j == 1 else "1"), 2 * j) for j in range(hmax + 1))
-    torsion_monos = [(0, i) for i in range(1, 2 ** (n - 1))]
-    torsion_monos += [
-        (j, i) for j in range(1, 2 ** (n - 1)) for i in range(1, 2 ** (n - 2))
+    # each power named once: rhos[i - 1] is rho4^i, free[j][0] is h^j
+    rhos = [_rho_power_name(i) for i in range(1, 2 ** (n - 1))]
+    pure = [(4 * i, rho) for i, rho in enumerate(rhos, 1)]
+    multiples = [
+        (2 * j + 4 * i, f"{free[j][0]}*{rho}")
+        for j in range(1, 2 ** (n - 1))
+        for i, rho in enumerate(rhos[: 2 ** (n - 2) - 1], 1)
     ]
-    # (degree, name, j, i), ordered by degree and then name
-    torsion_classes = sorted(
-        (2 * j + 4 * i, _quadric_name(j, i), j, i) for j, i in torsion_monos
-    )
-    torsion = tuple((name, d) for d, name, _, _ in torsion_classes)
+    # ordered by degree and then name
+    torsion = tuple((name, d) for d, name in sorted(pure + multiples))
     relations = (
         f"h^{2 ** n}",
         "2*rho4",
@@ -393,18 +374,16 @@ def quadric_etale_ring(n: int) -> EtaleRing:
     # Flags: the free part and all hyperplane multiples are cycle-map
     # images; a pure power rho4^i is flagged iff it is flagged on the
     # parameter-n motive.
-    motive_flags = rost_etale_ring(n).algebraic
-    algebraic = set(name for name, _ in free)
-    for _, name, j, i in torsion_classes:
-        if j >= 1 or _rho_power_name(i) in motive_flags:
-            algebraic.add(name)
+    algebraic = rost_etale_ring(n).algebraic.intersection(rhos).union(
+        (name for name, _ in free), (name for _, name in multiples)
+    )
     ring = EtaleRing(
         n=n,
         free_basis=free,
         torsion_basis=torsion,
         relations=relations,
         minimal_relations=minimal,
-        algebraic=frozenset(algebraic),
+        algebraic=algebraic,
         notes=(f"pi = h^{hmax}",),
     )
     want = _decomposition_table(n)

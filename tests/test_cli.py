@@ -11,7 +11,10 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coniveau import cli
 from coniveau.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from coniveau.parser import parse_presentation
 from helpers import oracle_ideal_dimension, oracle_monomials
@@ -860,6 +863,52 @@ GOLDEN_CLI = {
 def test_cli_golden_hash(capsys, command):
     code, out = run(capsys, *command.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_CLI[command]
+
+
+# JSON values of the shapes report bodies are made of.  Strings carry
+# quotes, backslashes, control, non-ASCII and non-BMP characters; lists of
+# one scalar type and lists of equally long rows (as lists or tuples) take
+# the writer's one-step paths, mixed ones its general path.
+_TEXT = st.text(st.sampled_from('"\\\x00\n\x1f\x7fé\u2028\U0001f600') | st.characters(), max_size=6)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _TEXT
+_ROWS = st.lists(st.sampled_from([_TEXT, st.integers(), st.booleans()]), min_size=1, max_size=3).flatmap(
+    lambda columns: st.lists(st.tuples(*columns), max_size=4)
+)
+JSON_VALUES = st.recursive(
+    _SCALARS | st.lists(_TEXT, max_size=4) | st.lists(st.integers(), max_size=4)
+    | st.lists(st.booleans(), max_size=4) | _ROWS | _ROWS.map(lambda rows: [list(r) for r in rows]),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._render(value, "json") == json.dumps(value, indent=2) + "\n"
+
+
+def test_json_writer_refuses_what_it_does_not_cover():
+    for value in (1.5, {"a": [1, 2.0]}, {1: "a"}, [{"b": {2: 3}}], {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli._render(value, "json")
+
+
+def test_json_writer_matches_json_dumps_on_golden_bodies(capsys, monkeypatch):
+    render, checked = cli._render, []
+
+    def compared(body, fmt):
+        text = render(body, fmt)
+        if fmt == "json":
+            assert text == json.dumps(body, indent=2) + "\n"
+            checked.append(body["command"])
+        return text
+
+    monkeypatch.setattr(cli, "_render", compared)
+    for command in GOLDEN_CLI:
+        run(capsys, *command.split())
+    assert len(checked) == sum("markdown" not in c for c in GOLDEN_CLI)
 
 
 def test_class_text_that_parses_builds_no_candidate(capsys, monkeypatch):

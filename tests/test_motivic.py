@@ -11,14 +11,13 @@ from coniveau.motivic import (
     MotivicError,
     RankMismatchError,
     RostBasis,
-    decomposition_ranks,
+    _decomposition_table,
     dh_quadric_check,
     laurent,
     laurent_q0,
     n1_membership,
     quadric_etale_ring,
     rost_etale_ring,
-    rost_membership,
     unramified_quotient_quadric,
 )
 
@@ -111,7 +110,7 @@ def test_q0_leibniz_randomized():
 # -- motive membership ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_membership_against_brute_oracle(n):
     basis = RostBasis(n)
     reachable = brute_reachable(n)
@@ -123,11 +122,10 @@ def test_membership_against_brute_oracle(n):
 
 def test_membership_examples():
     basis = RostBasis(3)
-    assert rost_membership(basis.element("a'"), basis)
-    assert rost_membership(laurent(3, 0, 5), basis)          # tau^5
+    assert basis.contains_monomial(*basis.generators["a'"])
+    assert basis.contains_monomial(0, 5)                     # tau^5
     for n in (2, 3):
-        b = RostBasis(n)
-        assert not rost_membership(laurent(n, 1, -1), b)     # rho tau^-1
+        assert not RostBasis(n).contains_monomial(1, -1)     # rho tau^-1
 
 
 def test_generator_list_matches_bidegree_formula():
@@ -225,10 +223,13 @@ def test_quadric_ring_n2():
 
 
 def test_quadric_ranks_match_decomposition():
+    # the table each ring is validated against is the closed form's
     for n in (2, 3, 4):
+        want = quadric_ranks(n)
+        assert _decomposition_table(n) == want
         ring = quadric_etale_ring(n)
         for d in range(0, ring.max_degree() + 1, 2):
-            assert ring.ranks(d) == decomposition_ranks(n, d), (n, d)
+            assert ring.ranks(d) == want.get(d, (0, 0)), (n, d)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -242,23 +243,21 @@ def test_quadric_ranks_match_closed_form(n):
 
 
 def test_decomposition_examples():
-    assert decomposition_ranks(3, 0) == (1, 0)
-    assert decomposition_ranks(3, 8) == (1, 2)
-    assert decomposition_ranks(3, 14) == (1, 0)
-    with pytest.raises(ValueError):
-        decomposition_ranks(3, 5)
+    ranks = quadric_ranks(3)
+    assert ranks[0] == (1, 0)
+    assert ranks[8] == (1, 2)
+    assert ranks[14] == (1, 0)
+    assert 5 not in ranks
 
 
 def test_quadric_parameter_bound():
-    # the reachability rows, the rings and the rank tables grow like 2^n;
+    # the reachability table, the rings and the rank tables grow like 2^n;
     # above the bound each entry point refuses before building anything
     n = MAX_QUADRIC_N + 1
     for build in (RostBasis, rost_etale_ring, quadric_etale_ring, dh_quadric_check,
                   unramified_quotient_quadric):
         with pytest.raises(ValueError, match="maximum"):
             build(n)
-    with pytest.raises(ValueError, match="maximum"):
-        decomposition_ranks(n, 4)
 
 
 def test_quadric_check_at_parameter_bound():
