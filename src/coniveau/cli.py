@@ -293,7 +293,8 @@ def _json(obj, pad: str) -> str:
 
 
 def _column(values):
-    """The JSON texts of values if all are of type str or all of type int."""
+    """The JSON texts of values if all are of type str or all of type int,
+    else None."""
     kinds = set(map(type, values))
     encode = _COLUMN_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
     return None if encode is None else map(encode, values)
