@@ -856,6 +856,12 @@ GOLDEN_CLI = {
     "verify g2 --element zz --I 1": (2, "1a07969e047e6bc1c397bce32d0d5d31ea2c35d6710e07fdf770369f318039dd"),
     "qop elementary --p 3 --n 2 --I 1 --element Q0(x1*x2)": (0, "b5fb09cce212152eac040cd2f3b0dab5199a1d24f09682e677be26bc8b4f214b"),
     "qop elementary --p 2 --n 3 --I 0 --element x1*x2": (0, "dc76aeaa1881a7ee03d85d0ede122bc934c23397d1bf329c8f7147812105a22c"),
+    # splitting-principle tables and a Wu-rule operation; ``verify g2 --I 1``
+    # prints the same bytes as ``verify g2 --element w4 --I 1``
+    "dh-table so --m 3": (0, "6703e15fc56d6992ab7ff3a676877a5827d57686b584f9c8f70a3803d9c2f489"),
+    "dh-table so --m 4": (0, "00461bca5b80282fbc7d7d55ad14d3f3e9a24c083fa3cee882eb21ea912eadf8"),
+    "qop so --m 4 --I 0 --element w2+w4+w6+w8": (0, "b67d23e5f488f47ff5ddbda5a71cf22529e349b6416766e1f8e60bbc35763476"),
+    "verify g2 --I 1": (0, "6ee664bd7ba243aa65ced38d1cafac7cd108f626f416e47e76af986283d63ac0"),
 }
 
 
@@ -863,6 +869,71 @@ GOLDEN_CLI = {
 def test_cli_golden_hash(capsys, command):
     code, out = run(capsys, *command.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_CLI[command]
+
+
+# complete intersections of powers of seeded linear forms, with the
+# elementary operation table and alpha = Q_0(x1*x2)
+_CI_P3 = """\
+prime 3
+cap 18
+gen y1 2
+gen y2 2
+gen y3 2
+gen y4 2
+gen x1 1 odd
+gen x2 1 odd
+gen x3 1 odd
+gen x4 1 odd
+rel (2*y1 + y2 + 2*y3 + y4)^5
+rel (y1 + y2 + 2*y3 + y4)^5
+rel (y1 + y2 + y3 + 2*y4)^7
+rel (2*y1 + y2 + y3 + y4)^8
+"""
+_CI_P5 = """\
+prime 5
+cap 20
+gen y1 2
+gen y2 2
+gen y3 2
+gen y4 2
+gen x1 1 odd
+gen x2 1 odd
+gen x3 1 odd
+gen x4 1 odd
+rel (4*y1 + y2 + y3 + 2*y4)^7
+rel (y1 + 4*y2 + y3 + 2*y4)^7
+rel (y1 + 2*y2 + 3*y3 + 4*y4)^8
+rel (2*y1 + y2 + 3*y3 + 2*y4)^9
+"""
+
+
+def _ci_tail(p):
+    lines = []
+    for i in (0, 1):
+        for k in range(1, 5):
+            lines += [f"Q {i} x{k} = y{k}^{p ** i}", f"Q {i} y{k} = 0"]
+    lines.append("alias alpha = y1*x2 - x1*y2")
+    lines += [f"chern c{k} = y{k}" for k in range(1, 5)]
+    return "\n".join(lines) + "\n"
+
+
+# stdout sha256 of commands on those files, which raise their relations'
+# linear forms to powers and apply Q tables of powers y^(p^i)
+GOLDEN_CI = {
+    "hilbert ci_p5.pres --cap 20": "f5d720b99925f243729386e29d67745c14cc1d29e958590ea178929db0838f05",
+    "verify ci_p5.pres --element alpha --I 1": "299be4c2fef26ff7c2f528e1beea3617a39160aaaf586a296c3b9a4e4f3a7c36",
+    "hilbert ci_p3.pres --cap 18": "f392e84e8a72d1a3c8c992f964be92452deb5fdfde53cef902a1ecaaace5d87c",
+    "verify ci_p3.pres --element alpha --I 1": "89c259477ae7747e1a297feebc5d88aaaea3e6deb3251091d637a4e6c1161b23",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_CI))
+def test_complete_intersection_golden_hash(tmp_path, capsys, monkeypatch, command):
+    (tmp_path / "ci_p3.pres").write_text("# complete intersection, seeded coordinates\n" + _CI_P3 + _ci_tail(3))
+    (tmp_path / "ci_p5.pres").write_text("# complete intersection, seeded coordinates\n" + _CI_P5 + _ci_tail(5))
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, GOLDEN_CI[command])
 
 
 # JSON values of the shapes report bodies are made of.  Strings carry
