@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 import sys
+from bisect import insort
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import SimpleNamespace
@@ -151,10 +153,13 @@ def quadric_report(n: int, force=()) -> dict:
     quadric = motivic.quadric_etale_ring(n)  # validates ranks, raises on mismatch
     unram = motivic.unramified_quotient_quadric(n)
     check = motivic.dh_quadric_check(n, force_n1=force)
-    flags: dict[int, list[str]] = {}
-    for name, deg in quadric.free_basis + quadric.torsion_basis:
-        if name in quadric.algebraic:
-            flags.setdefault(deg, []).append(name)
+    # the torsion classes come sorted by (degree, name), so flags are read off in order
+    algebraic = quadric.algebraic
+    flags = {d: [name for name, _ in group if name in algebraic]
+             for d, group in groupby(quadric.torsion_basis, key=itemgetter(1))}
+    for name, d in quadric.free_basis:
+        if name in algebraic:
+            insort(flags.setdefault(d, []), name)
     rank_table = []
     for d in range(0, quadric.max_degree() + 1, 2):
         free_rank, torsion_dim = quadric.ranks(d)
@@ -163,7 +168,7 @@ def quadric_report(n: int, force=()) -> dict:
                 "degree": d,
                 "free_rank": free_rank,
                 "torsion_dim": torsion_dim,
-                "flags": sorted(flags.get(d, ())),
+                "flags": flags.get(d, []),
             }
         )
     return {

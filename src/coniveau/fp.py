@@ -39,7 +39,9 @@ a basis step pass through the int64 array of ``_kernels.rref``.
 Every ``Element`` is a normal form: only its constructors (``element``,
 ``monomial``, ``gen``, ``one`` and products) reduce, all through
 ``_reduce_terms``, and the raw ``Element(...)`` constructor is used in this
-module only.  So an element is zero exactly when it has no terms.
+module only.  So an element is zero exactly when it has no terms.  ``gen``
+and ``one`` reduce once per presentation and share that element, and a
+homogeneous power within the cap is taken by the p-th power map (``__pow__``).
 
 Monomials are exponent tuples aligned with the generator list.  The
 monomial order is graded lexicographic: within one degree, tuples compare
@@ -66,7 +68,8 @@ basis step.  A presentation counts its series once per extent of its basis
 and fills each degree's reducer when a normal form first asks for it.
 
 Elements are immutable and their operations pure.  A presentation fills
-its monomial lists, its Groebner basis and its per-degree caches on demand;
+its monomial lists, its Groebner basis, its per-degree caches and its
+shared generators on demand;
 the basis grows in place, so a presentation is for one thread at a time.
 A refused basis step changes nothing.
 """
@@ -230,6 +233,9 @@ class GradedPresentation:
         self._standard: list[tuple] = []
         self._standard_tails: list[list[int]] = []
         self._columns_at: dict[int, dict] = {}  # degree -> {free monomial: column}
+        # the unit and {generator name: generator}, each built once and shared
+        self._one: Element | None = None
+        self._gens: dict[str, Element] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -261,15 +267,20 @@ class GradedPresentation:
         return Element(self, {})
 
     def one(self) -> "Element":
-        return self.monomial((0,) * len(self.generators))
+        if self._one is None:
+            self._one = self.monomial((0,) * len(self.generators))
+        return self._one
 
     def gen(self, name: str) -> "Element":
-        i = self._index.get(name)
-        if i is None:
-            raise KeyError(f"unknown generator {name!r}")
-        exps = [0] * len(self.generators)
-        exps[i] = 1
-        return self.monomial(exps)
+        e = self._gens.get(name)
+        if e is None:
+            i = self._index.get(name)
+            if i is None:
+                raise KeyError(f"unknown generator {name!r}")
+            exps = [0] * len(self.generators)
+            exps[i] = 1
+            e = self._gens[name] = self.monomial(exps)
+        return e
 
     def gens(self) -> tuple["Element", ...]:
         return tuple(self.gen(g.name) for g in self.generators)
@@ -755,7 +766,7 @@ class Element:
     __slots__ = ("pres", "terms", "_hash")
 
     def __init__(self, pres: GradedPresentation, terms: dict):
-        self.pres = pres
+        object.__setattr__(self, "pres", pres)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
 
@@ -851,13 +862,35 @@ class Element:
         return NotImplemented
 
     def __pow__(self, n: int):
-        """Without a constant term each factor raises the lowest degree, so
+        """A homogeneous x of degree d >= 1 with n >= 2 and n * d within the
+        cap is raised by the p-th power map F(sum c m) = sum c m^p over the
+        monomials with no exterior factor, an endomorphism of the even part:
+        x^(qp + r) = F(x^q) x^r, and an odd x at odd p squares to zero.  No
+        degree exceeds n * d, so the terms are the loop's, which takes the
+        other cases.
+        Without a constant term each factor raises the lowest degree, so
         the product is zero or refused by the cap within cap + 1 factors.
         With one the powers need not grow (a unit's, or 1 + x for an
         exterior x), so they are taken by squaring: O(log n) products."""
         if n < 0:
             raise ValueError("negative power")
-        out = self.pres.one()
+        pres = self.pres
+        degs = {pres.monomial_degree(m) for m in self.terms}
+        if n >= 2 and len(degs) == 1 and 1 <= (d := min(degs)) and n * d <= pres.degree_cap:
+            p = pres.prime
+            if p != 2 and d % 2:
+                return pres.zero()
+            q, r = divmod(n, p)
+            out = self if q < 2 else self ** q
+            if q:
+                odd = pres._odd_slots
+                out = Element(pres, pres._reduce_terms({
+                    tuple(e * p for e in m): c for m, c in out.terms.items() if not any(m[i] for i in odd)
+                }))
+            for _ in range(r if q else r - 1):
+                out = out * self
+            return out
+        out = pres.one()
         if any(not any(m) for m in self.terms):
             base = self
             while n:

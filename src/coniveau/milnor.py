@@ -7,7 +7,8 @@ for the splitting-principle computations, where entries are expensive).
 Q_i is a derivation, so on each degree it is a fixed linear map (Milnor,
 Ann. of Math. 67, 1958): an action keeps the raw Leibniz products of Q_i on
 each monomial it has met, and an application sums those columns and
-reduces once.
+reduces once.  A column is built by exponent arithmetic: each term t of
+Q_i(g_k) gives the monomial m - g_k + t.
 Axiom validation checks Q_i^2 = 0, Q_iQ_j + Q_jQ_i = 0 and that relations
 map into the relation ideal, all within the degree cap.
 """
@@ -15,6 +16,7 @@ map into the relation ideal, all within the degree cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .fp import (
     DegreeCapError,
@@ -107,12 +109,14 @@ class QAction:
         return pres.element(raw)
 
     def _leibniz_terms(self, i: int, m: tuple) -> dict:
-        """The raw Leibniz products left * Q_i(g_k) * right of one monomial,
+        """The raw Leibniz products (m / g_k) * Q_i(g_k) of one monomial,
         summed but not reduced: Q_i is a derivation, so its value on a sum is
-        the sum of these columns."""
+        the sum of these columns.  A term t gives base + t (base = m - g_k),
+        zero if an exterior slot reaches 2, signed by the odd prefix and by
+        each exterior slot a of t and b of base with b strictly between a and k."""
         pres = self.pres
         p = pres.prime
-        mul = pres._mul_monomials
+        odd = pres._odd_slots
         column: dict = {}
         prefix_deg = 0
         for k, ek in enumerate(m):
@@ -121,18 +125,17 @@ class QAction:
                 if coeff:
                     if p != 2 and prefix_deg % 2:
                         coeff = -coeff
-                    left = m[:k] + (ek - 1,) + (0,) * (len(m) - k - 1)
-                    right = (0,) * (k + 1) + m[k + 1:]
+                    base = m[:k] + (ek - 1,) + m[k + 1:]
                     for t, ct in self.entry(i, pres.generators[k].name).terms.items():
-                        prod = mul(left, t)
-                        if prod is None:
-                            continue
-                        mono, s1 = prod
-                        prod = mul(mono, right)
-                        if prod is None:
-                            continue
-                        mono, s2 = prod
-                        column[mono] = column.get(mono, 0) + s1 * s2 * coeff * ct
+                        v = coeff * ct
+                        theirs = [a for a in odd if t[a]]
+                        if theirs:
+                            if any(base[a] for a in theirs):
+                                continue
+                            if sum(base[b] for a in theirs for b in odd if a < b < k or k < b < a) & 1:
+                                v = -v
+                        mono = tuple(map(add, base, t))
+                        column[mono] = column.get(mono, 0) + v
                 prefix_deg += ek * pres._degrees[k]
         return column
 

@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coniveau import certificates as C
 from coniveau.fp import (
@@ -148,6 +150,92 @@ def test_huge_powers_end():
         for _ in range(k):
             e = e * f
         assert f**k == e
+
+
+def loop_pow(x, n):
+    """x ** n by the products alone: squaring when x has a constant term,
+    else one factor at a time until the power vanishes or the cap refuses."""
+    out = x.pres.one()
+    if any(not any(m) for m in x.terms):
+        base = x
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+    for _ in range(n):
+        if out.is_zero():
+            break
+        out = out * x
+    return out
+
+
+@st.composite
+def bases(draw):
+    """p in {2, 3, 5, 7}, up to 4 generators of degree 1-3 (exterior when
+    odd at an odd prime), a cap of at most 16, up to 2 relations, and an
+    element homogeneous, of two degrees or with a constant term."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    cap = draw(st.integers(max(degrees), 16))
+    P = GradedPresentation(p, [Generator(f"g{j}", d) for j, d in enumerate(degrees, 1)], cap)
+
+    def terms(degs):
+        out = {}
+        for d in degs:
+            monos = P.monomials(d)
+            for _ in range(draw(st.integers(1, 3)) if monos else 0):
+                out[draw(st.sampled_from(monos))] = draw(st.integers(1, p - 1))
+        return out
+
+    relations = [P.element(terms([draw(st.integers(1, cap))])) for _ in range(draw(st.integers(0, 2)))]
+    Q = P.quotient(relations)
+    d = draw(st.sampled_from([d for d in range(1, min(cap, 6) + 1) if P.monomials(d)]))
+    kind = draw(st.sampled_from(("homogeneous",) * 3 + ("mixed", "constant")))
+    degs = {"homogeneous": [d], "mixed": [d, draw(st.integers(1, cap))], "constant": [0, d]}[kind]
+    return Q.element(terms(degs))
+
+
+def _outcome(power):
+    try:
+        return power().terms
+    except DegreeCapError as err:
+        return str(err)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(bases())
+def test_power_matches_repeated_products(x):
+    # within the cap a homogeneous power takes the p-th power map; its terms,
+    # or the cap's refusal, are those of the products, for every n from 0 to
+    # two factors past the cap
+    d = min(filter(None, map(x.pres.monomial_degree, x.terms)), default=1)
+    for n in range(x.pres.degree_cap // d + 3):
+        assert _outcome(lambda: x**n) == _outcome(lambda: loop_pow(x, n)), n
+
+
+def test_generators_and_unit_are_shared():
+    # gen and one hand out one element per presentation, which no builder or
+    # command may change: after every built-in scenario is built and its table
+    # run, each shared element still holds its normal form
+    scenarios = []
+    for build in C.builtin_scenarios().values():
+        s = build()
+        if not isinstance(s, C.QModuleScenario):
+            s.dh_table()
+            scenarios += [s] + ([s.restriction[0]] if s.restriction else [])
+    presentations = {id(P): P for s in scenarios for P in (s.presentation, s.detect_pres, s.stable_pres) if P}
+    for P in presentations.values():
+        n = len(P.generators)
+        for k, g in enumerate(P.generators):
+            assert P.gen(g.name) is P.gen(g.name)
+            assert P.gen(g.name).terms == P.element({tuple(int(j == k) for j in range(n)): 1}).terms
+        assert P.one() is P.one()
+        assert P.one().terms == P.element({(0,) * n: 1}).terms
+        with pytest.raises(KeyError):
+            P.gen("no-such-generator")
 
 
 # -- normal forms ----------------------------------------------------------------

@@ -198,6 +198,29 @@ def cache_pool():
     P = abelian_ring(3, 2, cap=24)
     Q = P.quotient([P.gen("y1") ** 3 * P.gen("x2") - P.gen("y2") ** 3 * P.gen("x1")])
     pool.append((Q, abelian_action(Q)))
+    return pool + exterior_valued_pool()
+
+
+def exterior_valued_pool():
+    """Free rings whose generator lists interleave even and odd generators,
+    with seeded random Q_0 tables whose every value has a term with an
+    exterior factor.  No built-in table does, so only these meet the sign
+    of an exterior factor of Q_0(g_k) crossing the exterior factors of the
+    monomial on its way to slot k, and the products an exterior square kills."""
+    rng = random.Random(0x1E1B)
+    pool = []
+    for p, degrees in ((3, (1, 2, 1, 3, 2, 1)), (5, (2, 1, 1, 2, 3, 1)), (3, (3, 1, 2, 1, 1, 2))):
+        pres = GradedPresentation(p, [Generator(f"g{j}", d) for j, d in enumerate(degrees, 1)], 12)
+        odd = [j for j, d in enumerate(degrees) if d % 2]
+        table = {}
+        for g in pres.generators:
+            monos = pres.monomials(g.degree + 1)
+            carrying = [m for m in monos if any(m[j] for j in odd)]
+            terms = {rng.choice(carrying): rng.randint(1, p - 1)}
+            for _ in range(rng.randint(0, 3)):
+                terms[rng.choice(monos)] = rng.randint(1, p - 1)
+            table[(0, g.name)] = pres.element(terms)
+        pool.append((pres, QAction(pres, table=table, max_index=0)))
     return pool
 
 
