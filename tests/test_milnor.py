@@ -204,9 +204,10 @@ def cache_pool():
 def exterior_valued_pool():
     """Free rings whose generator lists interleave even and odd generators,
     with seeded random Q_0 tables whose every value has a term with an
-    exterior factor.  No built-in table does, so only these meet the sign
-    of an exterior factor of Q_0(g_k) crossing the exterior factors of the
-    monomial on its way to slot k, and the products an exterior square kills."""
+    exterior factor.  No built-in table does, so among these rings only
+    they meet the sign of an exterior factor of Q_0(g_k) crossing the
+    exterior factors of the monomial on its way to slot k, and the products
+    an exterior square kills."""
     rng = random.Random(0x1E1B)
     pool = []
     for p, degrees in ((3, (1, 2, 1, 3, 2, 1)), (5, (2, 1, 1, 2, 3, 1)), (3, (3, 1, 2, 1, 1, 2))):
