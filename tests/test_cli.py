@@ -862,6 +862,15 @@ GOLDEN_CLI = {
     "dh-table so --m 4": (0, "00461bca5b80282fbc7d7d55ad14d3f3e9a24c083fa3cee882eb21ea912eadf8"),
     "qop so --m 4 --I 0 --element w2+w4+w6+w8": (0, "b67d23e5f488f47ff5ddbda5a71cf22529e349b6416766e1f8e60bbc35763476"),
     "verify g2 --I 1": (0, "6ee664bd7ba243aa65ced38d1cafac7cd108f626f416e47e76af986283d63ac0"),
+    # every scenario part built on first read: the stable quotients of the
+    # SO, elementary and extraspecial builders, the alias alpha, and the
+    # restriction's target quotient
+    "stable-quotient so --m 3": (0, "dcd05a2663e90eecb1975490a552ed041c7920c740605f9acb63106a65a280c3"),
+    "stable-quotient elementary --p 2 --n 4": (0, "10d36cfb390c9a7b39e7726066c7e47c4f4b858f3301329c7f2e36ea2e34211b"),
+    "stable-quotient extraspecial-d --n 2": (0, "0cd837a8949dafaa1b71d26178edb53af846e1534e6a49a790d28b3855854348"),
+    "verify elementary --p 2 --n 3": (0, "7ccc12b8c87b03fcca829dfa00639e8344789e3ba6dae5b4795177a4e2e62398"),
+    "qop elementary --p 2 --n 3 --I 1 --element y1*x2": (0, "ad1a980e8de8bf73b3826831734da482d1cc8725cf39b78fb8e290376c341a49"),
+    "verify simply-connected --p 5": (0, "a1ddafd8b80bb456e432c2bdfecb133f363eae9376a530d9803657122d7c3587"),
 }
 
 
