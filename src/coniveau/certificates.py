@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 
 from . import _kernels, fp
@@ -162,36 +162,50 @@ class Scenario:
     presentation: GradedPresentation
     detect_pres: GradedPresentation
     q_action: QAction | None
-    aliases: dict = field(default_factory=dict)
     chern_flags: dict = field(default_factory=dict)
-    stable_pres: GradedPresentation | None = None
     stable_top: int = 0
     stable_declared_basis: tuple[str, ...] | None = None
     stable_note: str = ""
     declared_n1: dict = field(default_factory=dict)
-    # builds the candidate family on the first read of dh_candidates
-    candidates: Callable[[], tuple[DhCandidate, ...]] = field(
+    # zero-argument builders of the parts built on first read, each once per
+    # instance: the candidate family (dh_candidates), the aliases and the
+    # stable quotient ring (stable_pres; no builder, no stable structure).
+    # Nothing content_hash reads is among them.
+    build_candidates: Callable[[], tuple[DhCandidate, ...]] = field(
         default=tuple, repr=False, compare=False
+    )
+    build_aliases: Callable[[], dict] = field(default=dict, repr=False, compare=False)
+    build_stable: Callable[[], GradedPresentation] | None = field(
+        default=None, repr=False, compare=False
     )
     default_target: tuple[str, tuple[int, ...] | None] = ("", None)
     restriction: tuple | None = None  # (target Scenario, AlgebraMorphism, note)
     canonical_text: str = ""  # a presentation file's rendered text, hashed as is
-    # "candidates" -> dh_candidates, ("kernel", d) -> q0_kernel_basis,
-    # ("chern", d) -> the Chern reducer (see _chern_reducer), valid while the
-    # flags and the operation table stay as built; not an init field, so
-    # dataclasses.replace starts a copy with an empty cache
+    # ("kernel", d) -> q0_kernel_basis, ("chern", d) -> the Chern reducer (see
+    # _chern_reducer), valid while the flags and the operation table stay as
+    # built; not an init field, so dataclasses.replace starts a copy with an
+    # empty cache, and with none of the parts built on first read
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def prime(self) -> int:
         return self.presentation.prime
 
-    @property
+    @cached_property
     def dh_candidates(self) -> tuple[DhCandidate, ...]:
         """The candidate family, built on first read: most commands read none."""
-        if "candidates" not in self._cache:
-            self._cache["candidates"] = tuple(self.candidates())
-        return self._cache["candidates"]
+        return tuple(self.build_candidates())
+
+    @cached_property
+    def aliases(self) -> dict:
+        """Names for classes of the detection ring, built on first read."""
+        return self.build_aliases()
+
+    @cached_property
+    def stable_pres(self) -> GradedPresentation | None:
+        """The stable quotient ring, built on first read; None when the
+        scenario declares no stable structure."""
+        return self.build_stable() if self.build_stable is not None else None
 
     def candidate(self, text: str) -> DhCandidate:
         """The class a name, alias or expression names, without building the
@@ -865,20 +879,9 @@ def elementary_abelian(p: int, n: int, cap: int = 40) -> Scenario:
     while 2 * p ** (max_index + 1) <= cap and max_index < 4:
         max_index += 1
     action = _abelian_q_action(pres, max_index)
-    aliases = {}
-    chern = {}
-    if p == 2:
-        for i in range(1, n + 1):
-            aliases[f"y{i}"] = pres.gen(f"x{i}") ** 2
-            chern[f"y{i}"] = aliases[f"y{i}"]
-    else:
-        for i in range(1, n + 1):
-            chern[f"y{i}"] = pres.gen(f"y{i}")
-    top = pres.one()
-    for i in range(1, n + 1):
-        top = top * pres.gen(f"x{i}")
-    aliases["alpha"] = action.apply(0, top)
-    stable = _elementary_stable(p, n)
+    chern = {
+        f"y{i}": pres.gen(f"x{i}") ** 2 if p == 2 else pres.gen(f"y{i}") for i in range(1, n + 1)
+    }
     return Scenario(
         name=f"elementary(p={p},n={n})",
         kind="elementary",
@@ -886,14 +889,24 @@ def elementary_abelian(p: int, n: int, cap: int = 40) -> Scenario:
         presentation=pres,
         detect_pres=pres,
         q_action=action,
-        aliases=aliases,
         chern_flags=chern,
-        stable_pres=stable,
         stable_top=n,
         stable_note="quotient by the ideal of the degree-2 Chern classes",
-        candidates=partial(_elementary_candidates, pres, action, n),
+        build_candidates=partial(_elementary_candidates, pres, action, n),
+        build_aliases=partial(_elementary_aliases, pres, action, n, chern),
+        build_stable=partial(_elementary_stable, p, n),
         default_target=("alpha", None),
     )
+
+
+def _elementary_aliases(pres: GradedPresentation, action: QAction, n: int, chern: dict) -> dict:
+    """alpha = Q_0(x_1 ... x_n), and at p = 2 the flags y_i = x_i^2."""
+    aliases = dict(chern) if pres.prime == 2 else {}
+    top = pres.one()
+    for i in range(1, n + 1):
+        top = top * pres.gen(f"x{i}")
+    aliases["alpha"] = action.apply(0, top)
+    return aliases
 
 
 def _elementary_candidates(pres: GradedPresentation, action: QAction, n: int) -> tuple:
@@ -929,9 +942,6 @@ def so_odd(m: int, cap: int = 64) -> Scenario:
     rank = 2 * m + 1
     pres, action = so_q_action(rank, cap=cap, max_index=3)
     chern = {f"c{i}": pres.gen(f"w{i}") ** 2 for i in range(2, rank + 1)}
-    stable_rels = [pres.gen(f"w{i}") * pres.gen(f"w{j}") for i in range(2, rank + 1) for j in range(i, rank + 1) if i + j <= cap]
-    stable_rels += [pres.gen(f"w{i}") for i in range(3, rank + 1, 2)]
-    stable = pres.quotient(stable_rels)
     declared_basis = ("1",) + tuple(f"w{2 * k}" for k in range(1, m + 1))
     return Scenario(
         name=f"so(m={m})",
@@ -940,17 +950,24 @@ def so_odd(m: int, cap: int = 64) -> Scenario:
         presentation=pres,
         detect_pres=pres,
         q_action=action,
-        aliases=dict(chern),
         chern_flags=chern,
-        stable_pres=stable,
         stable_top=2 * m,
         stable_note="declared coniveau ideal: all products and the odd classes",
         stable_declared_basis=declared_basis,
-        candidates=lambda: tuple(
+        build_aliases=chern.copy,
+        build_stable=partial(_so_stable, pres, rank),
+        build_candidates=lambda: tuple(
             DhCandidate(f"w{2 * j + 1}", pres.gen(f"w{2 * j + 1}")) for j in range(1, m + 1)
         ),
         default_target=("w3", (1,)),
     )
+
+
+def _so_stable(pres: GradedPresentation, rank: int) -> GradedPresentation:
+    """The ring modulo every product w_i w_j within the cap and the odd w_i."""
+    w = {i: pres.gen(f"w{i}") for i in range(2, rank + 1)}
+    rels = [w[i] * w[j] for i in w for j in w if i <= j and i + j <= pres.degree_cap]
+    return pres.quotient(rels + [w[i] for i in range(3, rank + 1, 2)])
 
 
 @lru_cache(maxsize=None)
@@ -964,13 +981,13 @@ def g2_scenario(cap: int = 40) -> Scenario:
         presentation=pres,
         detect_pres=pres,
         q_action=action,
-        aliases=dict(chern),
         chern_flags=chern,
+        build_aliases=chern.copy,
         declared_n1={
             "w4": "twice the degree-4 class is a Chern class, so the class is "
             "integrally torsion on the complement; coniveau membership is declared input"
         },
-        candidates=lambda: (
+        build_candidates=lambda: (
             DhCandidate("w4", pres.gen("w4")),
             DhCandidate("w7", pres.gen("w7")),
             DhCandidate("w4*w7", pres.gen("w4") * pres.gen("w7")),
@@ -1011,7 +1028,7 @@ def simply_connected(p: int) -> Scenario:
             "w": "p times the degree-4 class is a Chern class, hence the class is "
             "p-torsion away from a divisor; coniveau membership is declared input"
         },
-        candidates=lambda: (DhCandidate("w", source.gen("w")),),
+        build_candidates=lambda: (DhCandidate("w", source.gen("w")),),
         default_target=("w", (1,)),
         restriction=(target, morphism, note),
     )
@@ -1077,7 +1094,6 @@ def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
     cover = _elementary_pres(p, 2 * n, cap)
     action = _abelian_q_action(cover, 2)
     page, _ = extraspecial_e4(n, p)
-    stable = _lambda_mod_f(n, p)
     return Scenario(
         name=f"extraspecial-e(n={n},p={p})",
         kind="extraspecial-e",
@@ -1086,10 +1102,10 @@ def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
         detect_pres=cover,
         q_action=action,
         chern_flags={f"y{i}": cover.gen(f"y{i}") for i in range(1, 2 * n + 1)},
-        stable_pres=stable,
         stable_top=2 * n,
         stable_note="exterior classes modulo the symplectic form",
-        candidates=partial(_pair_candidates, cover, action, n),
+        build_candidates=partial(_pair_candidates, cover, action, n),
+        build_stable=partial(_lambda_mod_f, n, p),
         default_target=("Q0(x1*x3)", (1,)),
     )
 
@@ -1126,10 +1142,10 @@ def extraspecial_d(n: int, cap: int | None = None) -> Scenario:
         detect_pres=cover,
         q_action=action,
         chern_flags={f"y{i}": cover.gen(f"x{i}") ** 2 for i in range(1, 2 * n + 1)},
-        stable_pres=_lambda_mod_f(n, 2),
         stable_top=2 * n,
         stable_note="exterior classes modulo the symplectic form",
-        candidates=partial(_pair_candidates, cover, action, n),
+        build_candidates=partial(_pair_candidates, cover, action, n),
+        build_stable=partial(_lambda_mod_f, n, 2),
         default_target=("Q0(x1*x3)", (1,)),
     )
 

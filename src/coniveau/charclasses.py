@@ -278,28 +278,27 @@ def g2_presentation(cap: int = 40) -> GradedPresentation:
 
 def g2_q_action(cap: int = 40, max_index: int = 2) -> tuple[GradedPresentation, QAction]:
     """Operation table on F_2[w4,w6,w7] derived from the rank-7 splitting
-    computation followed by w2, w3, w5 -> 0.
+    computation followed by w2, w3, w5 -> 0, filled lazily.
 
     The substitution is legitimate because the kernel ideal (w2, w3, w5)
-    is stable under every Q_i used; this is asserted during construction.
+    is stable under every Q_i used; this is checked for each index i, on
+    all three killed generators, before the first entry of Q_i is returned.
     """
     pres = g2_presentation(cap)
     ring = _split_ring(7, True, cap + 14)
     killed = ("w2", "w3", "w5")
+    stable: set[int] = set()
 
-    for i in range(max_index + 1):
-        for name in killed:
-            value = ring.q_on_w(i, ring.w_pres.gen(name))
-            kept = _kill(value, killed)
-            if kept.terms:
-                raise ValueError(f"(w2,w3,w5) not stable under Q_{i}: Q_{i}({name}) = {value}")
+    def supplier(i: int, gname: str) -> Element:
+        if i not in stable:
+            for name in killed:
+                value = ring.q_on_w(i, ring.w_pres.gen(name))
+                if _kill(value, killed).terms:
+                    raise ValueError(f"(w2,w3,w5) not stable under Q_{i}: Q_{i}({name}) = {value}")
+            stable.add(i)
+        return _transplant_w(_kill(ring.q_on_w(i, ring.w_pres.gen(gname)), killed), pres)
 
-    table = {}
-    for i in range(max_index + 1):
-        for name in ("w4", "w6", "w7"):
-            value = _kill(ring.q_on_w(i, ring.w_pres.gen(name)), killed)
-            table[(i, name)] = _transplant_w(value, pres)
-    return pres, QAction(pres, table=table, max_index=max_index)
+    return pres, QAction(pres, max_index=max_index, supplier=supplier)
 
 
 def _kill(e: Element, names: tuple[str, ...]) -> Element:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import sys
 from bisect import insort
+from functools import partial
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -77,7 +78,7 @@ def _load_user_scenario(path: str) -> certs.Scenario:
     stable = None
     stable_top = 0
     if data.n1:
-        stable = pres.quotient(list(data.n1.values()))
+        stable = partial(pres.quotient, list(data.n1.values()))
         stable_top = min(pres.degree_cap, 16)
     return certs.Scenario(
         name=os.path.basename(resolved),
@@ -86,9 +87,9 @@ def _load_user_scenario(path: str) -> certs.Scenario:
         presentation=pres,
         detect_pres=pres,
         q_action=action,
-        aliases=data.aliases,
         chern_flags=data.chern,
-        stable_pres=stable,
+        build_aliases=data.aliases.copy,
+        build_stable=stable,
         stable_top=stable_top,
         stable_note="quotient by the declared coniveau classes",
         canonical_text=render_presentation(pres, data.q_table, data.aliases, data.chern, data.n1),

@@ -38,10 +38,12 @@ a basis step pass through the int64 array of ``_kernels.rref``.
 
 Every ``Element`` is a normal form: only its constructors (``element``,
 ``monomial``, ``gen``, ``one`` and products) reduce, all through
-``_reduce_terms``, and the raw ``Element(...)`` constructor is used in this
-module only.  So an element is zero exactly when it has no terms.  ``gen``
-and ``one`` reduce once per presentation and share that element, and a
-homogeneous power within the cap is taken by the p-th power map (``__pow__``).
+``_normal_form``, which takes a raw map of valid monomials (``element``
+checks its input first; ``milnor`` hands it summed Leibniz columns), and the
+raw ``Element(...)`` constructor is used in this module only.  So an element
+is zero exactly when it has no terms.  ``gen`` and ``one`` reduce once per
+presentation and share that element, and a homogeneous power within the cap
+is taken by the p-th power map (``__pow__``).
 
 Monomials are exponent tuples aligned with the generator list.  The
 monomial order is graded lexicographic: within one degree, tuples compare
@@ -302,7 +304,12 @@ class GradedPresentation:
             ):
                 raise ValueError(f"invalid exponents {m}")
             raw[m] = c
-        return Element(self, self._reduce_terms(raw))
+        return self._normal_form(raw)
+
+    def _normal_form(self, terms: dict) -> "Element":
+        """The element of a raw map of valid monomials (exponent tuples of
+        the right length, exterior exponents 0 or 1), not checked again."""
+        return Element(self, self._reduce_terms(terms))
 
     # -- monomial bookkeeping ----------------------------------------------
 
@@ -854,7 +861,7 @@ class Element:
                     terms[mono] = v
                 else:
                     terms.pop(mono, None)
-        return Element(self.pres, self.pres._reduce_terms(terms))
+        return self.pres._normal_form(terms)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -884,9 +891,9 @@ class Element:
             out = self if q < 2 else self ** q
             if q:
                 odd = pres._odd_slots
-                out = Element(pres, pres._reduce_terms({
+                out = pres._normal_form({
                     tuple(e * p for e in m): c for m, c in out.terms.items() if not any(m[i] for i in odd)
-                }))
+                })
             for _ in range(r if q else r - 1):
                 out = out * self
             return out

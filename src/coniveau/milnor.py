@@ -106,7 +106,8 @@ class QAction:
                 column = columns[(i, m)] = self._leibniz_terms(i, m)
             for t, v in column.items():
                 raw[t] = raw.get(t, 0) + c * v
-        return pres.element(raw)
+        # every column term is a valid monomial: base + t, no exterior slot at 2
+        return pres._normal_form(raw)
 
     def _leibniz_terms(self, i: int, m: tuple) -> dict:
         """The raw Leibniz products (m / g_k) * Q_i(g_k) of one monomial,

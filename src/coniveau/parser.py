@@ -215,8 +215,9 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise ParseError(f"alias {name} would shadow the generator {name}", lineno,
                                  m.start(1) + 1)
             value = parse_expression(pres, scope, expr, lineno, m.start(2))
-            if head == "chern" and not value.is_homogeneous():
-                raise ParseError(f"chern flag {name} is not homogeneous", lineno, 1)
+            if head != "alias" and not value.is_homogeneous():
+                what = "chern flag" if head == "chern" else "n1 class"
+                raise ParseError(f"{what} {name} is not homogeneous", lineno, 1)
             {"alias": out.aliases, "chern": out.chern, "n1": out.n1}[head][name] = value
     return out
 

@@ -584,6 +584,62 @@ def test_candidates_built_once_per_instance(monkeypatch):
     assert len(family) == 4
 
 
+def _eager_parts(key, s):
+    """The aliases and stable ring of ``s`` as the builders made them before
+    either was built on first read, relations listed in the same order."""
+    pres = s.presentation
+    if key == "elementary":
+        x = [pres.gen(f"x{i}") for i in (1, 2, 3)]
+        aliases = {f"y{i}": x[i - 1] ** 2 for i in (1, 2, 3)}
+        aliases["alpha"] = s.q_action.apply(0, x[0] * x[1] * x[2])
+        free = GradedPresentation(2, [Generator(f"x{i}", 1) for i in (1, 2, 3)], 5)
+        return aliases, free.quotient([free.gen(f"x{i}") ** 2 for i in (1, 2, 3)])
+    if key == "so":
+        w = {i: pres.gen(f"w{i}") for i in range(2, 6)}
+        rels = [w[i] * w[j] for i in range(2, 6) for j in range(i, 6) if i + j <= 64]
+        return {f"c{i}": w[i] ** 2 for i in w}, pres.quotient(rels + [w[3], w[5]])
+    free = GradedPresentation(2, [Generator(f"x{i}", 1) for i in range(1, 5)], 5)
+    rels = [free.gen(f"x{i}") ** 2 for i in range(1, 5)] + [C.symplectic_form(free, 2)]
+    return {}, free.quotient(rels)
+
+
+def _same_ring(P, Q, top):
+    return (
+        (P.prime, P.generators, P.degree_cap, [r.terms for r in P.relations])
+        == (Q.prime, Q.generators, Q.degree_cap, [r.terms for r in Q.relations])
+        and all(P.standard_monomials(d) == Q.standard_monomials(d) for d in range(top + 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "key, build, parts",
+    [
+        ("elementary", lambda: C.elementary_abelian.__wrapped__(2, 3),
+         ["_elementary_stable", "_elementary_aliases"]),
+        ("so", lambda: C.so_odd.__wrapped__(2), ["_so_stable"]),
+        ("extraspecial-d", lambda: C.extraspecial_d.__wrapped__(2), ["_lambda_mod_f"]),
+    ],
+)
+def test_stable_ring_and_aliases_built_on_first_read(monkeypatch, key, build, parts):
+    # header and dh_table read neither part, so a fresh instance (past the
+    # builders' lru_cache) builds no stable ring and no alpha for them; each
+    # part is built once, on its first read, and equals the eager build
+    calls = []
+    for name in ("_elementary_stable", "_elementary_aliases", "_so_stable", "_lambda_mod_f"):
+        original = getattr(C, name)
+        monkeypatch.setattr(C, name, lambda *a, f=original, name=name: calls.append(name) or f(*a))
+    s = build()
+    s.header()
+    s.dh_table()
+    assert calls == []
+    stable, aliases = s.stable_pres, s.aliases
+    assert s.stable_pres is stable and s.aliases is aliases
+    assert sorted(calls) == sorted(parts)
+    eager_aliases, eager_stable = _eager_parts(key, s)
+    assert aliases == eager_aliases
+    assert _same_ring(stable, eager_stable, s.stable_top)
+
+
 def test_unkilled_flag_refused_after_reducer_cached():
     # the flags are checked against Q_0 on every call, not only when the
     # degree's reducer is built

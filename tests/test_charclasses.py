@@ -168,6 +168,38 @@ def test_g2_table_values():
     assert action.entry(0, "w7").is_zero()
 
 
+def test_g2_table_filled_on_first_read(monkeypatch):
+    # building the table computes nothing; the first entry of Q_1 first
+    # checks (w2, w3, w5) against Q_1, then computes that one entry
+    calls = []
+    q_on_w = SplitRing.q_on_w
+    monkeypatch.setattr(
+        SplitRing, "q_on_w", lambda self, j, e: calls.append((j, str(e))) or q_on_w(self, j, e)
+    )
+    pres, action = g2_q_action()
+    assert calls == []
+    assert action.entry(1, "w4") == pres.gen("w7")
+    assert calls == [(1, "w2"), (1, "w3"), (1, "w5"), (1, "w4")]
+    action.entry(1, "w6")
+    assert calls[4:] == [(1, "w6")]
+
+
+def test_g2_stability_checked_per_index(monkeypatch):
+    # a Q_1 that leaves (w2, w3, w5) is refused on Q_1's first entry, and the
+    # other indices still answer
+    q_on_w = SplitRing.q_on_w
+
+    def leaky(self, j, e):
+        value = q_on_w(self, j, e)
+        return value + self.w(6) if (j, str(e)) == (1, "w3") else value
+
+    monkeypatch.setattr(SplitRing, "q_on_w", leaky)
+    pres, action = g2_q_action()
+    with pytest.raises(ValueError, match=r"not stable under Q_1: Q_1\(w3\)"):
+        action.entry(1, "w4")
+    assert action.entry(0, "w6") == pres.gen("w7")
+
+
 def test_g2_action_satisfies_axioms():
     pres, action = g2_q_action()
     report = validate_q_axioms(action, cap=30, max_index=2)

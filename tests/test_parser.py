@@ -173,6 +173,15 @@ def test_chern_flag_must_be_homogeneous():
     assert exc.value.line == 6
 
 
+def test_n1_class_must_be_homogeneous():
+    # the stable ring is built on first read, so a mixed n1 class is refused
+    # here, for every command, and not only when the quotient is built
+    text = "prime 3\ncap 8\ngen y1 2\ngen x1 1\nn1 t0 = y1\nn1 t1 = y1 + x1\n"
+    with pytest.raises(ParseError, match="n1 class t1 is not homogeneous") as exc:
+        parse_presentation(text)
+    assert exc.value.line == 6
+
+
 def test_q_line_shape():
     text = "prime 3\ncap 12\ngen y 2\ngen x 1\nQ 0 x = y\nQ 1 x = y^3\n"
     data = parse_presentation(text)
