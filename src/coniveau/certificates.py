@@ -168,9 +168,10 @@ class Scenario:
     stable_note: str = ""
     declared_n1: dict = field(default_factory=dict)
     # zero-argument builders of the parts built on first read, each once per
-    # instance: the candidate family (dh_candidates), the aliases and the
-    # stable quotient ring (stable_pres; no builder, no stable structure).
-    # Nothing content_hash reads is among them.
+    # instance (a dataclasses.replace copy builds them again): the candidate
+    # family (dh_candidates), the aliases and the stable quotient ring
+    # (stable_pres; no builder, no stable structure).  Nothing content_hash
+    # reads is among them.
     build_candidates: Callable[[], tuple[DhCandidate, ...]] = field(
         default=tuple, repr=False, compare=False
     )
@@ -184,7 +185,7 @@ class Scenario:
     # ("kernel", d) -> q0_kernel_basis, ("chern", d) -> the Chern reducer (see
     # _chern_reducer), valid while the flags and the operation table stay as
     # built; not an init field, so dataclasses.replace starts a copy with an
-    # empty cache, and with none of the parts built on first read
+    # empty cache
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

@@ -585,8 +585,8 @@ def test_candidates_built_once_per_instance(monkeypatch):
 
 
 def _eager_parts(key, s):
-    """The aliases and stable ring of ``s`` as the builders made them before
-    either was built on first read, relations listed in the same order."""
+    """The aliases and stable ring of ``s`` built directly from their
+    definitions, relations listed in the builders' order."""
     pres = s.presentation
     if key == "elementary":
         x = [pres.gen(f"x{i}") for i in (1, 2, 3)]
