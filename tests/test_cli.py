@@ -871,6 +871,11 @@ GOLDEN_CLI = {
     "verify elementary --p 2 --n 3": (0, "7ccc12b8c87b03fcca829dfa00639e8344789e3ba6dae5b4795177a4e2e62398"),
     "qop elementary --p 2 --n 3 --I 1 --element y1*x2": (0, "ad1a980e8de8bf73b3826831734da482d1cc8725cf39b78fb8e290376c341a49"),
     "verify simply-connected --p 5": (0, "a1ddafd8b80bb456e432c2bdfecb133f363eae9376a530d9803657122d7c3587"),
+    # the quadric's negative control: forced memberships replace rejections
+    # whose candidate and obstruction text is written from exponents
+    "rost --n 2 --force-n1 4": (1, "c7748c47f8f3e50ebe3dc8e72a84a8dfc5784596f0398d9b9c0b06b325f3dc49"),
+    "rost --n 3 --force-n1 4": (1, "69a37729c58913897cdb35a3b67f86a7617c97f950bd62ab02b78646bf74ac50"),
+    "rost --n 4 --force-n1 8,12": (1, "b82577c2d96cd85f2b3c7dbfff6127fa2cf09437e6499251559de0d0a0046a6c"),
 }
 
 

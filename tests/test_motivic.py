@@ -9,6 +9,7 @@ from helpers import brute_reachable, quadric_ranks
 from coniveau.motivic import (
     MAX_QUADRIC_N,
     MotivicError,
+    N1Verdict,
     RankMismatchError,
     RostBasis,
     _decomposition_table,
@@ -171,6 +172,27 @@ def test_n1_top_class_is_member():
     n = 3
     v = n1_membership(2 ** (n + 1) - 2, RostBasis(n))
     assert v.in_n1 is True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_n1_verdicts_closed_form(n):
+    # every verdict as literal text: no preimage off the reachable set, the
+    # top class a member (Q_0 lands above the rho truncation), and otherwise
+    # the unique candidate rho^s tau^-1 with Q_0 value rho^(s+1) tau^-2
+    basis, reachable = RostBasis(n), brute_reachable(n)
+    top = 2 ** (n + 1) - 2
+    for s in range(1, top + 1):
+        v = n1_membership(s, basis)
+        if (s, -1) not in reachable:
+            assert (v.in_n1, v.candidate, v.obstruction) == (False, None, None), s
+            assert v.reason.startswith("no tau-preimage"), s
+        elif s == top:
+            assert v == N1Verdict(s, True, f"rho^{s}*tau^-1", None, "integral tau-preimage found")
+        else:
+            assert v == N1Verdict(
+                s, False, f"rho^{s}*tau^-1", f"rho^{s + 1}*tau^-2",
+                f"unique candidate rho^{s}*tau^-1 has nonzero Q_0 value",
+            )
 
 
 def test_n1_range_check():
