@@ -126,9 +126,6 @@ class DhTable:
     bound_kind: str  # "equality" for a fully certified elementary abelian table, else "lower-bound"
     rows: tuple[DhRow, ...]
 
-    def certified_rows(self) -> list[DhRow]:
-        return [r for r in self.rows if r.certificate.verdict == NOT_IN_STRONG_CONIVEAU]
-
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario,
@@ -688,9 +685,9 @@ def _abelian_q_action(pres: GradedPresentation, max_index: int) -> QAction:
     return QAction(pres, max_index=max_index, supplier=supplier)
 
 
-def extraspecial_e4(n: int, p: int, cap: int | None = None):
+def extraspecial_e4(n: int, p: int, cap: int | None = None) -> GradedPresentation:
     """Quotient of the cover by (f, Q_0 f): the stable page of the central
-    extension, with the two differential values exposed as data."""
+    extension."""
     if p == 2:
         raise ScenarioError("the stable-page builder expects an odd prime")
     cap = cap if cap is not None else (12 if n <= 2 else 6)
@@ -698,13 +695,11 @@ def extraspecial_e4(n: int, p: int, cap: int | None = None):
     action = _abelian_q_action(cover, 2)
     f = symplectic_form(cover, n)
     q0f = action.apply(0, f)
-    page = GradedPresentation(p, cover.generators, cap).quotient([f, q0f])
-    return page, {"d2": f, "d3": q0f}
+    return GradedPresentation(p, cover.generators, cap).quotient([f, q0f])
 
 
-def quillen_d_ring(n: int, cap: int | None = None):
-    """F_2[x_1..x_2n]/(f, Q_0 f, .., Q_(n-2) f) (x) F_2[w_(2^n)], with the
-    nonzero Stiefel-Whitney degree list of the spin representation attached."""
+def quillen_d_ring(n: int, cap: int | None = None) -> GradedPresentation:
+    """F_2[x_1..x_2n]/(f, Q_0 f, .., Q_(n-2) f) (x) F_2[w_(2^n)]."""
     cap = cap if cap is not None else (12 if n <= 2 else 8)
     gens = [Generator(f"x{i}", 1) for i in range(1, 2 * n + 1)]
     gens.append(Generator(f"w{2 ** n}", 2**n))
@@ -713,9 +708,7 @@ def quillen_d_ring(n: int, cap: int | None = None):
     action = _abelian_q_action(cover, max(n - 2, 0))
     f = symplectic_form(cover, n)
     rels = [f] + [action.apply(i, f) for i in range(0, n - 1)]
-    page = base.quotient([base.element({m + (0,): c for m, c in r.terms.items()}) for r in rels])
-    degrees = sorted({2**n} | {2**n - 2**i for i in range(n)}, reverse=True)
-    return page, {"sw_degrees": degrees}
+    return base.quotient([base.element({m + (0,): c for m, c in r.terms.items()}) for r in rels])
 
 
 @lru_cache(maxsize=None)
@@ -1094,7 +1087,7 @@ def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
         )
     cover = _elementary_pres(p, 2 * n, cap)
     action = _abelian_q_action(cover, 2)
-    page, _ = extraspecial_e4(n, p)
+    page = extraspecial_e4(n, p)
     return Scenario(
         name=f"extraspecial-e(n={n},p={p})",
         kind="extraspecial-e",
@@ -1134,7 +1127,7 @@ def extraspecial_d(n: int, cap: int | None = None) -> Scenario:
     cap = cap if cap is not None else (12 if n <= 2 else 8)
     cover = _elementary_pres(2, 2 * n, cap)
     action = _abelian_q_action(cover, max(1, min(2, n)))
-    page, _ = quillen_d_ring(n, cap)
+    page = quillen_d_ring(n, cap)
     return Scenario(
         name=f"extraspecial-d(n={n})",
         kind="extraspecial-d",
@@ -1209,8 +1202,6 @@ FAMILIES = {
         Family("so", "so_odd", ("m",), ((1,), (2,))),
     )
 }
-
-BUILTIN_DEFAULTS = tuple(f.key(v) for f in FAMILIES.values() for v in f.builtins)
 
 
 def builtin_scenarios() -> dict:

@@ -800,14 +800,6 @@ class Element:
             raise NonHomogeneousError(f"element has degrees {sorted(degs)}")
         return degs.pop()
 
-    def leading_monomial(self) -> tuple[int, ...] | None:
-        if not self.terms:
-            return None
-        return max(self.terms, key=lambda m: (self.pres.monomial_degree(m), m))
-
-    def coefficient(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     # -- arithmetic ------------------------------------------------------------
 
     def _check_same(self, other: "Element"):

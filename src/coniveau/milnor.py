@@ -75,9 +75,6 @@ class QAction:
             self._set_entry(i, gname, self._supplier(i, gname))
         return self._table[key]
 
-    def known_entries(self) -> dict:
-        return dict(self._table)
-
     # -- application -------------------------------------------------------
 
     def apply(self, i: int, e: Element) -> Element:

@@ -1,13 +1,15 @@
-"""Bigraded Laurent calculus for Rost motives of real anisotropic quadrics,
-integral ring reconstruction, and the coniveau-membership obstruction tests.
+"""Rost motives of real anisotropic quadrics: coniveau-membership
+obstruction tests, integral ring reconstruction and the composite verdict.
 
-The ambient ring for the motive with parameter n is
-F_2[rho, tau, tau^-1] / (rho^(2^(n+1)-1)), with rho of bidegree (1,1) and
-tau of bidegree (0,1); a monomial rho^a tau^b has degree a and weight a+b,
-so each bidegree carries at most one monomial.  The motive's cohomology is
-the subalgebra generated by rho, tau, a = rho^(n+1), a' = a tau^-1 and the
-iterated Bockstein-type images of a'; those images are pinned down by their
-bidegrees, which determines them as monomials.
+The motive with parameter n lives in F_2[rho, tau, tau^-1] /
+(rho^(2^(n+1)-1)), with rho of bidegree (1,1) and tau of bidegree (0,1); a
+monomial rho^a tau^b has degree a and weight a+b, so each bidegree carries
+at most one monomial.  The motive's cohomology is the subalgebra generated
+by rho, tau, a = rho^(n+1), a' = a tau^-1 and the iterated Bockstein-type
+images of a'; those images are pinned down by their bidegrees.  So the
+package holds each generator as its exponent pair, decides membership of a
+monomial by reachability over those pairs, and reads Q_0 on the unique
+candidate of a bidegree from its exponents.
 
 Integral (2-adic) rings are modeled losslessly as (free Z_2 part) + (F_2
 torsion with 2x = 0): every ring reconstructed here has exponent-2 torsion.
@@ -37,112 +39,8 @@ def _check_quadric_n(n: int, low: int) -> None:
         raise ValueError(f"n = {n} above the supported maximum {MAX_QUADRIC_N}")
 
 
-class LaurentElement:
-    """F_2 combination of monomials rho^a tau^b in the truncated Laurent
-    ring of the parameter-n motive (a >= 0, b any integer)."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms):
-        self.n = n
-        bound = 2 ** (n + 1) - 1
-        clean = {}
-        for (a, b), c in dict(terms).items():
-            if c % 2 and a < bound:
-                clean[(a, b)] = 1
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "terms"):
-            raise AttributeError("LaurentElement is immutable")
-        object.__setattr__(self, name, value)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def bidegree(self) -> tuple[int, int] | None:
-        """(degree, weight) when homogeneous; None for 0."""
-        bids = {(a, a + b) for (a, b) in self.terms}
-        if not bids:
-            return None
-        if len(bids) > 1:
-            raise MotivicError(f"mixed bidegrees {sorted(bids)}")
-        return bids.pop()
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for m in other.terms:
-            if m in terms:
-                del terms[m]
-            else:
-                terms[m] = 1
-        return LaurentElement(self.n, terms)
-
-    def __mul__(self, other):
-        self._check(other)
-        terms: dict = {}
-        for (a1, b1) in self.terms:
-            for (a2, b2) in other.terms:
-                key = (a1 + a2, b1 + b2)
-                if key in terms:
-                    del terms[key]
-                else:
-                    terms[key] = 1
-        return LaurentElement(self.n, terms)
-
-    def _check(self, other):
-        if not isinstance(other, LaurentElement) or other.n != self.n:
-            raise MotivicError("operands from different Laurent rings")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms)))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b) in sorted(self.terms, reverse=True):
-            parts = []
-            if a:
-                parts.append("rho" if a == 1 else f"rho^{a}")
-            if b:
-                parts.append("tau" if b == 1 else f"tau^{b}")
-            bits.append("*".join(parts) if parts else "1")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"<{self}: n={self.n}>"
-
-
-def laurent(n: int, a: int = 0, b: int = 0) -> LaurentElement:
-    """The monomial rho^a tau^b."""
-    return LaurentElement(n, {(a, b): 1})
-
-
-def laurent_q0(e: LaurentElement) -> LaurentElement:
-    """The derivation with Q_0(rho) = 0, Q_0(tau) = rho, Q_0(tau^-1) =
-    rho tau^-2; on a monomial: rho^a tau^b -> (b mod 2) rho^(a+1) tau^(b-1)."""
-    terms = {}
-    for (a, b) in e.terms:
-        if b % 2:
-            key = (a + 1, b - 1)
-            if key in terms:
-                del terms[key]
-            else:
-                terms[key] = 1
-    return LaurentElement(e.n, terms)
-
-
 class RostBasis:
-    """Generating data of the motive's cohomology inside the Laurent ring.
+    """Generating data of the motive's cohomology, by exponent pairs.
 
     Generators: rho, tau, a = rho^(n+1), a' = a tau^-1, and for each
     nonempty ascending index set I in {0..n-1} the class obtained from a'
@@ -201,10 +99,6 @@ class RostBasis:
         # any reachable rho^a tau^-mt with mt >= -b will do.
         return 0 <= a <= self.rho_bound and self._reach[a] >= -b
 
-    def element(self, name: str) -> LaurentElement:
-        s, t = self.generators[name]
-        return laurent(self.n, s, t)
-
 
 @dataclass(frozen=True)
 class N1Verdict:
@@ -230,9 +124,8 @@ def n1_membership(s: int, basis: RostBasis) -> N1Verdict:
     low-degree pieces are empty), or the unique candidate rho^s tau^-1 is
     examined and its Q_0 value is the obstruction.
     """
-    n = basis.n
-    if not 1 <= s <= 2 ** (n + 1) - 2:
-        raise ValueError(f"s out of range 1..{2 ** (n + 1) - 2}")
+    if not 1 <= s <= basis.rho_bound:
+        raise ValueError(f"s out of range 1..{basis.rho_bound}")
     if not basis.contains_monomial(s, -1):
         return N1Verdict(
             s,
@@ -242,17 +135,24 @@ def n1_membership(s: int, basis: RostBasis) -> N1Verdict:
             "no tau-preimage in bidegree ({}, {}) of the motive "
             "(hyperplane multiples excluded)".format(s, s - 1),
         )
-    candidate = laurent(n, s, -1)
-    obstruction = laurent_q0(candidate)
-    if obstruction.is_zero():
-        return N1Verdict(s, True, str(candidate), None, "integral tau-preimage found")
+    candidate = _rho_tau(s, -1)
+    # Q_0 is the derivation with Q_0(rho) = 0 and Q_0(tau^-1) = rho tau^-2,
+    # so it takes rho^s tau^-1 to rho^(s+1) tau^-2, zero above the truncation
+    if s + 1 > basis.rho_bound:
+        return N1Verdict(s, True, candidate, None, "integral tau-preimage found")
     return N1Verdict(
         s,
         False,
-        str(candidate),
-        str(obstruction),
+        candidate,
+        _rho_tau(s + 1, -2),
         f"unique candidate {candidate} has nonzero Q_0 value",
     )
+
+
+def _rho_tau(a: int, b: int) -> str:
+    """The monomial rho^a tau^b, a >= 1 and b < 0, as text: "rho^5*tau^-2"."""
+    rho = "rho" if a == 1 else f"rho^{a}"
+    return f"{rho}*tau^{b}"
 
 
 # -- integral ring reconstruction ---------------------------------------------
@@ -454,7 +354,6 @@ class QuadricCertificate:
     n: int
     verdict: str  # "DH=0" or "cannot conclude"
     torsion_checks: tuple[N1Verdict, ...]
-    hyperplane_note: str
     detail: tuple[str, ...]
 
 
@@ -489,11 +388,10 @@ def dh_quadric_check(n: int, force_n1: tuple[int, ...] = ()) -> QuadricCertifica
         else:
             ok = False
             detail.append(f"torsion generator in degree {s}: NOT rejected ({verdict.reason})")
-    hyperplane_note = (
+    detail.append(
         "the hyperplane class is a first Chern class; its ideal lies in the "
         "strong coniveau filtration by Frobenius reciprocity"
     )
-    detail.append(hyperplane_note)
     if ok:
         detail.append(
             "every torsion class is a hyperplane multiple (strong coniveau) or a "
@@ -503,6 +401,5 @@ def dh_quadric_check(n: int, force_n1: tuple[int, ...] = ()) -> QuadricCertifica
         n=n,
         verdict="DH=0" if ok else "cannot conclude",
         torsion_checks=tuple(checks),
-        hyperplane_note=hyperplane_note,
         detail=tuple(detail),
     )

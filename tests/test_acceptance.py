@@ -68,7 +68,7 @@ def test_criterion_1_elementary_dh_tables():
             assert not value.is_zero()
             subset = [int(t[1:]) for t in row.label[3:-1].split("*")]
             mono = _predicted_monomial(scenario, subset, row.witness)
-            assert value.coefficient(mono) != 0, (p, n, row.label)
+            assert value.terms.get(mono), (p, n, row.label)
     print("criterion 1: PASS - elementary DH tables certified with predicted monomials")
 
 
@@ -122,7 +122,7 @@ def test_criterion_4_extraspecial():
         table = C.extraspecial_e(n, 3).dh_table()
         expected = (2 * n) * (2 * n - 1) // 2 - 1
         assert len(table.rows) == expected
-        assert len(table.certified_rows()) == expected
+        assert sum(r.certificate.verdict == C.NOT_IN_STRONG_CONIVEAU for r in table.rows) == expected
     print("criterion 4: PASS - regular pair through degree 40 and degree-3 tables")
 
 
@@ -151,7 +151,7 @@ def test_criterion_6_obstructions():
             if verdict.candidate is not None:
                 assert verdict.obstruction is not None
         first = motivic.n1_membership(n + 1, basis)
-        assert first.obstruction == str(motivic.laurent(n, n + 2, -2))
+        assert first.obstruction == f"rho^{n + 2}*tau^-2"
         assert motivic.dh_quadric_check(n).verdict == "DH=0"
     print("criterion 6: PASS - coniveau obstructions with explicit witnesses; DH = 0")
 

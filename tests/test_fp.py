@@ -593,15 +593,6 @@ def test_homogeneous_degree_accessor():
     assert P.zero().degree() is None
 
 
-def test_leading_monomial_and_coefficient():
-    P = exterior(3, 3)
-    x1, x2, x3 = P.gens()
-    e = x2 * x3 + 2 * x1 * x2
-    assert e.leading_monomial() == (1, 1, 0)
-    assert e.coefficient((0, 1, 1)) == 1
-    assert e.coefficient((1, 0, 1)) == 0
-
-
 def test_str_canonical():
     P = exterior(3, 2)
     assert str(P.zero()) == "0"

@@ -26,8 +26,8 @@ SEED = 0x5EED
 
 def scenario_pool():
     pool = []
-    for key in C.BUILTIN_DEFAULTS:
-        s = C.builtin_scenarios()[key]()
+    for ctor in C.builtin_scenarios().values():
+        s = ctor()
         if isinstance(s, C.QModuleScenario) or s.q_action is None:
             continue
         pool.append(s)
@@ -139,9 +139,9 @@ def disjoint_relations():
 
 def quotient_pool():
     rings = [
-        C.extraspecial_e4(2, 3)[0],
+        C.extraspecial_e4(2, 3),
         C.comparison_regular_pair(3, 24)[1],
-        C.quillen_d_ring(2)[0],
+        C.quillen_d_ring(2),
         C._lambda_mod_f(2, 3),
         C._lambda_mod_f(2, 2),
         exterior_free_intersection(),
@@ -242,7 +242,7 @@ def test_standard_monomials_against_divisibility_filter():
 def operation_pool(rng):
     """(ring, action) pairs on ``quotient_pool()``: the elementary-abelian
     table on the rings it fits, and a seeded random table on every ring."""
-    e4_page, lambda_f2 = C.extraspecial_e4(2, 3)[0], C._lambda_mod_f(2, 2)
+    e4_page, lambda_f2 = C.extraspecial_e4(2, 3), C._lambda_mod_f(2, 2)
     pairs = [(pres, C._abelian_q_action(pres, 1)) for pres in (e4_page, lambda_f2)]
     for pres in quotient_pool():
         table = {}
