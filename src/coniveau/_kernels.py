@@ -3,11 +3,11 @@
 Rows are {column: value} dicts with values in [1, p), and the one
 elimination is ``echelon``: the reduced row echelon form of their span,
 {pivot column: monic reduced row}, whose pivot count is the rank.  Vector
-reduction and nullspace extraction read it off.  ``fp`` keys its rows by a
-degree's table columns (a reducer) and ``certificates`` by basis positions
-(the Q_0 kernel of ``q0_kernel_basis``) or by a degree's columns (the
-Chern-ideal reducer of ``chern_survival``); no caller keeps an array.  The one dense boundary is ``rref``, which takes
-and returns an int64 numpy array for ``fp``'s S-pair matrices.
+reduction and nullspace extraction read it off.  ``fp`` is the one module
+that eliminates here: it keys its rows by a degree's columns (a reducer, a
+span of ``span_echelon``) or by basis positions (a ``kernel``), and keeps
+no array.  The one dense boundary is ``rref``, which takes and returns an
+int64 numpy array for ``fp``'s S-pair matrices.
 
 The rows reduced here are sparse: monomial multiples u * g of a few basis
 elements, most of whose leading columns are distinct.  So the elimination

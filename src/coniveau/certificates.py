@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
 
-from . import _kernels, fp
+from . import fp
 from .charclasses import g2_q_action, so_q_action
 from .fp import (
     AlgebraMorphism,
@@ -179,11 +179,11 @@ class Scenario:
     default_target: tuple[str, tuple[int, ...] | None] = ("", None)
     restriction: tuple | None = None  # (target Scenario, AlgebraMorphism, note)
     canonical_text: str = ""  # a presentation file's rendered text, hashed as is
-    # ("kernel", d) -> q0_kernel_basis, ("chern", d) -> the Chern reducer (see
-    # _chern_reducer), valid while the flags and the operation table stay as
-    # built; not an init field, so dataclasses.replace starts a copy with an
-    # empty cache
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # degree -> that degree's Chern span (``fp.span_echelon``, None when
+    # empty), valid while the flags and the operation table stay as built;
+    # not an init field, so dataclasses.replace starts a copy with an empty
+    # cache
+    _chern_spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def prime(self) -> int:
@@ -387,16 +387,7 @@ def required_length(degree: int) -> int | None:
 
 def q0_kernel_basis(scenario: Scenario, degree: int) -> list[Element]:
     """Basis of the Bockstein kernel in one degree of the detection ring
-    (the mod-p image of the integral classes for exponent-p torsion).
-    Computed once per degree and cached on the scenario; each call returns
-    a fresh list."""
-    key = ("kernel", degree)
-    if key not in scenario._cache:
-        scenario._cache[key] = _q0_kernel(scenario, degree)
-    return list(scenario._cache[key])
-
-
-def _q0_kernel(scenario: Scenario, degree: int) -> list[Element]:
+    (the mod-p image of the integral classes for exponent-p torsion)."""
     pres = scenario.detect_pres
     if degree == 0:
         return [pres.one()]
@@ -405,17 +396,7 @@ def _q0_kernel(scenario: Scenario, degree: int) -> list[Element]:
         return []
     if scenario.q_action is None:
         raise ScenarioError("no operation table on the detection ring")
-    # one row per monomial of the Q_0 images, {basis position: coefficient}:
-    # its nullspace is the combinations of basis elements with zero image
-    rows: dict = {}
-    for i, b in enumerate(basis):
-        for m, c in scenario.q_action.apply(0, b).terms.items():
-            rows.setdefault(m, {})[i] = c
-    monos = [m for b in basis for m in b.terms]  # each basis element is one monomial
-    return [
-        pres.element({monos[i]: c for i, c in vec.items()})
-        for vec in _kernels.nullspace(list(rows.values()), len(basis), pres.prime)
-    ]
+    return fp.kernel(basis, [scenario.q_action.apply(0, b) for b in basis])
 
 
 def chern_survival(scenario: Scenario, e: Element) -> bool:
@@ -424,8 +405,9 @@ def chern_survival(scenario: Scenario, e: Element) -> bool:
 
     Refuses a flag of degree at most |e| that Q_0 does not kill: only for
     such a flag would products of flags span more than single flags.  The
-    flags are checked on every call; the span's echelon form is built once
-    per degree, and each class costs one reduction against it."""
+    flags are checked on every call; the span's echelon form
+    (``fp.span_echelon``) is built once per degree, and each class costs
+    one ``fp.in_span``."""
     if e.is_zero():
         return False
     d = e.degree()
@@ -434,36 +416,22 @@ def chern_survival(scenario: Scenario, e: Element) -> bool:
         fd = f.degree()
         if fd is None or fd > d:  # a zero flag spans nothing
             continue
+        if scenario.q_action is None:
+            raise ScenarioError("no operation table on the detection ring")
         if not scenario.q_action.apply(0, f).is_zero():
             raise ScenarioError(f"Chern flag {name} = {f} is not killed by Q_0")
         by_degree.setdefault(fd, []).append(f)
-    key = ("chern", d)
-    if key not in scenario._cache:
-        scenario._cache[key] = _chern_reducer(scenario, d, by_degree)
-    reducer = scenario._cache[key]
-    if reducer is None:
-        return True
-    index, basis = reducer
-    vec = {index[m]: c for m, c in e.terms.items()}
-    return bool(_kernels.reduce_vector(vec, basis, scenario.detect_pres.prime))
-
-
-def _chern_reducer(scenario: Scenario, d: int, by_degree: dict) -> tuple | None:
-    """The degree-d Chern span's echelon form on the degree's columns,
-    (column index, ``_kernels.echelon`` result), or None when the span is
-    empty."""
-    span = [
-        fk
-        for fd, flags in by_degree.items()
-        for k in q0_kernel_basis(scenario, d - fd)
-        for f in flags
-        if not (fk := f * k).is_zero()
-    ]
-    if not span:
-        return None
-    index = scenario.detect_pres._column_index(d)
-    rows = [{index[m]: c for m, c in s.terms.items()} for s in span]
-    return index, _kernels.echelon(rows, scenario.detect_pres.prime)
+    if d not in scenario._chern_spans:
+        span = [
+            fk
+            for fd, flags in by_degree.items()
+            for k in q0_kernel_basis(scenario, d - fd)
+            for f in flags
+            if not (fk := f * k).is_zero()
+        ]
+        scenario._chern_spans[d] = fp.span_echelon(scenario.detect_pres, d, span) if span else None
+    span = scenario._chern_spans[d]
+    return span is None or not fp.in_span(e, span)
 
 
 # -- detection -----------------------------------------------------------------

@@ -24,7 +24,7 @@ the reference: ``expand_w``, ``q_on_t``, ``is_symmetric`` and
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import combinations
 
 from .fp import DegreeCapError, Element, Generator, GradedPresentation, NonHomogeneousError
 from .milnor import QAction
@@ -51,7 +51,6 @@ class SplitRing:
         # w-polynomials over F_2 as sets of exponent tuples (+ is symmetric
         # difference); p_0 is a placeholder, Newton's identities never use it
         self._power_sums: list[frozenset] = [frozenset()]
-        self._gen_values: dict[tuple[int, int], frozenset] = {}
 
     # -- the t-ring reference path (tests compare q_on_w against it) --------
 
@@ -63,7 +62,7 @@ class SplitRing:
             return self.t_pres.one()
         if i not in self._e_cache:
             terms = {}
-            for subset in _subsets(self.rank, i):
+            for subset in combinations(range(self.rank), i):
                 exps = [0] * self.rank
                 for k in subset:
                     exps[k] = 1
@@ -172,17 +171,14 @@ class SplitRing:
                 )
         return self.w_pres.element(dict.fromkeys(out, 1))
 
-    def _q_on_gen(self, j: int, k: int) -> frozenset:
+    def _q_on_gen(self, j: int, k: int) -> set:
         """Q_j(w_k) = sum_(i<k) p_(2^(j+1)+i) w_(k-1-i)."""
-        key = (j, k)
-        if key not in self._gen_values:
-            value: set = set()
-            for i in range(k):
-                value.symmetric_difference_update(
-                    self._times_w(self._power_sum(2 ** (j + 1) + i), k - 1 - i)
-                )
-            self._gen_values[key] = frozenset(value)
-        return self._gen_values[key]
+        value: set = set()
+        for i in range(k):
+            value.symmetric_difference_update(
+                self._times_w(self._power_sum(2 ** (j + 1) + i), k - 1 - i)
+            )
+        return value
 
     def _power_sum(self, n: int) -> frozenset:
         """p_n = sum_(0<i<n) w_i p_(n-i) + (n mod 2) w_n (Newton mod 2)."""
@@ -217,17 +213,6 @@ class SplitRing:
             raise ValueError("w1 is not available when the SO flag is set")
 
 
-def _subsets(n: int, k: int):
-    from itertools import combinations
-
-    return combinations(range(n), k)
-
-
-@lru_cache(maxsize=None)
-def _split_ring(rank: int, so: bool, cap: int) -> SplitRing:
-    return SplitRing(rank, so=so, cap=cap)
-
-
 def so_presentation(rank: int, cap: int = 64) -> GradedPresentation:
     """The special-orthogonal cohomology ring F_2[w_2..w_rank]."""
     return GradedPresentation(
@@ -239,7 +224,7 @@ def so_q_action(rank: int, cap: int = 64, max_index: int = 3) -> tuple[GradedPre
     """Presentation and lazily filled operation table for BSO_rank, entries
     computed through the splitting principle and reduced modulo w_1."""
     pres = so_presentation(rank, cap)
-    ring = _split_ring(rank, True, cap)
+    ring = SplitRing(rank, so=True, cap=cap)
 
     def supplier(i: int, gname: str) -> Element:
         value = ring.q_on_w(i, ring.w_pres.gen(gname))
@@ -285,7 +270,7 @@ def g2_q_action(cap: int = 40, max_index: int = 2) -> tuple[GradedPresentation, 
     all three killed generators, before the first entry of Q_i is returned.
     """
     pres = g2_presentation(cap)
-    ring = _split_ring(7, True, cap + 14)
+    ring = SplitRing(7, so=True, cap=cap + 14)
     killed = ("w2", "w3", "w5")
     stable: set[int] = set()
 

@@ -59,9 +59,12 @@ Conventions by characteristic:
 The free monomials are the standard monomials of the zero ideal, counted
 and listed the same way: a presentation with no relations is its own
 ``free``, a quotient shares the ``free`` of the presentation it came from,
-and that one relation-free presentation holds the free monomials and their
-column indices for all of them.  Within a degree the order is descending
-lex, so the columns of an S-pair matrix are its monomials sorted in reverse.
+and that one relation-free presentation holds the free monomials for all
+of them.  Within a degree the order is descending lex, so the columns of an
+S-pair matrix are its monomials sorted in reverse.
+
+This module is the one caller of ``_kernels``; ``kernel``, ``span_echelon``
+and ``in_span`` do the Chern-ideal test's linear algebra.
 
 A degree is guarded by the budgets of what the engine builds for it: each
 S-pair matrix and the size of the Groebner basis (``_basis_step``), and a
@@ -234,7 +237,6 @@ class GradedPresentation:
         # suffix block lengths (tails[k]: how many vanish before generator k)
         self._standard: list[tuple] = []
         self._standard_tails: list[list[int]] = []
-        self._columns_at: dict[int, dict] = {}  # degree -> {free monomial: column}
         # the unit and {generator name: generator}, each built once and shared
         self._one: Element | None = None
         self._gens: dict[str, Element] = {}
@@ -383,14 +385,10 @@ class GradedPresentation:
                 )
 
     def _column_index(self, degree: int) -> dict:
-        """{free monomial: column} for the degree's monomials, cached on the
-        free presentation; the reducers (``_reducer``, the Chern-ideal test's)
-        and ``in_span`` read it."""
-        columns = self.free._columns_at
-        index = columns.get(degree)
-        if index is None:
-            index = columns[degree] = {m: j for j, m in enumerate(self.monomials(degree))}
-        return index
+        """{free monomial: column} for the degree's monomials, the columns of
+        a reducer (``_reducer``) and of a span (``span_echelon``); each is
+        built once per degree, so the index is not kept."""
+        return {m: j for j, m in enumerate(self.monomials(degree))}
 
     def _build_degree(self, degree: int) -> None:
         """Complete the Groebner basis through the degree, one basis step
@@ -944,21 +942,39 @@ class Element:
         return f"<{self}>"
 
 
-def in_span(e: Element, spanning) -> bool:
-    """Is ``e`` an F_p combination of the given homogeneous elements
-    (all of the same degree, same presentation)?  No computation calls it:
-    the Chern-ideal test reduces against a cached reducer instead.  It stays
-    while ``perfbench/tracer.py`` patches it by name."""
-    if e.is_zero():
-        return True
-    d = e.degree()
-    spanning = [s for s in spanning if not s.is_zero() and s.degree() == d]
-    if not spanning:
-        return False
-    index = spanning[0].pres._column_index(d)
-    p = e.pres.prime
-    echelon = _kernels.echelon([{index[m]: c for m, c in s.terms.items()} for s in spanning], p)
-    return not _kernels.reduce_vector({index[m]: c for m, c in e.terms.items()}, echelon, p)
+def span_echelon(pres: GradedPresentation, degree: int, elements) -> tuple[dict, dict]:
+    """What ``in_span`` reduces a degree's classes against: the degree's
+    column index and the ``_kernels.echelon`` of the given nonzero elements
+    of that degree on it.  Build it once per span and degree."""
+    index = pres._column_index(degree)
+    rows = [{index[m]: c for m, c in s.terms.items()} for s in elements]
+    return index, _kernels.echelon(rows, pres.prime)
+
+
+def in_span(e: Element, span: tuple[dict, dict]) -> bool:
+    """Is ``e`` an F_p combination of the elements ``span_echelon`` took
+    (``e`` homogeneous of the span's degree)?  One reduction."""
+    index, basis = span
+    vec = {index[m]: c for m, c in e.terms.items()}
+    return not _kernels.reduce_vector(vec, basis, e.pres.prime)
+
+
+def kernel(basis: list[Element], images: list[Element]) -> list[Element]:
+    """Basis of the kernel of the linear map that sends each element of
+    ``basis``, a nonempty list of distinct monomials, to the matching image:
+    the combinations of them whose images sum to zero."""
+    # one row per monomial of the images, {basis position: coefficient}: its
+    # nullspace is the combinations with zero image
+    rows: dict = {}
+    for i, image in enumerate(images):
+        for m, c in image.terms.items():
+            rows.setdefault(m, {})[i] = c
+    pres = basis[0].pres
+    monos = [m for b in basis for m in b.terms]  # each basis element is one monomial
+    return [
+        pres.element({monos[i]: c for i, c in vec.items()})
+        for vec in _kernels.nullspace(list(rows.values()), len(basis), pres.prime)
+    ]
 
 
 @dataclass(frozen=True)

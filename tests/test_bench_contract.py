@@ -7,8 +7,9 @@ module attribute ``_kernels.rref`` whose innermost traced caller is
 ``GradedPresentation._build_degree``: since the degreewise Groebner basis
 replaced the Macaulay matrices, those are the rows of the S-pair matrices
 (relations, S-pair halves and reducer rows u * g).  The detection layer is
-counted through ``search_witness``, ``_detect_candidate`` and
-``chern_survival``.  A rename, a deletion, an early-bound builder, ``rref``
+counted through ``search_witness``, ``_detect_candidate``, ``chern_survival``
+and the span test ``fp.in_span`` that ``chern_survival`` calls through the
+module attribute.  A rename, a deletion, an early-bound builder, ``rref``
 or detection call, an ``rref`` call moved out of ``_build_degree``, or a
 change in the S-pairs the criteria keep would otherwise show only in a
 traced benchmark run.  The run happens in a fresh interpreter so the
@@ -50,7 +51,7 @@ result["hilbert"] = {{
     "macaulay_rows": tracer.counts.get("macaulay_rows", 0),
 }}
 DETECTION = ("certificates.search_witness", "certificates.detect_candidate",
-             "certificates.chern_survival")
+             "certificates.chern_survival", "fp.in_span")
 for name, argv in (("elementary", ["dh-table", "elementary", "--p", "3", "--n", "3"]),
                    ("simply_connected", ["dh-table", "simply-connected", "--p", "2"])):
     before = [tracer.stats.get(k, [0])[0] for k in DETECTION] + [tracer.counts.get("certified", 0)]
@@ -85,8 +86,9 @@ def test_traced_cli_run_counts_builders_and_renders():
     # the 3-element truncated basis of the degree-8 page takes 11 S-pair
     # matrix rows, where the Macaulay matrices had 356
     assert hilbert["macaulay_rows"] == 11
-    # [search_witness, detect_candidate, chern_survival, certified]: one
-    # search, one sequence and one Chern test per elementary candidate; a
+    # [search_witness, detect_candidate, chern_survival, in_span, certified]:
+    # one search, one sequence and one Chern test per elementary candidate,
+    # and one span test for the degree whose Chern span is nonempty; a
     # restriction scenario searches its target once and wraps the result
-    assert result["elementary"] == {"code": 0, "counts": [4, 4, 4, 4]}
-    assert result["simply_connected"] == {"code": 0, "counts": [2, 1, 1, 1]}
+    assert result["elementary"] == {"code": 0, "counts": [4, 4, 4, 1, 4]}
+    assert result["simply_connected"] == {"code": 0, "counts": [2, 1, 1, 0, 1]}

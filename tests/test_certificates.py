@@ -528,21 +528,17 @@ def test_q0_kernel_basis_against_oracle(key):
 
 
 def test_chern_reducer_cached_per_degree(monkeypatch):
-    # one nullspace per kernel degree, then one reduction per class; the
-    # kernel list handed out is a copy of the cached one
+    # one nullspace per Chern degree, for the kernel its span needs, then one
+    # reduction per class
     s = dataclasses.replace(C.elementary_abelian(3, 3))
     calls = []
-    nullspace = C._kernels.nullspace
-    monkeypatch.setattr(C._kernels, "nullspace", lambda *a: calls.append(a) or nullspace(*a))
+    nullspace = _kernels.nullspace
+    monkeypatch.setattr(_kernels, "nullspace", lambda *a: calls.append(a) or nullspace(*a))
     classes = [c.element for c in s.dh_candidates if c.element.degree() == 4]
     assert [C.chern_survival(s, e) for e in classes] == [True] * len(classes)
     assert len(calls) == 1  # the degree-2 kernel
     y1, y2 = s.detect_pres.gen("y1"), s.detect_pres.gen("y2")
     assert not C.chern_survival(s, y1 * y2)
-    assert len(calls) == 1
-    kernel = C.q0_kernel_basis(s, 2)
-    kernel.clear()
-    assert len(C.q0_kernel_basis(s, 2)) == 3
     assert len(calls) == 1
 
 
@@ -641,6 +637,24 @@ def test_unkilled_flag_refused_after_reducer_cached():
     s.chern_flags = {**s.chern_flags, "x1": s.detect_pres.gen("x1")}
     with pytest.raises(C.ScenarioError, match="not killed by Q_0"):
         C.chern_survival(s, alpha)
+
+
+def test_chern_test_without_operation_table_refused(tmp_path):
+    # checking a flag needs Q_0: without a table the Chern test refuses as the
+    # Bockstein kernel does, where it used to fail on the missing table; a
+    # scenario without flags needs no table and still answers
+    from coniveau import cli
+
+    plain = "prime 3\ncap 8\ngen y 2\ngen x 1 odd\n"
+    (tmp_path / "flagged.pres").write_text(plain + "chern c = y\n")
+    (tmp_path / "plain.pres").write_text(plain)
+    flagged = cli._load_user_scenario(str(tmp_path / "flagged.pres"))
+    assert flagged.q_action is None
+    e = flagged.detect_pres.gen("x") * flagged.detect_pres.gen("y")
+    with pytest.raises(C.ScenarioError, match="no operation table on the detection ring"):
+        C.chern_survival(flagged, e)
+    bare = cli._load_user_scenario(str(tmp_path / "plain.pres"))
+    assert C.chern_survival(bare, bare.detect_pres.gen("x") * bare.detect_pres.gen("y"))
 
 
 def test_quadric_hyperplane_multiples_flagged():

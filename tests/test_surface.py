@@ -13,10 +13,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coniveau"
 
-# The t-ring reference path and fp.in_span, which nothing in the package
-# reads. perfbench patches three of them by name, so they stay until ROADMAP
-# item 4b, which moves or deletes them and empties this set.
-UNREAD = {"SplitRing.expand_w", "SplitRing.q_on_t", "SplitRing.symmetrize_to_w", "in_span"}
+# The t-ring reference path of SplitRing, which only tests read. perfbench
+# patches two of these methods by name, so they stay until ROADMAP item 4b
+# moves them into the tests and empties this set.
+UNREAD = {"SplitRing.expand_w", "SplitRing.q_on_t", "SplitRing.symmetrize_to_w"}
 
 
 def _public(name):
@@ -55,3 +55,28 @@ def test_every_public_name_is_read_in_the_package():
     loaded = {name for tree in trees for name in _loaded(tree)}
     unread = {qual for tree in trees for qual, bare in _defined(tree) if bare not in loaded}
     assert unread == UNREAD
+
+
+def _kernel_imports(tree):
+    """The names a module imports from ``_kernels``; ``_kernels`` itself for
+    an import of the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("coniveau").lstrip(".")
+            if module == "_kernels":
+                yield from (alias.name for alias in node.names)
+            elif module == "":
+                yield from (alias.name for alias in node.names if alias.name == "_kernels")
+        elif isinstance(node, ast.Import):
+            yield from ("_kernels" for alias in node.names if alias.name == "coniveau._kernels")
+
+
+def test_only_fp_builds_kernel_rows():
+    # fp keys every eliminator row by its own columns; the package root only
+    # re-exports backend_name, which the benchmark reads (ROADMAP item 4b)
+    importers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = sorted(_kernel_imports(ast.parse(path.read_text(), str(path))))
+        if names:
+            importers[path.stem] = names
+    assert importers == {"__init__": ["backend_name"], "fp": ["_kernels"]}
