@@ -7,7 +7,9 @@ reduction and nullspace extraction read it off.  ``fp`` is the one module
 that eliminates here: it keys its rows by a degree's columns (a reducer, a
 span of ``span_echelon``) or by basis positions (a ``kernel``), and keeps
 no array.  The one dense boundary is ``rref``, which takes and returns an
-int64 numpy array for ``fp``'s S-pair matrices.
+int64 numpy array for ``fp``'s S-pair matrices.  numpy is imported there
+and in ``_sparse_rows``, not with the module, so a command that eliminates
+no S-pair matrix never loads it.
 
 The rows reduced here are sparse: monomial multiples u * g of a few basis
 elements, most of whose leading columns are distinct.  So the elimination
@@ -18,8 +20,6 @@ so no intermediate value can overflow.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def backend_name() -> str:
@@ -36,21 +36,28 @@ def echelon(rows: list[dict], p: int) -> dict[int, dict]:
     return basis
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def rref(mat, p: int) -> tuple:
     """``echelon`` of a dense matrix: the reduced rows as a new int64 array
     with zero rows trimmed, and the pivot columns in ascending order."""
+    import numpy as np
+
     mat = np.asarray(mat, dtype=np.int64)
     basis = echelon(_sparse_rows(mat, p), p)
     pivots = sorted(basis)
+    rows = [basis[c] for c in pivots]
     out = np.zeros((len(pivots), mat.shape[1]), dtype=np.int64)
-    for k, c in enumerate(pivots):
-        row = basis[c]
-        out[k, list(row)] = list(row.values())
+    out[
+        [k for k, row in enumerate(rows) for _ in row],
+        [c for row in rows for c in row],
+    ] = [v for row in rows for v in row.values()]
     return out, pivots
 
 
-def _sparse_rows(mat: np.ndarray, p: int) -> list[dict[int, int]]:
-    """The nonzero rows of ``mat`` as {column: value mod p} dicts."""
+def _sparse_rows(mat, p: int) -> list[dict[int, int]]:
+    """The nonzero rows of the int64 array ``mat`` as {column: value mod p}
+    dicts."""
+    import numpy as np
+
     rows, cols = np.nonzero(mat)
     vals = (mat[rows, cols] % p).tolist()
     cols = cols.tolist()

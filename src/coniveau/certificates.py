@@ -31,15 +31,36 @@ Two soundness points shape the implementation:
   certified through declared restriction maps: either to an elementary
   abelian subgroup ring, or to a comparison quotient whose kernel data is
   declared scenario input backed by the regular-sequence check.
+
+A scenario's provenance hash (``content_hash``) is the sha256 of its
+canonical text, taken from CPython's built-in module (``_sha2`` on 3.12 and
+later, ``_sha256`` before): importing ``hashlib`` maps OpenSSL's libcrypto,
+about 3.6 MiB of resident memory, into every command for one digest.  A
+build that leaves the built-in module out falls back to ``hashlib``; the
+digest is the same either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
+
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+
+        def sha256(data: bytes):
+            """hashlib's sha256, for a build configured
+            --with-builtin-hashlib-hashes that leaves sha256 out."""
+            import hashlib
+
+            return hashlib.sha256(data)
+
 
 from . import fp
 from .charclasses import g2_q_action, so_q_action
@@ -252,7 +273,7 @@ class Scenario:
                 chern={k: v for k, v in sorted(self.chern_flags.items())},
             )
             text += f"kind {self.kind}\nprime {self.prime}\nmax_index {self.max_search_index}\n"
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return sha256(text.encode()).hexdigest()[:16]
 
     # -- the scenario protocol: the views the CLI and the report ask for ------
 

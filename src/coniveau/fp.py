@@ -34,7 +34,9 @@ degree piece with distinct leading monomials.  Reduced row echelon form is
 unique, so the reducer is the one a full elimination of every cofactor x
 relation product ("Macaulay matrix") gives, and a normal form is one
 substitution pass over it in dict arithmetic.  Only the S-pair matrices of
-a basis step pass through the int64 array of ``_kernels.rref``.
+a basis step pass through the int64 array of ``_kernels.rref``, and only
+``_matrix``, which packs them, imports numpy: a command that takes no basis
+step never loads it.
 
 Every ``Element`` is a normal form: only its constructors (``element``,
 ``monomial``, ``gen``, ``one`` and products) reduce, all through
@@ -83,8 +85,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, mul, sub
-
-import numpy as np
 
 from . import _hilbert, _kernels
 
@@ -497,10 +497,12 @@ class GradedPresentation:
         """The row (m / lead(g_k)) * g_k, whose leading monomial is ``m``."""
         return self._times(tuple(map(sub, m, self._leads[k])), k)
 
-    def _matrix(self, rows: list[dict], cols) -> tuple[list, np.ndarray, list]:
+    def _matrix(self, rows: list[dict], cols) -> tuple:
         """The rows on the given columns of one degree in monomial order
         (descending lex), eliminated by one ``_kernels.rref`` call: (column
-        monomials, reduced rows, pivots)."""
+        monomials, reduced rows as an int64 array, pivots)."""
+        import numpy as np
+
         order = sorted(cols, reverse=True)
         col = {m: j for j, m in enumerate(order)}
         mat = np.zeros((len(rows), len(order)), dtype=np.int64)
@@ -575,7 +577,7 @@ class GradedPresentation:
         self._pairs.pop(degree, None)
         self._exterior_rows.pop(degree, None)
         for r in new:
-            cs = np.flatnonzero(R[r]).tolist()
+            cs = R[r].nonzero()[0].tolist()
             self._add_basis_element(degree, tuple(zip([order[c] for c in cs], R[r, cs].tolist())))
 
     def _add_basis_element(self, degree: int, terms: tuple) -> None:

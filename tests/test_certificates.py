@@ -1,8 +1,13 @@
 """Detection procedures, candidate tables, stable quotients, builtins."""
 
 import dataclasses
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,8 @@ from helpers import (
     oracle_rank,
     oracle_rref,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- verify ------------------------------------------------------------------------
@@ -747,3 +754,32 @@ def test_scenario_hash_stable():
     C.elementary_abelian.cache_clear()
     b = C.elementary_abelian(2, 3).content_hash()
     assert a == b
+
+
+def test_builtin_sha256_is_hashlibs():
+    # provenance hashes come from CPython's built-in sha256, not hashlib's;
+    # lengths 0-300 cross the 55/56-byte padding and 64-byte block boundaries
+    rng = random.Random(28)
+    for n in range(301):
+        data = rng.randbytes(n)
+        assert C.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest(), n
+    text = "gen x\u2081 3\nrel \u03c1^2*\u03c4 \u2014 Q\u2080(w\u2082) \U0001d53d_p".encode()
+    assert C.sha256(text).hexdigest() == hashlib.sha256(text).hexdigest()
+
+
+def test_sha256_falls_back_to_hashlib():
+    # a CPython that leaves the built-in module out gives the same provenance
+    # hash through hashlib
+    script = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from coniveau import certificates\n"
+        "print(certificates.elementary_abelian(2, 3).content_hash(), '_hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [C.elementary_abelian(2, 3).content_hash(), "True"]

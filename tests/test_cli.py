@@ -362,11 +362,11 @@ def test_verify_candidate_label_keeps_its_maps(capsys, family):
 
 def test_package_import_loads_only_the_kernel():
     # the package root exports backend_name and __version__ only; importing
-    # it loads no other package module
+    # it loads no other package module, and no numpy
     script = (
         "import sys, coniveau\n"
         "mods = sorted(m for m in sys.modules if m.startswith('coniveau.'))\n"
-        "print(mods, coniveau.backend_name())\n"
+        "print(mods, coniveau.backend_name(), 'numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -374,7 +374,7 @@ def test_package_import_loads_only_the_kernel():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['coniveau._kernels'] sparse"
+    assert proc.stdout.strip() == "['coniveau._kernels'] sparse False"
 
 
 def test_well_formed_commands_load_no_argparse():
@@ -399,6 +399,52 @@ def test_well_formed_commands_load_no_argparse():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == ["[]", "['argparse', 'gettext']"], proc.stderr
+
+
+def _heavy_modules_after(*commands):
+    """Run ``commands`` in turn in one fresh interpreter: for each, its exit
+    code and which of numpy and OpenSSL's ``_hashlib`` are loaded after it."""
+    script = (
+        "import sys\n"
+        "from coniveau import cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    code = cli.main(argv.split())\n"
+        "    mods = [m for m in ('numpy', '_hashlib') if m in sys.modules]\n"
+        "    print(code, mods, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *commands],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()
+
+
+def test_commands_load_numpy_only_to_eliminate_s_pairs():
+    # numpy packs and unpacks the S-pair matrices of a Groebner basis step and
+    # nothing else, so a command that takes no basis step never loads it; no
+    # command maps OpenSSL for its provenance hashes
+    no_basis_step = [
+        "list",
+        "verify g2 --I 1",
+        "verify pgl --p 3",
+        "verify elementary --p 2 --n 3",
+        "dh-table so --m 4",
+        "dh-table elementary --p 3 --n 3",
+        "qop so --m 4 --I 0 --element w2+w4+w6+w8",
+        "rost --n 4",
+    ]
+    loaded = _heavy_modules_after(*no_basis_step, "report --all")
+    assert loaded == ["0 []"] * len(no_basis_step) + ["0 ['numpy']"]
+    # positive controls, each in a fresh interpreter: a command that takes a
+    # basis step loads numpy
+    assert _heavy_modules_after("hilbert extraspecial-d --n 2 --cap 8") == ["0 ['numpy']"]
+    assert _heavy_modules_after("stable-quotient so --m 3") == ["0 ['numpy']"]
 
 
 def test_determinism_byte_identical(capsys):

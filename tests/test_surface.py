@@ -80,3 +80,33 @@ def test_only_fp_builds_kernel_rows():
         if names:
             importers[path.stem] = names
     assert importers == {"__init__": ["backend_name"], "fp": ["_kernels"]}
+
+
+def _imports(node, at_import=True):
+    """(top-level module, whether importing the package module runs it) for
+    each absolute import under ``node``: one in a function body runs only
+    when the function is called."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from ((alias.name.partition(".")[0], at_import) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            yield child.module.partition(".")[0], at_import
+        else:
+            body_runs_later = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            yield from _imports(child, at_import and not body_runs_later)
+
+
+def test_numpy_and_hashlib_load_only_when_called():
+    # numpy packs fp's S-pair matrices and nothing else, so a command that
+    # eliminates none never loads it; hashlib maps OpenSSL for one digest
+    # that CPython's built-in sha256 gives as well
+    at_import = set()
+    numpy_importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for module, eager in _imports(ast.parse(path.read_text(), str(path))):
+            if eager and module in ("numpy", "hashlib"):
+                at_import.add((path.stem, module))
+            if module == "numpy":
+                numpy_importers.add(path.stem)
+    assert at_import == set()
+    assert numpy_importers == {"_kernels", "fp"}
