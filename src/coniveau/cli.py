@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import os
 import sys
-from bisect import insort
 from functools import partial
-from itertools import groupby
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import SimpleNamespace
@@ -154,30 +153,25 @@ def quadric_report(n: int, force=()) -> dict:
     quadric = motivic.quadric_etale_ring(n)  # validates ranks, raises on mismatch
     unram = motivic.unramified_quotient_quadric(n)
     check = motivic.dh_quadric_check(n, force_n1=force)
-    # the torsion classes come sorted by (degree, name), so flags are read off in order
-    algebraic = quadric.algebraic
-    flags = {d: [name for name, _ in group if name in algebraic]
-             for d, group in groupby(quadric.torsion_basis, key=itemgetter(1))}
-    for name, d in quadric.free_basis:
-        if name in algebraic:
-            insort(flags.setdefault(d, []), name)
-    rank_table = []
-    for d in range(0, quadric.max_degree() + 1, 2):
-        free_rank, torsion_dim = quadric.ranks(d)
-        rank_table.append(
-            {
+    degrees = range(0, quadric.max_degree() + 1, 2)
+
+    def rank_rows():
+        for d in degrees:
+            free_rank, torsion_dim = quadric.ranks(d)
+            yield {
                 "degree": d,
                 "free_rank": free_rank,
                 "torsion_dim": torsion_dim,
-                "flags": flags.get(d, []),
+                "flags": quadric.flagged.names(d),
             }
-        )
+
     return {
         "n": n,
         "rost_ring": _ring_dict(rost),
         "quadric_ring": _ring_dict(quadric),
         "rank_check": "ok",
-        "rank_table": rank_table,
+        # a row per degree, made as the report is written
+        "rank_table": motivic.Lazy(len(degrees), rank_rows),
         "unramified_quotient": {
             "free": [list(b) for b in unram.free_basis],
             "torsion": [list(b) for b in unram.torsion_basis],
@@ -198,11 +192,11 @@ def quadric_report(n: int, force=()) -> dict:
 
 def _ring_dict(ring: motivic.EtaleRing) -> dict:
     return {
-        "free": list(map(list, ring.free_basis)),
-        "torsion": list(map(list, ring.torsion_basis)),
+        "free": ring.free_basis,
+        "torsion": ring.torsion_basis,
         "relations": list(ring.relations),
         "minimal_relations": list(ring.minimal_relations),
-        "algebraic": sorted(ring.algebraic),
+        "algebraic": ring.algebraic,
         "notes": list(ring.notes),
     }
 
@@ -252,50 +246,152 @@ def _cmd_report(args) -> tuple[int, dict]:
 # -- rendering ---------------------------------------------------------------------
 
 
-def _render(body: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _json(body, "\n") + "\n"
-    return _markdown(body)
+def _render(body: dict, fmt: str) -> _Report:
+    return _Report(body, fmt)
+
+
+# after each batch of a lazy sequence, the JSON writer writes its pieces out
+# once they hold this many characters; a batch holds up to _BATCH items
+FLUSH_SIZE = 1 << 15
+_BATCH = 1024
+
+
+class _Report:
+    """A report rendered afresh on each ``write_to``, which writes its text
+    in pieces, so a body's lazy sequences are never held whole."""
+
+    def __init__(self, body: dict, fmt: str):
+        self.body, self.fmt = body, fmt
+
+    def write_to(self, write) -> None:
+        if self.fmt != "json":
+            write(_markdown(self.body))
+            return
+        out = _Pieces(write)
+        _json(self.body, "\n", out)
+        out.append("\n")
+        out.flush()
+
+    def __str__(self) -> str:
+        pieces: list[str] = []
+        self.write_to(pieces.append)
+        return "".join(pieces)
+
+    def encode(self) -> bytes:
+        # the benchmark's tracer counts len(encode()) as the bytes written
+        return str(self).encode()
+
+
+class _Pieces(list):
+    """Text pieces on their way to ``write``.  The JSON writer calls
+    ``spill`` after each batch of a lazy sequence, which writes the pieces
+    out joined once they hold FLUSH_SIZE characters; a body without a lazy
+    sequence is written in one piece at the end."""
+
+    __slots__ = ("write", "size", "counted")
+
+    def __init__(self, write):
+        super().__init__()
+        self.write = write
+        self.size = self.counted = 0  # characters in the first ``counted`` pieces
+
+    def spill(self) -> None:
+        self.size += sum(map(len, self[self.counted:]))
+        self.counted = len(self)
+        if self.size >= FLUSH_SIZE:
+            self.flush()
+
+    def flush(self) -> None:
+        if self:
+            self.write("".join(self))
+            self.clear()
+        self.size = self.counted = 0
 
 
 # one-step encoders for a column of JSON scalars of a single exact type
 _COLUMN_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+# and for a dict value of one of these exact types
+_SCALAR_TEXT = {
+    **_COLUMN_TEXT,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
-def _json(obj, pad: str) -> str:
-    """``json.dumps(obj, indent=2)`` for obj nested at the line break and
-    indentation ``pad``, for str-keyed dicts, lists, tuples, str, int, bool
-    and None.  A list of scalars, or of equally long scalar lists (the
-    ``[name, degree]`` pairs), is joined in one step per one-type column."""
+def _json(obj, pad: str, out: _Pieces) -> None:
+    """Append ``json.dumps(obj, indent=2)`` for obj nested at the line break
+    and indentation ``pad`` to out, for str-keyed dicts, lists, tuples,
+    ``motivic.Lazy`` sequences, str, int, bool and None.  A list of scalars,
+    or of equally long scalar lists (the ``[name, degree]`` pairs), is
+    joined in one step per one-type column; a lazy sequence is encoded a
+    batch at a time, each batch as a list, with a spill after each."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = pad + "  "
-    sep = "," + inner
-    if isinstance(obj, dict):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        # a key that is no str raises TypeError in encode_basestring_ascii
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
-        return "{" + inner + sep.join(items) + pad + "}"
-    if not isinstance(obj, (list, tuple)):
+            out.append("{}")
+            return
+        inner = pad + "  "
+        head = "{" + inner
+        for k, v in obj.items():
+            # a key that is no str raises TypeError in encode_basestring_ascii
+            key = head + encode_basestring_ascii(k) + ": "
+            scalar = _SCALAR_TEXT.get(type(v))
+            if scalar is None:
+                out.append(key)
+                _json(v, inner, out)
+            else:
+                out.append(key + scalar(v))
+            head = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        _items(obj, pad + "  ", "[", out)
+        out.append(pad + "]")
+    elif isinstance(obj, motivic.Lazy):
+        # batches serve the one-step column paths; a dict takes the general
+        # path whatever its neighbours, and a batch of dicts (the rank rows)
+        # would hold all their contents at once, so it goes alone
+        inner, head, items = pad + "  ", "[", iter(obj)
+        for first in items:
+            if isinstance(first, dict):
+                out.append(head + inner)
+                _json(first, inner, out)
+            else:
+                _items([first, *islice(items, _BATCH - 1)], inner, head, out)
+            head = ","
+            out.spill()
+        out.append("[]" if head == "[" else pad + "]")
+    else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not obj:
-        return "[]"
-    items = _column(obj)
-    if items is None and set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1:
+
+
+def _items(values, inner: str, head: str, out: _Pieces) -> None:
+    """Append head and the JSON texts of a nonempty list of values at the
+    indentation ``inner``, each after a line break, separated by commas."""
+    sep = "," + inner
+    text = _column(values)
+    if text is not None:
+        out.append(head + inner + sep.join(text))
+        return
+    if set(map(type, values)) <= {list, tuple} and len(set(map(len, values))) == 1:
         # rows of one length k >= 1: each column in one step, each row in one join
-        columns = [_column(list(map(itemgetter(c), obj))) for c in range(len(obj[0]))]
+        columns = [_column(list(map(itemgetter(c), values))) for c in range(len(values[0]))]
         if columns and None not in columns:
-            head, tail = "[" + inner + "  ", inner + "]"
+            first, last = "[" + inner + "  ", inner + "]"
             rows = map(("," + inner + "  ").join, zip(*columns))
-            return "[" + inner + head + (tail + sep + head).join(rows) + tail + pad + "]"
-    if items is None:
-        items = [_json(x, inner) for x in obj]
-    return "[" + inner + sep.join(items) + pad + "]"
+            out.append(head + inner + first + (last + sep + first).join(rows) + last)
+            return
+    for x in values:
+        out.append(head + inner)
+        _json(x, inner, out)
+        head = ","
 
 
 def _column(values):
@@ -327,7 +423,7 @@ def _markdown(body: dict, level: int = 1) -> str:
                 lines.append("#" * min(depth, 6) + " " + title)
             for k, v in obj.items():
                 emit(v, k, depth + 1)
-        elif isinstance(obj, list):
+        elif isinstance(obj, (list, motivic.Lazy)):
             if title:
                 lines.append("#" * min(depth, 6) + " " + title)
             if obj and all(isinstance(x, dict) for x in obj):
@@ -502,7 +598,7 @@ def main(argv=None) -> int:
             target = os.path.join(outdir, target)
         try:
             with open(target, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                text.write_to(fh.write)
         except OSError as exc:
             # the body goes to stdout instead, with the write failure
             problem = f"cannot write --output {target}: {exc.strerror}"
@@ -512,7 +608,7 @@ def main(argv=None) -> int:
             text = _render(body, args.format)
         else:
             return code
-    sys.stdout.write(text)
+    text.write_to(sys.stdout.write)
     return code
 
 

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 
 # Largest motive parameter the quadric layer accepts.  Each step costs about
-# 4x: the quadric's torsion basis has about 4^n / 8 classes (130,816 at
-# n = 10, a 14 MB `rost` report) and the reachability pass takes about 4^n
-# int additions.
+# 4x in time: the quadric's torsion basis has about 4^n / 8 classes (130,816
+# at n = 10, a 14 MB `rost` report) and the reachability pass takes about
+# 4^n int additions.  Memory grows like 2^n: the classes are made one degree
+# at a time whenever they are read, and never held all at once.
 MAX_QUADRIC_N = 10
 
 
@@ -158,17 +160,58 @@ def _rho_tau(a: int, b: int) -> str:
 # -- integral ring reconstruction ---------------------------------------------
 
 
+class Lazy:
+    """A sized sequence that ``make()`` generates afresh on each pass, so it
+    can be read more than once without being held in memory."""
+
+    __slots__ = ("_len", "_make")
+
+    def __init__(self, length: int, make):
+        self._len, self._make = length, make
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return self._make()
+
+
+class Graded(Lazy):
+    """Named classes of a graded group, made one degree at a time on each
+    pass: [name, degree] rows sorted by degree and then name.  ``counts``
+    maps each degree that has classes, ascending, to their number, and
+    ``names(d)`` lists the names of degree d in order ([] for none)."""
+
+    __slots__ = ("counts", "names")
+
+    def __init__(self, counts: dict[int, int], names):
+        super().__init__(sum(counts.values()), None)
+        self.counts, self.names = counts, names
+
+    def __iter__(self):
+        return chain.from_iterable([[name, d] for name in self.names(d)] for d in self.counts)
+
+
+def _one_per_degree(pairs) -> Graded:
+    """The Graded of (name, degree) pairs in ascending degrees."""
+    names = {d: [name] for name, d in pairs}
+    return Graded(dict.fromkeys(names, 1), lambda d: names.get(d, []))
+
+
 @dataclass(frozen=True)
 class EtaleRing:
     """Additive model of an integral (2-adic) even-degree ring: free part,
-    exponent-2 torsion basis, generating relations and cycle-map flags."""
+    exponent-2 torsion basis, generating relations and cycle-map flags.
+    The cycle-map images are listed twice: ``algebraic`` by name, and
+    ``flagged`` by degree and then name."""
 
     n: int
-    free_basis: tuple[tuple[str, int], ...]
-    torsion_basis: tuple[tuple[str, int], ...]
+    free_basis: Graded
+    torsion_basis: Graded
     relations: tuple[str, ...]
     minimal_relations: tuple[str, ...]
-    algebraic: frozenset[str]
+    algebraic: Lazy
+    flagged: Graded
     notes: tuple[str, ...] = ()
 
     def ranks(self, degree: int) -> tuple[int, int]:
@@ -179,16 +222,13 @@ class EtaleRing:
 
     @cached_property
     def _rank_table(self) -> dict[int, tuple[int, int]]:
-        """(free rank, torsion dimension) per degree, counted once."""
-        return _rank_counts(
-            (d for _, d in self.free_basis), (d for _, d in self.torsion_basis)
-        )
+        """(free rank, torsion dimension) per degree, from the counts."""
+        return _rank_counts(self.free_basis.counts, self.torsion_basis.counts)
 
 
-def _rank_counts(free_degrees, torsion_degrees) -> dict[int, tuple[int, int]]:
-    free = Counter(free_degrees)
-    torsion = Counter(torsion_degrees)
-    return {d: (free[d], torsion[d]) for d in free.keys() | torsion.keys()}
+def _rank_counts(free, torsion) -> dict[int, tuple[int, int]]:
+    """Join per-degree free and torsion counts into (free, torsion) pairs."""
+    return {d: (free.get(d, 0), torsion.get(d, 0)) for d in free.keys() | torsion.keys()}
 
 
 class RankMismatchError(MotivicError):
@@ -204,26 +244,37 @@ def rost_etale_ring(n: int) -> EtaleRing:
     """Free part Z_2{1, pi}, torsion F_2{rho4^m : 1 <= m < 2^(n-1)}, with
     the cycle-map image flags on 1, pi and the top n-1 torsion classes."""
     _check_quadric_n(n, 1)
-    top = 2 ** (n + 1) - 2
-    free = (("1", 0), ("pi", top))
-    torsion = tuple(
-        (_rho_power_name(m), 4 * m) for m in range(1, 2 ** (n - 1))
-    )
-    algebraic = {"1", "pi"}
-    for i in range(1, n):
-        m = (2 ** (n + 1) - 2 ** (i + 1)) // 4
-        if m >= 1:
-            algebraic.add(_rho_power_name(m))
+    free_degrees, torsion_degrees = _rost_degrees(n)
+    torsion = [_rho_power_name(m) for m in range(1, len(torsion_degrees) + 1)]
+    flagged = [
+        ("1", 0),
+        *((torsion[m - 1], 4 * m) for m in sorted(_motive_flagged(n))),
+        ("pi", free_degrees[1]),
+    ]
+    algebraic = sorted(name for name, _ in flagged)
     relations = ("2*rho4", f"rho4^{2 ** (n - 1)}")
     return EtaleRing(
         n=n,
-        free_basis=free,
-        torsion_basis=torsion,
+        free_basis=_one_per_degree(zip(("1", "pi"), free_degrees)),
+        torsion_basis=_one_per_degree(zip(torsion, torsion_degrees)),
         relations=relations,
         minimal_relations=relations,
-        algebraic=frozenset(algebraic),
+        algebraic=Lazy(len(algebraic), partial(iter, algebraic)),
+        flagged=_one_per_degree(flagged),
         notes=("classes of degree 2 mod 4 are excluded by the weight convention",),
     )
+
+
+def _rost_degrees(n: int) -> tuple[list[int], list[int]]:
+    """The degrees of the parameter-n motive's free classes 1 and pi and of
+    its torsion classes rho4^m, 1 <= m < 2^(n-1)."""
+    return [0, 2 ** (n + 1) - 2], list(range(4, 2 ** (n + 1) - 3, 4))
+
+
+def _motive_flagged(n: int) -> list[int]:
+    """The m of the parameter-n motive's torsion classes rho4^m that are
+    cycle-map images: m = (2^(n+1) - 2^(i+1)) / 4, 1 <= i < n."""
+    return [(2 ** (n + 1) - 2 ** (i + 1)) // 4 for i in range(1, n)]
 
 
 def _rho_power_name(m: int) -> str:
@@ -234,14 +285,12 @@ def _decomposition_table(n: int) -> dict[int, tuple[int, int]]:
     """(free rank, torsion dimension) per degree of the quadric of
     dimension 2^n - 1, from the motive decomposition: the parameter-n motive
     plus the parameter-(n-1) motive shifted by 2, 4, ..., 2(2^(n-1) - 1)."""
-    base = rost_etale_ring(n)
-    free = [d for _, d in base.free_basis]
-    torsion = [d for _, d in base.torsion_basis]
+    free, torsion = map(Counter, _rost_degrees(n))
     if n >= 2:
-        lower = rost_etale_ring(n - 1)
-        for shift in range(2, 2**n - 1, 2):
-            free += [d + shift for _, d in lower.free_basis]
-            torsion += [d + shift for _, d in lower.torsion_basis]
+        for table, degrees in zip((free, torsion), _rost_degrees(n - 1)):
+            for d in degrees:
+                # one copy of the class per shift: degrees d + 2, ..., d + 2^n - 2
+                table.update(range(d + 2, d + 2**n - 1, 2))
     return _rank_counts(free, torsion)
 
 
@@ -249,20 +298,65 @@ def quadric_etale_ring(n: int) -> EtaleRing:
     """The even-degree integral ring of the dimension 2^n - 1 anisotropic
     quadric: Z_2[h, rho4] / (h^(2^n), 2 rho4, h rho4^(2^(n-2)),
     rho4 h^(2^(n-1)), rho4^(2^(n-1))), validated degreewise against the
-    motive decomposition."""
+    motive decomposition.
+
+    The torsion classes are the pure powers rho4^i, 1 <= i < 2^(n-1), and
+    the products h^j rho4^i, 1 <= j < 2^(n-1), 1 <= i < 2^(n-2); each is
+    made only when its degree is read.  Flags: the free part and all
+    hyperplane multiples are cycle-map images; a pure power rho4^i is one
+    iff it is one on the parameter-n motive."""
     _check_quadric_n(n, 2)
     hmax = 2**n - 1
-    free = tuple((f"h^{j}" if j > 1 else ("h" if j == 1 else "1"), 2 * j) for j in range(hmax + 1))
-    # each power named once: rhos[i - 1] is rho4^i, free[j][0] is h^j
-    rhos = [_rho_power_name(i) for i in range(1, 2 ** (n - 1))]
-    pure = [(4 * i, rho) for i, rho in enumerate(rhos, 1)]
-    multiples = [
-        (2 * j + 4 * i, f"{free[j][0]}*{rho}")
-        for j in range(1, 2 ** (n - 1))
-        for i, rho in enumerate(rhos[: 2 ** (n - 2) - 1], 1)
-    ]
-    # ordered by degree and then name
-    torsion = tuple((name, d) for d, name in sorted(pure + multiples))
+    top_j, top_i = 2 ** (n - 1) - 1, 2 ** (n - 2) - 1  # largest exponents of a product
+    h_names = [_h_power_name(j) for j in range(hmax + 1)]
+    rho_names = ["", *map(_rho_power_name, range(1, top_j + 1))]  # rho_names[i] is rho4^i
+    times_rho = ["*" + rho for rho in rho_names]
+
+    def products(d: int) -> range:
+        """The i of the products h^j rho4^i of degree d, j = d/2 - 2i."""
+        return range(max(1, (d // 2 - top_j + 1) // 2), min(top_i, (d // 2 - 1) // 2) + 1)
+
+    def product_names(d: int) -> list[str]:
+        half = d // 2
+        return [h_names[half - 2 * i] + times_rho[i] for i in products(d)]
+
+    # the pure powers are the parameter-n motive's torsion, flagged as there
+    pure_flagged = {4 * m: rho_names[m] for m in _motive_flagged(n)}
+
+    # in each degree the pure power, if any, sorts after every "h..." name
+    def torsion_names(d: int) -> list[str]:
+        names = product_names(d)
+        names.sort()
+        if d % 4 == 0 and 1 <= d // 4 <= top_j:
+            names.append(rho_names[d // 4])
+        return names
+
+    def flagged_names(d: int) -> list[str]:
+        names = product_names(d)
+        names += h_names[d // 2 : d // 2 + 1]
+        names.sort()
+        if d in pure_flagged:
+            names.append(pure_flagged[d])
+        return names
+
+    # classes per degree: a free class in each degree 0..2 hmax, products in
+    # 6..2 top_j + 4 top_i and pure powers in 4..4 top_j
+    product_counts = {d: len(products(d)) for d in range(0, 2 * hmax + 1, 2)}
+    torsion = {d: k + (d % 4 == 0) for d, k in product_counts.items() if 4 <= d <= 4 * top_j}
+    flagged = {d: 1 + k + (d in pure_flagged) for d, k in product_counts.items()}
+    # by name: "1" < "h..." < "rho4...", and "h^j" < "h^j*..." < the next
+    # h-power in name order, since "*" sorts before every digit
+    h_powers = sorted((h_names[j], j) for j in range(1, hmax + 1))
+    rho_sorted = sorted(rho_names[1 : top_i + 1])
+
+    def algebraic():
+        yield "1"
+        for h, j in h_powers:
+            yield h
+            if j <= top_j:
+                yield from map(f"{h}*".__add__, rho_sorted)
+        yield from sorted(pure_flagged.values())
+
     relations = (
         f"h^{2 ** n}",
         "2*rho4",
@@ -271,19 +365,14 @@ def quadric_etale_ring(n: int) -> EtaleRing:
         f"rho4^{2 ** (n - 1)}",
     )
     minimal = _minimize_monomial_relations(n)
-    # Flags: the free part and all hyperplane multiples are cycle-map
-    # images; a pure power rho4^i is flagged iff it is flagged on the
-    # parameter-n motive.
-    algebraic = rost_etale_ring(n).algebraic.intersection(rhos).union(
-        (name for name, _ in free), (name for _, name in multiples)
-    )
     ring = EtaleRing(
         n=n,
-        free_basis=free,
-        torsion_basis=torsion,
+        free_basis=_one_per_degree((h, 2 * j) for j, h in enumerate(h_names)),
+        torsion_basis=Graded(torsion, torsion_names),
         relations=relations,
         minimal_relations=minimal,
-        algebraic=algebraic,
+        algebraic=Lazy(sum(flagged.values()), algebraic),
+        flagged=Graded(flagged, flagged_names),
         notes=(f"pi = h^{hmax}",),
     )
     want = _decomposition_table(n)
@@ -299,10 +388,11 @@ def quadric_etale_ring(n: int) -> EtaleRing:
 
 def _quadric_name(j: int, i: int) -> str:
     rho = _rho_power_name(i)
-    if j == 0:
-        return rho
-    h = "h" if j == 1 else f"h^{j}"
-    return f"{h}*{rho}"
+    return rho if j == 0 else f"{_h_power_name(j)}*{rho}"
+
+
+def _h_power_name(j: int) -> str:
+    return "1" if j == 0 else "h" if j == 1 else f"h^{j}"
 
 
 def _monomial_str(j: int, i: int) -> str:

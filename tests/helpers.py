@@ -6,8 +6,8 @@ ranks and memberships, monomial lists from a product of exponent ranges,
 monomial products signed by counting inversions, the dh table of an
 elementary abelian ring from the closed forms of Q_i and dense nullspaces,
 a one-variable total-Steenrod-square model for the degree-1 operation rule,
-and closed forms for the Rost motive's subalgebra and the quadric's
-additive ranks.
+closed forms for the Rost motive's subalgebra and the quadric's additive
+ranks, and the quadric ring's classes and cycle-map flags as plain lists.
 """
 
 from __future__ import annotations
@@ -361,3 +361,43 @@ def quadric_ranks(n: int) -> dict[int, tuple[int, int]]:
             f0, t0 = out.get(d + shift, (0, 0))
             out[d + shift] = (f0 + f, t0 + t)
     return out
+
+
+def quadric_classes(n: int) -> dict:
+    """The quadric ring of dimension 2^n - 1 as the `rost` report lists it,
+    built whole on plain lists: "free" and "torsion" as [name, degree]
+    pairs, torsion sorted by (degree, name); "algebraic", the sorted names
+    of the cycle-map images; "flags", degree -> the sorted images of that
+    degree.  Classes: h^j for j < 2^n, the pure powers rho4^i for
+    i < 2^(n-1), the products h^j rho4^i for j < 2^(n-1), i < 2^(n-2).
+    Images: every free class and product, and a pure power iff the
+    parameter-n motive flags it, that is rho4^m with
+    m = 2^(n-1) - 2^(k-1) for 1 <= k < n."""
+
+    def h(j):
+        return "1" if j == 0 else "h" if j == 1 else f"h^{j}"
+
+    def rho(i):
+        return "rho4" if i == 1 else f"rho4^{i}"
+
+    free = [[h(j), 2 * j] for j in range(2**n)]
+    pure = [(4 * i, rho(i)) for i in range(1, 2 ** (n - 1))]
+    products = [
+        (2 * j + 4 * i, f"{h(j)}*{rho(i)}")
+        for j in range(1, 2 ** (n - 1))
+        for i in range(1, 2 ** (n - 2))
+    ]
+    torsion = [[name, d] for d, name in sorted(pure + products)]
+    motive_flags = {rho(2 ** (n - 1) - 2 ** (k - 1)) for k in range(1, n)}
+    algebraic = {name for name, _ in free} | {name for _, name in products}
+    algebraic |= {name for _, name in pure if name in motive_flags}
+    flags: dict[int, list[str]] = {}
+    for name, d in free + torsion:
+        if name in algebraic:
+            flags.setdefault(d, []).append(name)
+    return {
+        "free": free,
+        "torsion": torsion,
+        "algebraic": sorted(algebraic),
+        "flags": {d: sorted(names) for d, names in flags.items()},
+    }

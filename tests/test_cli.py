@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coniveau import cli
+from coniveau import cli, motivic
 from coniveau.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from coniveau.parser import parse_presentation
-from helpers import oracle_ideal_dimension, oracle_monomials
+from helpers import oracle_ideal_dimension, oracle_monomials, quadric_classes, quadric_ranks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -862,6 +863,77 @@ def test_rost_golden_hash(capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ROST_SHA256[n]
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_rost_body_matches_materialized_oracle(capsys, n):
+    # field by field, so a difference names the field the hashes above
+    # only detect
+    code, body = run_json(capsys, "rost", "--n", str(n))
+    assert code == EXIT_OK
+    want, ranks = quadric_classes(n), quadric_ranks(n)
+    ring = body["quadric_ring"]
+    for field in ("free", "torsion", "algebraic"):
+        assert ring[field] == want[field], field
+    table = body["rank_table"]
+    assert [row["degree"] for row in table] == list(range(0, 2 ** (n + 1) - 1, 2))
+    for row in table:
+        d = row["degree"]
+        assert (row["free_rank"], row["torsion_dim"]) == ranks.get(d, (0, 0)), d
+        assert row["flags"] == want["flags"].get(d, []), d
+
+
+def test_rost_rank_mismatch_writes_only_its_error(capsys, monkeypatch, tmp_path):
+    # the ranks are checked before the first byte is written: a decomposition
+    # table that disagrees exits 1 with the error body and no partial report,
+    # on stdout and in an --output file
+    table = motivic._decomposition_table
+    monkeypatch.setattr(motivic, "_decomposition_table", lambda n: {**table(n), 8: (1, 99)})
+    want = {
+        "schema_version": 1,
+        "command": "rost",
+        "error": "additive ranks disagree for n=5: deg 8: ring (1, 2) vs decomposition (1, 99)",
+        "exit_code": EXIT_MATH_FAIL,
+    }
+    assert run_json(capsys, "rost", "--n", "5") == (EXIT_MATH_FAIL, want)
+    target = tmp_path / "rost.json"
+    code, out = run(capsys, "rost", "--n", "5", "--output", str(target))
+    assert (code, out) == (EXIT_MATH_FAIL, "")
+    assert json.loads(target.read_text()) == want
+
+
+def test_rost_output_file_holds_the_stdout_bytes(capsys, tmp_path):
+    target = tmp_path / "rost.json"
+    assert run(capsys, "rost", "--n", "9", "--output", str(target)) == (EXIT_OK, "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_ROST_SHA256[9]
+
+
+_TRACED_ROST = """
+import os, sys, tracemalloc
+from coniveau import cli
+sys.stdout = open(os.devnull, "w", encoding="utf-8")
+tracemalloc.start()
+code = cli.main(["rost", "--n", "10"])
+peak = tracemalloc.get_traced_memory()[1]
+sys.stdout = sys.__stdout__
+print(code, peak)
+"""
+
+
+def test_rost_memory_grows_like_2_to_the_n():
+    # rost --n 10 reads 130,816 torsion classes into a 14 MB report; made a
+    # degree at a time and written in pieces, they are never held together,
+    # and the traced peak stays near 2 MiB.  The traced count is
+    # deterministic, unlike RSS.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_ROST], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == EXIT_OK
+    assert peak < 8 * 2**20, peak
+
+
 # exit code and stdout sha256 of the CLI paths that touch each scenario view:
 # the label module's answers and refusals, a restriction scenario, the
 # optional parameter of extraspecial-e, and the usage errors
@@ -999,31 +1071,54 @@ def test_complete_intersection_golden_hash(tmp_path, capsys, monkeypatch, comman
 # JSON values of the shapes report bodies are made of.  Strings carry
 # quotes, backslashes, control, non-ASCII and non-BMP characters; lists of
 # one scalar type and lists of equally long rows (as lists or tuples) take
-# the writer's one-step paths, mixed ones its general path.
+# the writer's one-step paths, mixed ones its general path.  A lazy sequence
+# (``motivic.Lazy``, as the quadric report holds its classes) may stand
+# wherever a list does.
+def _lazy(values):
+    return motivic.Lazy(len(values), partial(iter, values))
+
+
 _TEXT = st.text(st.sampled_from('"\\\x00\n\x1f\x7fé\u2028\U0001f600') | st.characters(), max_size=6)
 _SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _TEXT
 _ROWS = st.lists(st.sampled_from([_TEXT, st.integers(), st.booleans()]), min_size=1, max_size=3).flatmap(
     lambda columns: st.lists(st.tuples(*columns), max_size=4)
 )
+_LISTS = (
+    st.lists(_TEXT, max_size=4) | st.lists(st.integers(), max_size=4)
+    | st.lists(st.booleans(), max_size=4) | _ROWS | _ROWS.map(lambda rows: [list(r) for r in rows])
+)
 JSON_VALUES = st.recursive(
-    _SCALARS | st.lists(_TEXT, max_size=4) | st.lists(st.integers(), max_size=4)
-    | st.lists(st.booleans(), max_size=4) | _ROWS | _ROWS.map(lambda rows: [list(r) for r in rows]),
+    _SCALARS | _LISTS | _LISTS.map(_lazy),
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(_TEXT, inner, max_size=4),
+    | st.lists(inner, max_size=5).map(_lazy) | st.dictionaries(_TEXT, inner, max_size=4),
     max_leaves=20,
 )
+
+
+def _dumps(value):
+    """``json.dumps`` of value with every lazy sequence read into a list."""
+    return json.dumps(value, indent=2, default=list) + "\n"
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(JSON_VALUES)
 def test_json_writer_matches_json_dumps(value):
-    assert cli._render(value, "json") == json.dumps(value, indent=2) + "\n"
+    want = _dumps(value)
+    assert str(cli._render(value, "json")) == want
+    # written out after every batch of two lazy items, the pieces join to
+    # the same text
+    pieces = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "FLUSH_SIZE", 1)
+        patch.setattr(cli, "_BATCH", 2)
+        cli._render(value, "json").write_to(pieces.append)
+    assert "".join(pieces) == want and all(pieces)
 
 
 def test_json_writer_refuses_what_it_does_not_cover():
     for value in (1.5, {"a": [1, 2.0]}, {1: "a"}, [{"b": {2: 3}}], {"s": {1, 2}}):
         with pytest.raises(TypeError):
-            cli._render(value, "json")
+            str(cli._render(value, "json"))
 
 
 def test_json_writer_matches_json_dumps_on_golden_bodies(capsys, monkeypatch):
@@ -1032,7 +1127,7 @@ def test_json_writer_matches_json_dumps_on_golden_bodies(capsys, monkeypatch):
     def compared(body, fmt):
         text = render(body, fmt)
         if fmt == "json":
-            assert text == json.dumps(body, indent=2) + "\n"
+            assert str(text) == _dumps(body)
             checked.append(body["command"])
         return text
 
