@@ -6,10 +6,10 @@ The motive with parameter n lives in F_2[rho, tau, tau^-1] /
 monomial rho^a tau^b has degree a and weight a+b, so each bidegree carries
 at most one monomial.  The motive's cohomology is the subalgebra generated
 by rho, tau, a = rho^(n+1), a' = a tau^-1 and the iterated Bockstein-type
-images of a'; those images are pinned down by their bidegrees.  So the
-package holds each generator as its exponent pair, decides membership of a
-monomial by reachability over those pairs, and reads Q_0 on the unique
-candidate of a bidegree from its exponents.
+images of a'; those images are pinned down by their bidegrees.  The
+coniveau test asks only whether rho^s tau^-1 is in the subalgebra, which
+has a closed form in s and n, and reads Q_0 on that unique candidate of its
+bidegree from its exponents.
 
 Integral (2-adic) rings are modeled losslessly as (free Z_2 part) + (F_2
 torsion with 2x = 0): every ring reconstructed here has exponent-2 torsion.
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 
 # Largest motive parameter the quadric layer accepts.  Each step costs about
 # 4x in time: the quadric's torsion basis has about 4^n / 8 classes (130,816
-# at n = 10, a 14 MB `rost` report) and the reachability pass takes about
-# 4^n int additions.  Memory grows like 2^n: the classes are made one degree
-# at a time whenever they are read, and never held all at once.
+# at n = 10, a 14 MB `rost` report).  Memory grows like 2^n: the classes are
+# made one degree at a time whenever they are read, and never held all at
+# once.
 MAX_QUADRIC_N = 10
 
 
@@ -39,67 +39,6 @@ def _check_quadric_n(n: int, low: int) -> None:
         raise ValueError(f"n must be >= {low}")
     if n > MAX_QUADRIC_N:
         raise ValueError(f"n = {n} above the supported maximum {MAX_QUADRIC_N}")
-
-
-class RostBasis:
-    """Generating data of the motive's cohomology, by exponent pairs.
-
-    Generators: rho, tau, a = rho^(n+1), a' = a tau^-1, and for each
-    nonempty ascending index set I in {0..n-1} the class obtained from a'
-    by the operations in I; its exponents are forced by the bidegree:
-    rho-exponent n+1 + sum(2^(i+1)-1), tau-exponent -1 - sum(2^i).
-    Membership per bidegree is decided by reachability over the additive
-    monoid spanned by the generator exponent vectors, kept as the largest
-    reachable tau^-1 exponent per rho-exponent (see ``_reachability``).
-    """
-
-    def __init__(self, n: int):
-        _check_quadric_n(n, 1)
-        self.n = n
-        self.rho_bound = 2 ** (n + 1) - 2  # largest surviving rho-exponent
-        gens: dict[str, tuple[int, int]] = {
-            "rho": (1, 0),
-            "tau": (0, 1),
-            "a": (n + 1, 0),
-            "a'": (n + 1, -1),
-        }
-        for mask in range(1, 2**n):
-            I = [i for i in range(n) if mask >> i & 1]
-            s = n + 1 + sum(2 ** (i + 1) - 1 for i in I)
-            t = -1 - sum(2**i for i in I)
-            if s <= self.rho_bound:
-                gens["Q" + "Q".join(str(i) for i in I) + "(a')"] = (s, t)
-        self.generators = gens
-        self._reach = self._reachability()
-
-    def _reachability(self) -> list[int]:
-        """reach[s] is the largest mt such that rho^s tau^-mt is a product of
-        non-tau generators (all have t <= 0).
-
-        Every non-tau generator has rho-exponent ds >= 1, so one ascending
-        pass closes the monoid in the max-plus semiring: reach[s] is the
-        largest reach[s - ds] - dt over the generators with ds <= s.  rho
-        makes every s reachable, so each entry is at least 0, and every
-        generator has -dt <= ds, so reach[s] <= s.  Cost: O(S * G) int
-        operations for rho bound S and G generators.
-        """
-        vecs = sorted((ds, -dt) for k, (ds, dt) in self.generators.items() if k != "tau")
-        reach = [0]
-        for s in range(1, self.rho_bound + 1):
-            best = 0
-            for ds, mt in vecs:
-                if ds > s:
-                    break
-                if reach[s - ds] + mt > best:
-                    best = reach[s - ds] + mt
-            reach.append(best)
-        return reach
-
-    def contains_monomial(self, a: int, b: int) -> bool:
-        """Is rho^a tau^b a product of generators (without truncating)?"""
-        # tau powers can raise b arbitrarily; everything else lowers it, so
-        # any reachable rho^a tau^-mt with mt >= -b will do.
-        return 0 <= a <= self.rho_bound and self._reach[a] >= -b
 
 
 @dataclass(frozen=True)
@@ -116,19 +55,25 @@ class N1Verdict:
         return self.in_n1 is False
 
 
-def n1_membership(s: int, basis: RostBasis) -> N1Verdict:
-    """Decide whether rho^s has an integral tau-preimage in the motive.
+def n1_membership(s: int, n: int) -> N1Verdict:
+    """Decide whether rho^s has an integral tau-preimage in the
+    parameter-n motive.
 
     A preimage must be a subalgebra class x of bidegree (s, s-1) with
     tau*x = rho^s, and integrality forces Q_0(x) = 0.  Each bidegree holds
-    at most one monomial, so the search is decisive: either no preimage
-    exists (hyperplane multiples are excluded from the motive, so the
-    low-degree pieces are empty), or the unique candidate rho^s tau^-1 is
-    examined and its Q_0 value is the obstruction.
+    at most one monomial, so the only candidate is rho^s tau^-1, and it is
+    in the motive iff n + 1 <= s <= 2^(n+1) - 2: rho^s tau^-mt with mt >= 1
+    needs a generator with a negative tau-exponent, a' = rho^(n+1) tau^-1
+    has the smallest rho-exponent of those (each Q_i raises it), and
+    a' rho^(s-n-1) is the candidate.  Below n + 1 no preimage exists
+    (hyperplane multiples are excluded from the motive); otherwise the
+    candidate's Q_0 value is the obstruction.
     """
-    if not 1 <= s <= basis.rho_bound:
-        raise ValueError(f"s out of range 1..{basis.rho_bound}")
-    if not basis.contains_monomial(s, -1):
+    _check_quadric_n(n, 1)
+    rho_bound = 2 ** (n + 1) - 2  # largest surviving rho-exponent
+    if not 1 <= s <= rho_bound:
+        raise ValueError(f"s out of range 1..{rho_bound}")
+    if s <= n:
         return N1Verdict(
             s,
             False,
@@ -140,7 +85,7 @@ def n1_membership(s: int, basis: RostBasis) -> N1Verdict:
     candidate = _rho_tau(s, -1)
     # Q_0 is the derivation with Q_0(rho) = 0 and Q_0(tau^-1) = rho tau^-2,
     # so it takes rho^s tau^-1 to rho^(s+1) tau^-2, zero above the truncation
-    if s + 1 > basis.rho_bound:
+    if s == rho_bound:
         return N1Verdict(s, True, candidate, None, "integral tau-preimage found")
     return N1Verdict(
         s,
@@ -210,7 +155,7 @@ class EtaleRing:
     torsion_basis: Graded
     relations: tuple[str, ...]
     minimal_relations: tuple[str, ...]
-    algebraic: Lazy
+    algebraic: Lazy | list[str]
     flagged: Graded
     notes: tuple[str, ...] = ()
 
@@ -251,7 +196,6 @@ def rost_etale_ring(n: int) -> EtaleRing:
         *((torsion[m - 1], 4 * m) for m in sorted(_motive_flagged(n))),
         ("pi", free_degrees[1]),
     ]
-    algebraic = sorted(name for name, _ in flagged)
     relations = ("2*rho4", f"rho4^{2 ** (n - 1)}")
     return EtaleRing(
         n=n,
@@ -259,7 +203,8 @@ def rost_etale_ring(n: int) -> EtaleRing:
         torsion_basis=_one_per_degree(zip(torsion, torsion_degrees)),
         relations=relations,
         minimal_relations=relations,
-        algebraic=Lazy(len(algebraic), partial(iter, algebraic)),
+        # a list: the markdown writer joins a list's names, but prints a tuple's repr
+        algebraic=sorted(name for name, _ in flagged),
         flagged=_one_per_degree(flagged),
         notes=("classes of degree 2 mod 4 are excluded by the weight convention",),
     )
@@ -357,20 +302,14 @@ def quadric_etale_ring(n: int) -> EtaleRing:
                 yield from map(f"{h}*".__add__, rho_sorted)
         yield from sorted(pure_flagged.values())
 
-    relations = (
-        f"h^{2 ** n}",
-        "2*rho4",
-        _monomial_str(1, 2 ** (n - 2)),
-        _monomial_str(2 ** (n - 1), 1),
-        f"rho4^{2 ** (n - 1)}",
-    )
-    minimal = _minimize_monomial_relations(n)
+    monomial = _monomial_relations(n)
+    top_h, *rest = monomial
     ring = EtaleRing(
         n=n,
         free_basis=_one_per_degree((h, 2 * j) for j, h in enumerate(h_names)),
         torsion_basis=Graded(torsion, torsion_names),
-        relations=relations,
-        minimal_relations=minimal,
+        relations=(top_h, "2*rho4", *rest),
+        minimal_relations=_minimize_monomial_relations(monomial),
         algebraic=Lazy(sum(flagged.values()), algebraic),
         flagged=Graded(flagged, flagged_names),
         notes=(f"pi = h^{hmax}",),
@@ -387,6 +326,9 @@ def quadric_etale_ring(n: int) -> EtaleRing:
 
 
 def _quadric_name(j: int, i: int) -> str:
+    """The monomial h^j rho4^i, (j, i) != (0, 0), as text: "h^2*rho4^3"."""
+    if i == 0:
+        return _h_power_name(j)
     rho = _rho_power_name(i)
     return rho if j == 0 else f"{_h_power_name(j)}*{rho}"
 
@@ -395,19 +337,16 @@ def _h_power_name(j: int) -> str:
     return "1" if j == 0 else "h" if j == 1 else f"h^{j}"
 
 
-def _monomial_str(j: int, i: int) -> str:
-    return _quadric_name(j, i) if (j, i) != (0, 0) else "1"
+def _monomial_relations(n: int) -> dict[str, tuple[int, int]]:
+    """The quadric ring's monomial relations h^j rho4^i by name, in stated
+    order: h^(2^n), h rho4^(2^(n-2)), h^(2^(n-1)) rho4, rho4^(2^(n-1))."""
+    pairs = ((2**n, 0), (1, 2 ** (n - 2)), (2 ** (n - 1), 1), (0, 2 ** (n - 1)))
+    return {_quadric_name(j, i): (j, i) for j, i in pairs}
 
 
-def _minimize_monomial_relations(n: int) -> tuple[str, ...]:
+def _minimize_monomial_relations(monos: dict[str, tuple[int, int]]) -> tuple[str, ...]:
     """Drop monomial relations divisible by another (the stated list is
     treated as generating; the reduced set is reported)."""
-    monos = {
-        f"h^{2 ** n}": (2**n, 0),
-        _monomial_str(1, 2 ** (n - 2)): (1, 2 ** (n - 2)),
-        _monomial_str(2 ** (n - 1), 1): (2 ** (n - 1), 1),
-        f"rho4^{2 ** (n - 1)}": (0, 2 ** (n - 1)),
-    }
     keep = []
     for name, (j, i) in monos.items():
         if any(
@@ -430,8 +369,6 @@ def unramified_quotient_quadric(n: int) -> UnramifiedQuotient:
     """Quotient of the quadric ring by the hyperplane ideal: rank-1 free
     part plus the truncated polynomial torsion on rho4."""
     _check_quadric_n(n, 1)
-    if n == 1:
-        return UnramifiedQuotient(1, (("1", 0),), ())
     torsion = tuple((_rho_power_name(i), 4 * i) for i in range(1, 2 ** (n - 1)))
     return UnramifiedQuotient(n, (("1", 0),), torsion)
 
@@ -463,13 +400,12 @@ def dh_quadric_check(n: int, force_n1: tuple[int, ...] = ()) -> QuadricCertifica
                 f"forced degree {s} is no torsion generator's: for n = {n} they lie "
                 f"in degrees 4i, 1 <= i < {2 ** (n - 1)}"
             )
-    basis = RostBasis(n)
     checks = []
     detail = []
     ok = True
     for i in range(1, 2 ** (n - 1)):
         s = 4 * i
-        verdict = n1_membership(s, basis)
+        verdict = n1_membership(s, n)
         if s in force_n1:
             verdict = N1Verdict(s, True, verdict.candidate, None, "forced by fiat (negative control)")
         checks.append(verdict)

@@ -143,14 +143,13 @@ def test_criterion_5_quadric_rings():
 
 def test_criterion_6_obstructions():
     for n in (2, 3):
-        basis = motivic.RostBasis(n)
         for _, degree in motivic.rost_etale_ring(n).torsion_basis:
-            verdict = motivic.n1_membership(degree, basis)
+            verdict = motivic.n1_membership(degree, n)
             assert verdict.rejected(), (n, degree)
             assert verdict.reason
             if verdict.candidate is not None:
                 assert verdict.obstruction is not None
-        first = motivic.n1_membership(n + 1, basis)
+        first = motivic.n1_membership(n + 1, n)
         assert first.obstruction == f"rho^{n + 2}*tau^-2"
         assert motivic.dh_quadric_check(n).verdict == "DH=0"
     print("criterion 6: PASS - coniveau obstructions with explicit witnesses; DH = 0")

@@ -1,14 +1,15 @@
 """Motive membership, integral rings, obstruction tests."""
 
+from functools import partial
+
 import pytest
 
-from helpers import brute_reachable, quadric_ranks
+from helpers import brute_reachable, quadric_ranks, rost_generator_exponents
 
 from coniveau.motivic import (
     MAX_QUADRIC_N,
     N1Verdict,
     RankMismatchError,
-    RostBasis,
     _decomposition_table,
     dh_quadric_check,
     n1_membership,
@@ -21,30 +22,14 @@ from coniveau.motivic import (
 # -- motive membership ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_membership_against_brute_oracle(n):
-    basis = RostBasis(n)
-    reachable = brute_reachable(n)
-    bound = 2 ** (n + 1) - 2
-    for s in range(bound + 1):
-        for t in range(-bound, bound + 1):
-            assert basis.contains_monomial(s, t) == ((s, t) in reachable), (s, t)
-
-
-def test_membership_examples():
-    basis = RostBasis(3)
-    assert basis.contains_monomial(*basis.generators["a'"])
-    assert basis.contains_monomial(0, 5)                     # tau^5
-    for n in (2, 3):
-        assert not RostBasis(n).contains_monomial(1, -1)     # rho tau^-1
-
-
-def test_generator_list_matches_bidegree_formula():
-    basis = RostBasis(3)
-    assert basis.generators["Q0(a')"] == (5, -2)
-    assert basis.generators["Q0Q1(a')"] == (8, -4)
-    # the full-length product overflows the truncation and is dropped
-    assert "Q0Q1Q2(a')" not in basis.generators
+def test_closed_form_premise():
+    # n1_membership decides rho^s tau^-1 by n + 1 <= s: a' = rho^(n+1) tau^-1
+    # is a generator, and none with a negative tau-exponent has a smaller
+    # rho-exponent
+    for n in range(1, MAX_QUADRIC_N + 1):
+        gens = rost_generator_exponents(n)
+        assert (n + 1, -1) in gens, n
+        assert min(s for s, t in gens if t < 0) == n + 1, n
 
 
 # -- obstruction verdicts ---------------------------------------------------------------
@@ -52,16 +37,15 @@ def test_generator_list_matches_bidegree_formula():
 
 def test_n1_low_degrees_no_preimage():
     for n in (2, 3):
-        basis = RostBasis(n)
         for s in range(1, n + 1):
-            v = n1_membership(s, basis)
+            v = n1_membership(s, n)
             assert v.in_n1 is False and v.candidate is None
             assert "no tau-preimage" in v.reason
 
 
 def test_n1_first_obstruction():
     for n in (2, 3):
-        v = n1_membership(n + 1, RostBasis(n))
+        v = n1_membership(n + 1, n)
         assert v.in_n1 is False
         assert v.candidate == f"rho^{n + 1}*tau^-1"
         assert v.obstruction == f"rho^{n + 2}*tau^-2"
@@ -69,16 +53,16 @@ def test_n1_first_obstruction():
 
 def test_n1_second_obstruction_is_rho_times_prior():
     for n in (2, 3):
-        basis = RostBasis(n)
-        v = n1_membership(n + 2, basis)
+        v = n1_membership(n + 2, n)
         assert v.in_n1 is False
-        s, t = basis.generators["Q0(a')"]
+        s, t = n + 2, -2  # Q0(a'), index set {0}
+        assert (s, t) in rost_generator_exponents(n)
         assert v.obstruction == f"rho^{s + 1}*tau^{t}"
 
 
 def test_n1_top_class_is_member():
     n = 3
-    v = n1_membership(2 ** (n + 1) - 2, RostBasis(n))
+    v = n1_membership(2 ** (n + 1) - 2, n)
     assert v.in_n1 is True
 
 
@@ -87,10 +71,10 @@ def test_n1_verdicts_closed_form(n):
     # every verdict as literal text: no preimage off the reachable set, the
     # top class a member (Q_0 lands above the rho truncation), and otherwise
     # the unique candidate rho^s tau^-1 with Q_0 value rho^(s+1) tau^-2
-    basis, reachable = RostBasis(n), brute_reachable(n)
+    reachable = brute_reachable(n)
     top = 2 ** (n + 1) - 2
     for s in range(1, top + 1):
-        v = n1_membership(s, basis)
+        v = n1_membership(s, n)
         if (s, -1) not in reachable:
             assert (v.in_n1, v.candidate, v.obstruction) == (False, None, None), s
             assert v.reason.startswith("no tau-preimage"), s
@@ -105,9 +89,9 @@ def test_n1_verdicts_closed_form(n):
 
 def test_n1_range_check():
     with pytest.raises(ValueError):
-        n1_membership(0, RostBasis(2))
+        n1_membership(0, 2)
     with pytest.raises(ValueError):
-        n1_membership(7, RostBasis(2))
+        n1_membership(7, 2)
 
 
 # -- integral rings ------------------------------------------------------------------
@@ -186,19 +170,21 @@ def test_decomposition_examples():
 
 
 def test_quadric_parameter_bound():
-    # the reachability table, the rings and the rank tables grow like 2^n;
-    # above the bound each entry point refuses before building anything
+    # the rings and the rank tables grow like 2^n; above the bound each
+    # entry point refuses before building anything
     n = MAX_QUADRIC_N + 1
-    for build in (RostBasis, rost_etale_ring, quadric_etale_ring, dh_quadric_check,
-                  unramified_quotient_quadric):
+    for build in (partial(n1_membership, 4), rost_etale_ring, quadric_etale_ring,
+                  dh_quadric_check, unramified_quotient_quadric):
         with pytest.raises(ValueError, match="maximum"):
             build(n)
 
 
 def test_quadric_check_at_parameter_bound():
-    basis = RostBasis(MAX_QUADRIC_N)
-    assert basis.contains_monomial(basis.rho_bound, 0)
-    assert not basis.contains_monomial(basis.rho_bound + 1, 0)
+    # the rho truncation at the bound: the top class is the one member
+    top = 2 ** (MAX_QUADRIC_N + 1) - 2
+    assert n1_membership(top, MAX_QUADRIC_N).in_n1 is True
+    with pytest.raises(ValueError, match="out of range"):
+        n1_membership(top + 1, MAX_QUADRIC_N)
     cert = dh_quadric_check(MAX_QUADRIC_N)
     assert cert.verdict == "DH=0"
     assert len(cert.torsion_checks) == 2 ** (MAX_QUADRIC_N - 1) - 1
@@ -227,10 +213,9 @@ def test_dh_quadric_negative_control():
 
 def test_torsion_generators_all_rejected():
     for n in (2, 3):
-        basis = RostBasis(n)
         ring = rost_etale_ring(n)
         for _, degree in ring.torsion_basis:
-            assert n1_membership(degree, basis).rejected()
+            assert n1_membership(degree, n).rejected()
 
 
 def quadric_monomial_product(n, a, b):
