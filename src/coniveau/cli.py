@@ -186,7 +186,7 @@ def quadric_report(n: int, force=()) -> dict:
             }
             for v in check.torsion_checks
         ],
-        "dh_check": {"verdict": check.verdict, "detail": list(check.detail)},
+        "dh_check": {"verdict": check.verdict, "detail": check.detail},
     }
 
 
@@ -194,10 +194,10 @@ def _ring_dict(ring: motivic.EtaleRing) -> dict:
     return {
         "free": ring.free_basis,
         "torsion": ring.torsion_basis,
-        "relations": list(ring.relations),
-        "minimal_relations": list(ring.minimal_relations),
+        "relations": ring.relations,
+        "minimal_relations": ring.minimal_relations,
         "algebraic": ring.algebraic,
-        "notes": list(ring.notes),
+        "notes": ring.notes,
     }
 
 
@@ -250,26 +250,27 @@ def _render(body: dict, fmt: str) -> _Report:
     return _Report(body, fmt)
 
 
-# after each batch of a lazy sequence, the JSON writer writes its pieces out
-# once they hold this many characters; a batch holds up to _BATCH items
+# at each spill, either writer writes its pieces out once they hold this
+# many characters; a batch holds up to _BATCH items
 FLUSH_SIZE = 1 << 15
 _BATCH = 1024
+_SEQUENCES = (list, tuple, motivic.Lazy)  # what both writers take for a sequence
 
 
 class _Report:
-    """A report rendered afresh on each ``write_to``, which writes its text
-    in pieces, so a body's lazy sequences are never held whole."""
+    """A report rendered afresh on each ``write_to``, where either writer
+    spills its text in pieces, so a body's lazy sequences are never held whole."""
 
     def __init__(self, body: dict, fmt: str):
         self.body, self.fmt = body, fmt
 
     def write_to(self, write) -> None:
-        if self.fmt != "json":
-            write(_markdown(self.body))
-            return
         out = _Pieces(write)
-        _json(self.body, "\n", out)
-        out.append("\n")
+        if self.fmt == "json":
+            _json(self.body, "\n", out)
+            out.append("\n")
+        else:
+            _markdown(self.body, "report", 1, out)
         out.flush()
 
     def __str__(self) -> str:
@@ -283,10 +284,9 @@ class _Report:
 
 
 class _Pieces(list):
-    """Text pieces on their way to ``write``.  The JSON writer calls
-    ``spill`` after each batch of a lazy sequence, which writes the pieces
-    out joined once they hold FLUSH_SIZE characters; a body without a lazy
-    sequence is written in one piece at the end."""
+    """Text pieces on their way to ``write``.  Both writers call ``spill``
+    after each batch, table row or nested item, which writes the pieces out
+    joined once they hold FLUSH_SIZE characters; the rest goes at the end."""
 
     __slots__ = ("write", "size", "counted")
 
@@ -414,38 +414,37 @@ def _item_title(x: dict) -> str:
     return "entry"
 
 
-def _markdown(body: dict, level: int = 1) -> str:
-    lines: list[str] = []
-
-    def emit(obj, title, depth):
-        if isinstance(obj, dict):
-            if title:
-                lines.append("#" * min(depth, 6) + " " + title)
-            for k, v in obj.items():
-                emit(v, k, depth + 1)
-        elif isinstance(obj, (list, motivic.Lazy)):
-            if title:
-                lines.append("#" * min(depth, 6) + " " + title)
-            if obj and all(isinstance(x, dict) for x in obj):
-                keys = sorted({k for x in obj for k in x if not isinstance(x[k], (dict, list))})
-                if keys:
-                    lines.append("| " + " | ".join(keys) + " |")
-                    lines.append("|" + "---|" * len(keys))
-                    for x in obj:
-                        lines.append(
-                            "| " + " | ".join(str(x.get(k, "")) for k in keys) + " |"
-                        )
-                for x in obj:
-                    nested = {k: v for k, v in x.items() if isinstance(v, (dict, list)) and v}
-                    if nested:
-                        emit(nested, _item_title(x), depth + 1)
-            else:
-                lines.append(", ".join(str(x) for x in obj) if obj else "(empty)")
-        else:
-            lines.append(f"- **{title}**: {obj}")
-
-    emit(body, "report", level)
-    return "\n".join(lines) + "\n"
+def _markdown(obj, title: str, depth: int, out: _Pieces) -> None:
+    """Append the markdown of obj, a section ``title`` at heading level
+    ``depth``, to out, with a spill after each table row, nested item and batch."""
+    if not isinstance(obj, (dict, *_SEQUENCES)):
+        out.append(f"- **{title}**: {obj}\n")
+        return
+    if title:
+        out.append("#" * min(depth, 6) + " " + title + "\n")
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _markdown(v, k, depth + 1, out)
+    elif obj and all(isinstance(x, dict) for x in obj):
+        # a table of the items' scalar fields, then a section per item of the rest
+        keys = sorted({k for x in obj for k in x if not isinstance(x[k], (dict, *_SEQUENCES))})
+        if keys:
+            out.append("| " + " | ".join(keys) + " |\n|" + "---|" * len(keys) + "\n")
+            for x in obj:
+                out.append("| " + " | ".join(str(x.get(k, "")) for k in keys) + " |\n")
+                out.spill()
+        for x in obj:
+            nested = {k: v for k, v in x.items() if isinstance(v, (dict, *_SEQUENCES)) and v}
+            if nested:
+                _markdown(nested, _item_title(x), depth + 1, out)
+                out.spill()
+    else:
+        head, items = "", iter(obj)
+        for first in items:
+            out.append(head + ", ".join(map(str, [first, *islice(items, _BATCH - 1)])))
+            head = ", "
+            out.spill()
+        out.append("\n" if head else "(empty)\n")
 
 
 # -- entry point --------------------------------------------------------------------

@@ -155,7 +155,7 @@ class EtaleRing:
     torsion_basis: Graded
     relations: tuple[str, ...]
     minimal_relations: tuple[str, ...]
-    algebraic: Lazy | list[str]
+    algebraic: Lazy | tuple[str, ...]
     flagged: Graded
     notes: tuple[str, ...] = ()
 
@@ -203,8 +203,7 @@ def rost_etale_ring(n: int) -> EtaleRing:
         torsion_basis=_one_per_degree(zip(torsion, torsion_degrees)),
         relations=relations,
         minimal_relations=relations,
-        # a list: the markdown writer joins a list's names, but prints a tuple's repr
-        algebraic=sorted(name for name, _ in flagged),
+        algebraic=tuple(sorted(name for name, _ in flagged)),
         flagged=_one_per_degree(flagged),
         notes=("classes of degree 2 mod 4 are excluded by the weight convention",),
     )

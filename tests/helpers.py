@@ -7,7 +7,8 @@ monomial products signed by counting inversions, the dh table of an
 elementary abelian ring from the closed forms of Q_i and dense nullspaces,
 a one-variable total-Steenrod-square model for the degree-1 operation rule,
 closed forms for the Rost motive's subalgebra and the quadric's additive
-ranks, and the quadric ring's classes and cycle-map flags as plain lists.
+ranks, the quadric ring's classes and cycle-map flags as plain lists, and
+a markdown report built whole as a list of lines.
 """
 
 from __future__ import annotations
@@ -401,3 +402,62 @@ def quadric_classes(n: int) -> dict:
         "algebraic": sorted(algebraic),
         "flags": {d: sorted(names) for d, names in flags.items()},
     }
+
+
+def _is_sequence(x) -> bool:
+    """A list, a tuple or a lazy sequence: anything sized and iterable that
+    is no str or dict, so the package's ``Lazy`` needs no import."""
+    if isinstance(x, (list, tuple)):
+        return True
+    return hasattr(x, "__len__") and hasattr(x, "__iter__") and not isinstance(x, (str, dict))
+
+
+def _markdown_title(x: dict) -> str:
+    for key in ("label", "name", "element"):
+        if isinstance(x.get(key), str):
+            return x[key]
+    scenario = x.get("scenario")
+    if isinstance(scenario, dict) and isinstance(scenario.get("name"), str):
+        return scenario["name"]
+    if isinstance(x.get("n"), int):
+        return f"n={x['n']}"
+    return "entry"
+
+
+def oracle_markdown(body) -> str:
+    """The markdown report of body, built whole as a list of lines.  A dict
+    is a section of its values; a sequence of dicts is a table of their
+    scalar fields, then a section per item of its nested fields; any other
+    sequence is one line of its items joined; a scalar is a bullet."""
+    lines: list[str] = []
+
+    def nested(v) -> bool:
+        return isinstance(v, dict) or _is_sequence(v)
+
+    def emit(obj, title, depth):
+        if isinstance(obj, dict):
+            if title:
+                lines.append("#" * min(depth, 6) + " " + title)
+            for k, v in obj.items():
+                emit(v, k, depth + 1)
+        elif _is_sequence(obj):
+            if title:
+                lines.append("#" * min(depth, 6) + " " + title)
+            if obj and all(isinstance(x, dict) for x in obj):
+                keys = sorted({k for x in obj for k in x if not nested(x[k])})
+                if keys:
+                    lines.append("| " + " | ".join(keys) + " |")
+                    lines.append("|" + "---|" * len(keys))
+                    for x in obj:
+                        lines.append("| " + " | ".join(str(x.get(k, "")) for k in keys) + " |")
+                for x in obj:
+                    parts = {k: v for k, v in x.items() if nested(v) and v}
+                    if parts:
+                        emit(parts, _markdown_title(x), depth + 1)
+            else:
+                lines.append(", ".join(str(x) for x in obj) if obj else "(empty)")
+        else:
+            lines.append(f"- **{title}**: {obj}")
+
+    emit(body, "report", 1)
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,9 @@
 """Exit-code contract, determinism, user scenario files."""
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
 import random
@@ -18,9 +21,12 @@ from hypothesis import strategies as st
 from coniveau import cli, motivic
 from coniveau.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from coniveau.parser import parse_presentation
-from helpers import oracle_ideal_dimension, oracle_monomials, quadric_classes, quadric_ranks
+from helpers import (
+    oracle_ideal_dimension, oracle_markdown, oracle_monomials, quadric_classes, quadric_ranks,
+)
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -825,12 +831,32 @@ def test_markdown_dh_table(capsys):
 GOLDEN_REPORT_SHA256 = "eb010dc1fd7b9f2dacc685050c8fad228301d5860211b566ae0fcd7b4dee9b45"
 
 
-def test_report_all_golden_hash(capsys):
+@pytest.fixture(scope="module")
+def report_all():
+    """Exit code and stdout of one in-process `report --all`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["report", "--all"])
+    return code, out.getvalue()
+
+
+def test_report_all_golden_hash(report_all):
     # the reproduction's correctness gate: every certificate, table, quotient
     # and quadric verdict of `report --all`, byte for byte
-    code, out = run(capsys, "report", "--all")
+    code, out = report_all
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORT_SHA256
+
+
+def test_report_all_meets_the_benchmark_closed_forms(report_all, monkeypatch):
+    # the benchmark's checks of each section against closed forms and
+    # independent computations (perfbench/checks.py), which the hash above
+    # only pins; run.py imports its sibling modules by their bare names
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("_perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.check_report(json.loads(report_all[1])) == []
 
 
 def test_report_all_golden_hash_under_optimize():
@@ -911,22 +937,24 @@ import os, sys, tracemalloc
 from coniveau import cli
 sys.stdout = open(os.devnull, "w", encoding="utf-8")
 tracemalloc.start()
-code = cli.main(["rost", "--n", "10"])
+code = cli.main(["rost", "--n", "10", "--format", sys.argv[1]])
 peak = tracemalloc.get_traced_memory()[1]
 sys.stdout = sys.__stdout__
 print(code, peak)
 """
 
 
-def test_rost_memory_grows_like_2_to_the_n():
-    # rost --n 10 reads 130,816 torsion classes into a 14 MB report; made a
-    # degree at a time and written in pieces, they are never held together,
-    # and the traced peak stays near 2 MiB.  The traced count is
-    # deterministic, unlike RSS.
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_rost_memory_grows_like_2_to_the_n(fmt):
+    # rost --n 10 reads 130,816 torsion classes into a 14 MB JSON or 7.4 MB
+    # markdown report; made a degree at a time and written in pieces, they
+    # are never held together, and the traced peak stays near 2 MiB in
+    # either format.  The traced count is deterministic, unlike RSS.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_ROST], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", _TRACED_ROST, fmt],
+        capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     code, peak = map(int, proc.stdout.split())
@@ -954,6 +982,9 @@ GOLDEN_CLI = {
     "verify no-such-scenario": (2, "87a22af0f774242fa754000f2de5522d021519d0270e04c37184f134a8be4672"),
     "dh-table so --m 2 --format markdown": (0, "229afb6f1eb6f79e02935f3e83f7f1de565a03d97ad43766a89201c808d4b355"),
     "rost --n 3 --format markdown": (0, "22f63c55e4893ca8ef9d0638f71290193e09293273c44994fde3c6922e7568ba"),
+    # markdown of lazy rows (the rank tables) and of a 7.4 MB report
+    "report --all --format markdown": (0, "7057d6205054a5b5fda0ff7dcbcc99bf951afbca2b1b58404cd025a4608c29e5"),
+    "rost --n 10 --format markdown": (0, "47f706ac8312bfc4e59c5283471508bc20bffb5955fdd3598ef6fc9299b5c526"),
     # Chern-ideal tests on detection rings larger than any of ``report --all``
     "dh-table elementary --p 2 --n 6": (0, "e7c93668d4ed1a88315f76b0c84e0951e0cdb516a2d251ba651d5cb63355223f"),
     "dh-table extraspecial-e --n 8 --p 3": (0, "b461f0511b018081f1f2a65e044dbbec665560d9f74e0849215989a35657f078"),
@@ -1100,18 +1131,33 @@ def _dumps(value):
     return json.dumps(value, indent=2, default=list) + "\n"
 
 
+def _written_in_pieces(value, fmt):
+    """The pieces the writer of fmt writes value in when it writes out at
+    every spill, with a spill after every batch of two items."""
+    pieces = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "FLUSH_SIZE", 1)
+        patch.setattr(cli, "_BATCH", 2)
+        cli._render(value, fmt).write_to(pieces.append)
+    return pieces
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(JSON_VALUES)
 def test_json_writer_matches_json_dumps(value):
     want = _dumps(value)
     assert str(cli._render(value, "json")) == want
-    # written out after every batch of two lazy items, the pieces join to
-    # the same text
-    pieces = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "FLUSH_SIZE", 1)
-        patch.setattr(cli, "_BATCH", 2)
-        cli._render(value, "json").write_to(pieces.append)
+    pieces = _written_in_pieces(value, "json")
+    assert "".join(pieces) == want and all(pieces)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(JSON_VALUES)
+def test_markdown_writer_matches_oracle(value):
+    # the same bodies, tuples and lazy sequences taken as sequences by both
+    want = oracle_markdown(value)
+    assert str(cli._render(value, "markdown")) == want
+    pieces = _written_in_pieces(value, "markdown")
     assert "".join(pieces) == want and all(pieces)
 
 
