@@ -60,7 +60,7 @@ def ideal_series(weights, supports, top: int) -> list[int]:
             for mask, d, support in gens:
                 if mask & bit:
                     rest = tuple((s, x - e * (s == v)) for s, x in support if s != v or x > e)
-                    colon.append((_bits(rest), d - shift, rest))
+                    colon.append((_bits(s for s, _ in rest), d - shift, rest))
             quotients = tuple(colon)
             for g in plus[:-1]:
                 if g[1] + shift > top:
@@ -77,10 +77,10 @@ def ideal_series(weights, supports, top: int) -> list[int]:
 
     if () in supports:
         return [0] * (top + 1)
-    gens = [(_bits(g), sum(e * weights[s] for s, e in g), g) for g in supports]
+    gens = [(_bits(s for s, _ in g), sum(e * weights[s] for s, e in g), g) for g in supports]
     return series(frozenset(g for g in gens if g[1] <= top), top)
 
 
-def _bits(support) -> int:
-    """The slots of a support as the bits of an int."""
-    return sum(1 << s for s, _ in support)
+def _bits(slots) -> int:
+    """A set of slots as the bits of an int."""
+    return sum(1 << s for s in slots)

@@ -287,7 +287,8 @@ class Scenario:
         }
 
     def verify(self, element: str | None, sequence) -> Certificate:
-        """Certificate for a named class, or for the flagship target."""
+        """Certificate for a named class, or for the flagship target.  A given
+        sequence that no witness search would try is refused, by its rule."""
         if element and sequence is None:
             raise ScenarioError("--element requires --I")
         label, default_seq = (element, None) if element else self.default_target
@@ -300,6 +301,17 @@ class Scenario:
         cand = self.candidate(label)
         if seq is None:
             return search_witness(self, cand)
+        d = cand.element.degree() if cand.element.is_homogeneous() else None
+        need = None if d is None else required_length(d)
+        if need is not None and len(seq) != need:
+            raise ScenarioError(f"degree-{d} classes need a sequence of length {need}, got {len(seq)}")
+        if any(a >= b for a, b in zip((0,) + seq, seq)):
+            raise ScenarioError(f"witness indices must increase strictly from 1, got {list(seq)}")
+        top = self.max_search_index
+        if seq and seq[-1] > top:
+            raise ScenarioError(
+                f"witness index {seq[-1]} is past the operation table's last index {top}"
+            )
         if self.restriction is not None:
             return _restricted(self, label, _detect_candidate(*_restrict(self, cand), seq))
         return _detect_candidate(self, cand, seq)
@@ -458,19 +470,19 @@ def chern_survival(scenario: Scenario, e: Element) -> bool:
 # -- detection -----------------------------------------------------------------
 
 
-def _detect_candidate(scenario: Scenario, cand: DhCandidate, sequence) -> Certificate:
+def _detect_candidate(scenario: Scenario, cand: DhCandidate, sequence: tuple) -> Certificate:
     """Run the decision procedure on one homogeneous class.
 
-    Verdict ``not-in-strong-coniveau`` requires: a strictly increasing
-    sequence of indices >= 1 whose length matches the class degree, a
-    nonzero value certified in a declared ring (the candidate's maps, else
-    the scenario's), and survival of the class modulo the Chern ideal.
-    Cap overflows and uncertified values are reported as inconclusive, never
-    as passes.  The scenario has an operation table; ``verify`` and
-    ``search_witness`` pass a restriction scenario's classes to its target.
+    Verdict ``not-in-strong-coniveau`` requires: survival of the class
+    modulo the Chern ideal, a detection rule for its degree, and a nonzero
+    value certified in a declared ring (the candidate's maps, else the
+    scenario's).  Cap overflows and uncertified values are reported as
+    inconclusive, never as passes.  The sequence is a witness's shape within
+    the operation table: ``verify`` refuses any other, ``search_witness``
+    makes no other, and both pass a restriction scenario's classes to its
+    target.
     """
     label = cand.label
-    sequence = tuple(sequence)
     alpha = cand.element
     if alpha.is_zero() or not alpha.is_homogeneous():
         return _inconclusive(scenario, label, sequence, "target class must be nonzero homogeneous")
@@ -492,9 +504,8 @@ def _detect_candidate(scenario: Scenario, cand: DhCandidate, sequence) -> Certif
                 reason="class lies in the mod-p image of the integral Chern ideal",
             )
 
-    problem = _sequence_problem(d, sequence)
-    if problem:
-        return _inconclusive(scenario, label, sequence, problem)
+    if required_length(d) is None:
+        return _inconclusive(scenario, label, sequence, f"no detection rule for classes of degree {d}")
 
     try:
         value, trail = scenario.q_action.apply_sequence(sequence, alpha)
@@ -530,19 +541,6 @@ def _detect_candidate(scenario: Scenario, cand: DhCandidate, sequence) -> Certif
         assumptions=tuple(assumptions),
         audit=tuple(str(t) for t in trail),
     )
-
-
-def _sequence_problem(degree: int, sequence: tuple[int, ...]) -> str | None:
-    need = required_length(degree)
-    if need is None:
-        return f"no detection rule for classes of degree {degree}"
-    if len(sequence) != need:
-        return f"degree-{degree} classes need a sequence of length {need}, got {len(sequence)}"
-    if any(i < 1 for i in sequence):
-        return "operation indices in a witness must be >= 1"
-    if any(a >= b for a, b in zip(sequence, sequence[1:])):
-        return "witness indices must be strictly increasing"
-    return None
 
 
 def _certify_nonzero(scenario: Scenario, candidate_maps, value: Element) -> str | None:

@@ -108,7 +108,7 @@ def _cmd_list(args) -> tuple[int, dict]:
 
 def _cmd_verify(args) -> tuple[int, dict]:
     scenario = _resolve_scenario(args)
-    sequence = _parse_indices(args.I) if args.I else None
+    sequence = _parse_indices(args.I) if args.I is not None else None
     cert = scenario.verify(args.element, sequence)
     body = {"scenario": scenario.header(), "certificate": cert.to_dict()}
     ok = cert.verdict == certs.NOT_IN_STRONG_CONIVEAU

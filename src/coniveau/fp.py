@@ -586,7 +586,7 @@ class GradedPresentation:
         h = len(self._basis)
         lead = terms[0][0]
         support = tuple((i, e) for i, e in enumerate(lead) if e)
-        bits = _bits(s for s, _ in support)
+        bits = _hilbert._bits(s for s, _ in support)
         # the coprime (product) criterion holds where neither leading
         # monomial has an exterior variable: no multiple of such a lead
         # vanishes, so Buchberger's commutative argument goes through
@@ -625,7 +625,7 @@ class GradedPresentation:
         minimal = []  # (lcm, bits and list of the slots where it exceeds lead)
         for lcm, (d, i, coprime) in sorted(groups.items(), key=lambda item: item[1][0]):
             excess = [s for s, e in enumerate(lead) if lcm[s] > e]
-            mask = _bits(excess)
+            mask = _hilbert._bits(excess)
             if any(
                 other_mask & mask == other_mask and all(lcm[s] >= other[s] for s in slots)
                 for other, other_mask, slots in minimal
@@ -740,11 +740,6 @@ class GradedPresentation:
         rel = f", {len(self._relation_terms)} relations" if self._relation_terms else ""
         names = ",".join(g.name for g in self.generators)
         return f"GradedPresentation(F_{self.prime}[{names}], cap={self.degree_cap}{rel})"
-
-
-def _bits(slots) -> int:
-    """A set of slots as the bits of an int."""
-    return sum(1 << s for s in slots)
 
 
 def _divides_any(supports, m) -> bool:

@@ -52,9 +52,12 @@ class QAction:
         for (i, gname), value in (table or {}).items():
             self._set_entry(i, gname, value)
 
-    def _set_entry(self, i: int, gname: str, value: Element):
+    def _check_index(self, i: int) -> None:
         if i < 0 or i > self.max_index:
             raise QActionError(f"operation index {i} outside 0..{self.max_index}")
+
+    def _set_entry(self, i: int, gname: str, value: Element):
+        self._check_index(i)
         gen = next((g for g in self.pres.generators if g.name == gname), None)
         if gen is None:
             raise QActionError(f"unknown generator {gname!r}")
@@ -66,8 +69,7 @@ class QAction:
         self._table[(i, gname)] = value
 
     def entry(self, i: int, gname: str) -> Element:
-        if i < 0 or i > self.max_index:
-            raise QActionError(f"operation index {i} outside 0..{self.max_index}")
+        self._check_index(i)
         key = (i, gname)
         if key not in self._table:
             if self._supplier is None:
@@ -86,7 +88,9 @@ class QAction:
 
     def apply_raw_terms(self, i: int, terms: dict) -> Element:
         """Q_i on a raw term map: the sum of each term's coefficient times
-        its monomial's Leibniz column, reduced once."""
+        its monomial's Leibniz column, reduced once.  An index past the
+        table is refused before the cap is tested."""
+        self._check_index(i)
         pres = self.pres
         shift = op_degree(pres.prime, i)
         columns = self._columns

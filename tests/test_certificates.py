@@ -61,20 +61,29 @@ def test_detect_zero_value_inconclusive():
 
 
 def test_detect_sequence_shape_enforced():
+    # a sequence no witness search would try is refused, naming its rule
     s = C.elementary_abelian(3, 3)
-    assert s.verify("alpha", (0,)).verdict == C.INCONCLUSIVE      # index 0 certifies nothing
-    assert s.verify("alpha", (1, 2)).verdict == C.INCONCLUSIVE    # wrong length
+    with pytest.raises(C.ScenarioError, match="increase strictly from 1"):
+        s.verify("alpha", (0,))  # index 0 certifies nothing
+    with pytest.raises(C.ScenarioError, match="length 1, got 2"):
+        s.verify("alpha", (1, 2))
     s24 = C.elementary_abelian(2, 4)
     label = "Q0(x1*x2*x3*x4)"
-    assert s24.verify(label, (2, 2)).verdict == C.INCONCLUSIVE    # not increasing
+    with pytest.raises(C.ScenarioError, match="increase strictly"):
+        s24.verify(label, (2, 2))
     assert s24.verify(label, (1, 2)).verdict == C.NOT_IN_STRONG_CONIVEAU
 
 
 def test_detect_cap_overflow_is_inconclusive():
-    s = C.elementary_abelian(3, 2, cap=12)
-    cert = s.verify("Q0(x1*x2)", (2,))  # 3 + 17 = 20 > 12
+    # the cap-18 table carries Q_2, so an overflow inside it is a verdict
+    s = C.elementary_abelian(3, 2, cap=18)
+    assert s.max_search_index == 2
+    cert = s.verify("Q0(x1*x2)", (2,))  # 3 + 17 = 20 > 18
     assert cert.verdict == C.INCONCLUSIVE
     assert "cap" in cert.reason
+    # the cap-12 table stops at Q_1, so Q_2 is refused as past it
+    with pytest.raises(C.ScenarioError, match="past the operation table's last index 1"):
+        C.elementary_abelian(3, 2, cap=12).verify("Q0(x1*x2)", (2,))
 
 
 def test_detect_monotone_in_chern_flags():
@@ -205,6 +214,18 @@ def test_dh_table_against_elementary_oracle(p, n):
                     assert cert.value == oracle.render(value), (d, terms)
                 verdicts.add(verdict)
     assert {C.REJECTED_CHERN, C.NOT_IN_STRONG_CONIVEAU} <= verdicts
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_simply_connected_value_against_elementary_oracle(p):
+    # the flagship restricts w to the rank-3 class alpha = Q_0(x1*x2*x3), and
+    # its value is Q_1(alpha), rebuilt here from the closed forms of Q_i; at
+    # odd p the Leibniz rule's sign for an odd prefix shows in it
+    cert = C.simply_connected(p).verify(None, None)
+    oracle = ElementaryOracle(p, 3)
+    alpha = dict(oracle.candidates())["Q0(x1*x2*x3)"]
+    assert (cert.verdict, cert.sequence) == (C.NOT_IN_STRONG_CONIVEAU, (1,))
+    assert cert.value == oracle.render(oracle.q(1, alpha))
 
 
 # -- stable quotients ------------------------------------------------------------------

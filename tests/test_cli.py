@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coniveau import cli, motivic
+from coniveau import certificates, cli, milnor, motivic
 from coniveau.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from coniveau.parser import parse_presentation
 from helpers import (
@@ -142,6 +142,13 @@ def test_qop_negative_operation_index(capsys):
     )
     assert code == EXIT_USAGE
     assert body["error"] == "operation index -1 outside 0..4"
+
+
+def test_qop_index_past_the_table_is_named(capsys):
+    # the index is checked before the cap, which Q_5 on w4 would pass
+    code, body = run_json(capsys, "qop", "g2", "--element", "w4", "--I", "5")
+    assert code == EXIT_USAGE
+    assert body["error"] == "operation index 5 outside 0..2"
 
 
 def test_rost_parameter_above_bound(capsys):
@@ -346,8 +353,9 @@ def test_family_refuses_foreign_parameter(capsys):
 
 
 def test_verify_inconclusive_is_math_fail(capsys):
+    # a nonzero cover value that no declared restriction certifies
     code, body = run_json(
-        capsys, "verify", "g2", "--element", "w7", "--I", "1"
+        capsys, "verify", "extraspecial-e", "--n", "2", "--p", "3", "--element", "x1*x2*x3", "--I", "1"
     )
     assert code == EXIT_MATH_FAIL
     assert body["certificate"]["verdict"] == "inconclusive"
@@ -551,6 +559,75 @@ def test_user_scenario_constant_chern_flag(tmp_path, capsys):
     code, body = run_json(capsys, "verify", str(path), "--element", "alpha", "--I", "1")
     assert code == EXIT_MATH_FAIL
     assert body["certificate"]["verdict"] == "rejected-chern"
+
+
+@pytest.fixture
+def verify_applies(monkeypatch):
+    """The indices of every Q_i that ``Scenario.verify`` applies, the Chern
+    test's Q_0 among them; building a scenario may apply some before."""
+    applied = []
+    apply, verify = milnor.QAction.apply_raw_terms, certificates.Scenario.verify
+
+    def counted_apply(self, i, terms):
+        applied.append(i)
+        return apply(self, i, terms)
+
+    def counted_verify(self, element, sequence):
+        applied.clear()
+        return verify(self, element, sequence)
+
+    monkeypatch.setattr(milnor.QAction, "apply_raw_terms", counted_apply)
+    monkeypatch.setattr(certificates.Scenario, "verify", counted_verify)
+    return applied
+
+
+# witness requests that no search would make: (scenario, --element, --I, the
+# rule the refusal names); "file" is the rank-2 file above with alpha
+MALFORMED_WITNESS = [
+    ("g2", "w4", "", "degree-4 classes need a sequence of length 1, got 0"),
+    ("g2", "w4", "1,2", "degree-4 classes need a sequence of length 1, got 2"),
+    ("g2", "w7", "1", "degree-7 classes need a sequence of length 4, got 1"),
+    ("g2", "w4", "0", "witness indices must increase strictly from 1, got [0]"),
+    ("g2", "w6", "1,1,2", "witness indices must increase strictly from 1, got [1, 1, 2]"),
+    ("g2", "w6", "2,1,3", "witness indices must increase strictly from 1, got [2, 1, 3]"),
+    ("g2", "w4", "3", "witness index 3 is past the operation table's last index 2"),
+    ("g2", "w4", "5", "witness index 5 is past the operation table's last index 2"),
+    ("simply-connected --p 5", "w", "", "degree-4 classes need a sequence of length 1, got 0"),
+    ("simply-connected --p 5", "w", "0", "witness indices must increase strictly from 1, got [0]"),
+    ("simply-connected --p 5", "w", "2", "witness index 2 is past the operation table's last index 1"),
+    ("file", "alpha", "1,2", "degree-3 classes need a sequence of length 1, got 2"),
+    ("file", "alpha*y1", "1,1", "witness indices must increase strictly from 1, got [1, 1]"),
+    ("file", "alpha", "2", "witness index 2 is past the operation table's last index 1"),
+]
+
+
+def _verify_argv(tmp_path, scenario, element, indices):
+    """``verify`` argv on a built-in, or on the rank-2 file with alpha."""
+    if scenario == "file":
+        scenario = str(tmp_path / "rank2.pres")
+        Path(scenario).write_text(USER_SCENARIO + ALPHA)
+    return ["verify", *scenario.split(), "--element", element, f"--I={indices}"]
+
+
+@pytest.mark.parametrize("scenario,element,indices,rule", MALFORMED_WITNESS)
+def test_verify_refuses_malformed_witness_before_any_operation(
+    tmp_path, capsys, verify_applies, scenario, element, indices, rule
+):
+    # refused with exit 2 before the Chern test, whatever degree the
+    # sequence would reach, and before any Q_i is applied
+    code, body = run_json(capsys, *_verify_argv(tmp_path, scenario, element, indices))
+    assert (code, body["error"]) == (EXIT_USAGE, rule)
+    assert verify_applies == []
+
+
+@pytest.mark.parametrize(
+    "scenario,element", [("g2", "w4"), ("simply-connected --p 5", "w"), ("file", "alpha")]
+)
+def test_verify_well_formed_witness_applies(tmp_path, capsys, verify_applies, scenario, element):
+    # the counter above sees the operations of a request that is not refused
+    code, _ = run(capsys, *_verify_argv(tmp_path, scenario, element, "1"))
+    assert code == EXIT_OK
+    assert 1 in verify_applies
 
 
 def test_scenario_directory_refused(tmp_path, capsys):
@@ -995,13 +1072,13 @@ GOLDEN_CLI = {
     "stable-quotient extraspecial-e --n 6 --p 3": (0, "14bc665ab964b625f795d401d1ade6e24ed61b36028da4cfecb071ac9770d5ba"),
     "hilbert extraspecial-e --n 13 --p 3 --cap 4": (0, "411d49ebba256b83a7cc00c36d3074b6dd9d675fe3925b774841612077aacb4d"),
     # --element by name, alias, candidate label (with its declared maps), an
-    # uncertified cover value, a restriction and an unknown name; qop by
-    # candidate label and by expression
+    # uncertified cover value, an index past a restriction target's table and
+    # an unknown name; qop by candidate label and by expression
     "verify g2 --element w4 --I 1": (0, "6ee664bd7ba243aa65ced38d1cafac7cd108f626f416e47e76af986283d63ac0"),
     "verify elementary --p 3 --n 2 --element alpha --I 1": (0, "d20ae3b31278f14461b54e9d1a59919616fe01a8cb494496808d14259ff59b23"),
     "verify extraspecial-d --n 2 --element Q0(x1*x3) --I 1": (0, "35c52d06c3ba63df280e1791118cf3a8349f5a2833b88d452b77bd2953021152"),
     "verify extraspecial-e --n 2 --p 3 --element x1*x2*x3 --I 1": (1, "c4fecaff3be5bebc5be1a53572f3596af147971858f56b5d393896919a1a1d94"),
-    "verify simply-connected --p 5 --element w --I 2": (1, "da96372814ee6371924e6854c0765bbfe4a6e7665b3b23515d9ee76e9de1f0bb"),
+    "verify simply-connected --p 5 --element w --I 2": (2, "ba8856edba4c6fd8acbfa4df7117fcb7be2abe9f4e1f2b076002e68566b8971f"),
     "verify g2 --element zz --I 1": (2, "1a07969e047e6bc1c397bce32d0d5d31ea2c35d6710e07fdf770369f318039dd"),
     "qop elementary --p 3 --n 2 --I 1 --element Q0(x1*x2)": (0, "b5fb09cce212152eac040cd2f3b0dab5199a1d24f09682e677be26bc8b4f214b"),
     "qop elementary --p 2 --n 3 --I 0 --element x1*x2": (0, "dc76aeaa1881a7ee03d85d0ede122bc934c23397d1bf329c8f7147812105a22c"),
