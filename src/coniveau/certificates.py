@@ -875,7 +875,7 @@ def elementary_abelian(p: int, n: int, cap: int = 40) -> Scenario:
         stable_note="quotient by the ideal of the degree-2 Chern classes",
         build_candidates=partial(_elementary_candidates, pres, action, n),
         build_aliases=partial(_elementary_aliases, pres, action, n, chern),
-        build_stable=partial(_elementary_stable, p, n),
+        build_stable=partial(_exterior, p, n, n + 2 if p == 2 else n),
         default_target=("alpha", None),
     )
 
@@ -903,12 +903,11 @@ def _elementary_candidates(pres: GradedPresentation, action: QAction, n: int) ->
     return tuple(candidates)
 
 
-def _elementary_stable(p: int, n: int) -> GradedPresentation:
-    cap = max(n, 1)
-    if p == 2:
-        pres = GradedPresentation(2, [Generator(f"x{i}", 1) for i in range(1, n + 1)], cap + 2)
-        return pres.quotient([pres.gen(f"x{i}") ** 2 for i in range(1, n + 1)])
-    return GradedPresentation(p, [Generator(f"x{i}", 1) for i in range(1, n + 1)], cap)
+def _exterior(p: int, k: int, cap: int) -> GradedPresentation:
+    """Lambda(x_1..x_k) on degree-1 classes: free at odd p, and
+    F_2[x_1..x_k]/(x_i^2) at p = 2."""
+    pres = GradedPresentation(p, [Generator(f"x{i}", 1) for i in range(1, k + 1)], cap)
+    return pres.quotient([pres.gen(f"x{i}") ** 2 for i in range(1, k + 1)]) if p == 2 else pres
 
 
 @lru_cache(maxsize=None)
@@ -1092,13 +1091,7 @@ def extraspecial_e(n: int, p: int = 3, cap: int = 24) -> Scenario:
 
 
 def _lambda_mod_f(n: int, p: int) -> GradedPresentation:
-    cap = 2 * n + 1
-    if p == 2:
-        pres = GradedPresentation(2, [Generator(f"x{i}", 1) for i in range(1, 2 * n + 1)], cap)
-        rels = [pres.gen(f"x{i}") ** 2 for i in range(1, 2 * n + 1)]
-        rels.append(symplectic_form(pres, n))
-        return pres.quotient(rels)
-    pres = GradedPresentation(p, [Generator(f"x{i}", 1) for i in range(1, 2 * n + 1)], cap)
+    pres = _exterior(p, 2 * n, 2 * n + 1)
     return pres.quotient([symplectic_form(pres, n)])
 
 

@@ -13,8 +13,9 @@ p_n is the n-th power sum, itself a w-polynomial by Newton's identities
 mod 2: p_n = sum_(0<i<n) w_i p_(n-i) + (n mod 2) w_n, with w_i = 0 above
 the rank.  ``SplitRing.q_on_w`` evaluates this closed form in the
 w-ring and extends it to w-polynomials by the derivation rule; it never
-builds a t-polynomial.  The special-orthogonal flag sets w_1 = 0, a ring
-map, so it is applied to the power sums from the start.
+builds a t-polynomial.  The w-ring is the special-orthogonal one,
+F_2[w_2..w_n]: setting w_1 = 0 is a ring map, so it is applied to the power
+sums from the start.
 
 The t-ring path (expand into t-variables, apply the derivation, convert
 the symmetric result back by greedy leading-term elimination) is kept as
@@ -32,19 +33,19 @@ from .milnor import QAction
 
 class SplitRing:
     """Ambient F_2[t_1..t_n] with the w_i realized as elementary symmetric
-    polynomials; ``so`` drops w_1 (results reduced modulo the ideal (w_1))."""
+    polynomials, and the ring F_2[w_2..w_n] of BSO(n): results are reduced
+    modulo the ideal (w_1).  The w-ring's slot s holds w_(s+2)."""
 
-    def __init__(self, rank: int, so: bool = False, cap: int = 64):
-        if rank < 1:
-            raise ValueError("rank must be positive")
+    def __init__(self, rank: int, cap: int = 64):
+        if rank < 2:
+            raise ValueError("rank must be at least 2")
         self.rank = rank
-        self.so = so
         self.cap = cap
         self.t_pres = GradedPresentation(
             2, [Generator(f"t{k}", 1) for k in range(1, rank + 1)], cap
         )
         self.w_pres = GradedPresentation(
-            2, [Generator(f"w{i}", i) for i in range(1, rank + 1)], cap
+            2, [Generator(f"w{i}", i) for i in range(2, rank + 1)], cap
         )
         self._e_cache: dict[int, Element] = {}
         self._e_pow: dict[tuple[int, int], Element] = {}
@@ -84,7 +85,7 @@ class SplitRing:
         out = self.t_pres.zero()
         for m, c in e.terms.items():
             piece = c * self.t_pres.one()
-            for i, exp in enumerate(m, start=1):
+            for i, exp in enumerate(m, start=2):
                 if exp:
                     piece = piece * self._e_power(i, exp)
             out = out + piece
@@ -104,7 +105,7 @@ class SplitRing:
 
     def symmetrize_to_w(self, e: Element) -> Element:
         """Unique w-polynomial with the given symmetric expansion, found by
-        greedy elimination of the lex-leading monomial."""
+        greedy elimination of the lex-leading monomial, modulo w_1."""
         if e.pres is not self.t_pres:
             raise ValueError("expected an element of the t-presentation")
         if not self.is_symmetric(e):
@@ -123,10 +124,9 @@ class SplitRing:
                 if step:
                     w_exps[i] = step
                     e_prod = e_prod * self._e_power(i + 1, step)
-            out = out + self.w_pres.monomial(tuple(w_exps), coeff)
+            if not w_exps[0]:  # a term with an e_1 step dies modulo w_1
+                out = out + self.w_pres.monomial(tuple(w_exps[1:]), coeff)
             remaining = remaining - coeff * e_prod
-        if self.so:
-            out = _kill(out, ("w1",))
         return out
 
     def q_on_t(self, j: int, e: Element) -> Element:
@@ -167,7 +167,7 @@ class SplitRing:
             for k in odd:
                 rest = m[:k] + (m[k] - 1,) + m[k + 1:]
                 out.symmetric_difference_update(
-                    tuple(a + b for a, b in zip(rest, v)) for v in self._q_on_gen(j, k + 1)
+                    tuple(a + b for a, b in zip(rest, v)) for v in self._q_on_gen(j, k + 2)
                 )
         return self.w_pres.element(dict.fromkeys(out, 1))
 
@@ -189,18 +189,18 @@ class SplitRing:
             for i in range(1, min(m - 1, self.rank) + 1):
                 value.symmetric_difference_update(self._times_w(sums[m - i], i))
             if m % 2:
-                value.symmetric_difference_update(self._times_w({(0,) * self.rank}, m))
+                value.symmetric_difference_update(self._times_w({(0,) * (self.rank - 1)}, m))
             sums.append(frozenset(value))
         return sums[n]
 
     def _times_w(self, value, i: int) -> set:
-        """w_i times a w-polynomial; w_0 = 1, and w_i = 0 above the rank and
-        for i = 1 under the SO flag."""
+        """w_i times a w-polynomial; w_0 = 1, and w_i = 0 for i = 1 and above
+        the rank."""
         if i == 0:
             return set(value)
-        if i > self.rank or (self.so and i == 1):
+        if i == 1 or i > self.rank:
             return set()
-        k = i - 1
+        k = i - 2
         return {m[:k] + (m[k] + 1,) + m[k + 1:] for m in value}
 
     def w(self, i: int) -> Element:
@@ -209,49 +209,15 @@ class SplitRing:
     def _check_w(self, e: Element) -> None:
         if e.pres is not self.w_pres and e.pres is not self.w_pres.free:
             raise ValueError("expected an element of the w-presentation")
-        if self.so and any(m[0] for m in e.terms):
-            raise ValueError("w1 is not available when the SO flag is set")
-
-
-def so_presentation(rank: int, cap: int = 64) -> GradedPresentation:
-    """The special-orthogonal cohomology ring F_2[w_2..w_rank]."""
-    return GradedPresentation(
-        2, [Generator(f"w{i}", i) for i in range(2, rank + 1)], cap
-    )
 
 
 def so_q_action(rank: int, cap: int = 64, max_index: int = 3) -> tuple[GradedPresentation, QAction]:
-    """Presentation and lazily filled operation table for BSO_rank, entries
-    computed through the splitting principle and reduced modulo w_1."""
-    pres = so_presentation(rank, cap)
-    ring = SplitRing(rank, so=True, cap=cap)
-
-    def supplier(i: int, gname: str) -> Element:
-        value = ring.q_on_w(i, ring.w_pres.gen(gname))
-        return _transplant_w(value, pres)
-
-    action = QAction(pres, max_index=max_index, supplier=supplier)
-    return pres, action
-
-
-def _transplant_w(e: Element, target: GradedPresentation) -> Element:
-    """Move a w-polynomial without w_1 into a presentation on w_2..w_n or a
-    sub-list of it; monomials involving missing generators must be absent."""
-    slot = {}
-    names = {g.name: k for k, g in enumerate(target.generators)}
-    for k, g in enumerate(e.pres.generators):
-        slot[k] = names.get(g.name)
-    terms = {}
-    for m, c in e.terms.items():
-        exps = [0] * len(target.generators)
-        for k, exp in enumerate(m):
-            if not exp:
-                continue
-            if slot[k] is None:
-                raise ValueError(f"monomial uses {e.pres.generators[k].name}, absent from target")
-            exps[slot[k]] = exp
-        terms[tuple(exps)] = c
-    return target.element(terms)
+    """Presentation F_2[w_2..w_rank] of BSO_rank and its lazily filled
+    operation table, entries computed through the splitting principle."""
+    ring = SplitRing(rank, cap)
+    pres = ring.w_pres
+    return pres, QAction(pres, max_index=max_index,
+                         supplier=lambda i, gname: ring.q_on_w(i, pres.gen(gname)))
 
 
 def g2_presentation(cap: int = 40) -> GradedPresentation:
@@ -270,22 +236,22 @@ def g2_q_action(cap: int = 40, max_index: int = 2) -> tuple[GradedPresentation, 
     all three killed generators, before the first entry of Q_i is returned.
     """
     pres = g2_presentation(cap)
-    ring = SplitRing(7, so=True, cap=cap + 14)
-    killed = ("w2", "w3", "w5")
+    ring = SplitRing(7, cap=cap + 14)
     stable: set[int] = set()
+
+    def image(e: Element) -> Element:
+        # w2..w7 sit in slots 0..5: drop the terms that hold w2, w3 or w5
+        return pres.element(
+            {(m[2], m[4], m[5]): c for m, c in e.terms.items() if not (m[0] or m[1] or m[3])}
+        )
 
     def supplier(i: int, gname: str) -> Element:
         if i not in stable:
-            for name in killed:
+            for name in ("w2", "w3", "w5"):
                 value = ring.q_on_w(i, ring.w_pres.gen(name))
-                if _kill(value, killed).terms:
+                if image(value).terms:
                     raise ValueError(f"(w2,w3,w5) not stable under Q_{i}: Q_{i}({name}) = {value}")
             stable.add(i)
-        return _transplant_w(_kill(ring.q_on_w(i, ring.w_pres.gen(gname)), killed), pres)
+        return image(ring.q_on_w(i, ring.w_pres.gen(gname)))
 
     return pres, QAction(pres, max_index=max_index, supplier=supplier)
-
-
-def _kill(e: Element, names: tuple[str, ...]) -> Element:
-    idx = [k for k, g in enumerate(e.pres.generators) if g.name in names]
-    return e.pres.element({m: c for m, c in e.terms.items() if all(m[k] == 0 for k in idx)})

@@ -251,7 +251,12 @@ def _render(body: dict, fmt: str) -> _Report:
 
 
 # at each spill, either writer writes its pieces out once they hold this
-# many characters; a batch holds up to _BATCH items
+# many characters; a batch holds up to _BATCH items.  Handing each piece
+# straight to sys.stdout.write is slower, most of all into a pipe: the text
+# stream then writes 8 KB at a time, which costs more than one write per
+# FLUSH_SIZE characters.  Medians of 10 alternating fresh processes on a
+# 2-core x86 machine, in-process work into a pipe, pieces against direct:
+# rost --n 8 23.7 against 34.1 ms, report --all 195 against 205 ms
 FLUSH_SIZE = 1 << 15
 _BATCH = 1024
 _SEQUENCES = (list, tuple, motivic.Lazy)  # what both writers take for a sequence
@@ -607,7 +612,22 @@ def main(argv=None) -> int:
             text = _render(body, args.format)
         else:
             return code
-    text.write_to(sys.stdout.write)
+    try:
+        text.write_to(sys.stdout.write)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, a full disk
+        print(f"coniveau: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass  # a stream with no descriptor has nothing left to flush at exit
+        else:
+            # the interpreter's final flush of what is still buffered then
+            # goes nowhere, in place of a second failure and its traceback
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_USAGE
     return code
 
 

@@ -13,7 +13,8 @@ Grammar (one statement per line, '#' starts a comment):
 
 ``prime`` and ``cap`` must precede the first ``gen``; generators must
 precede any expression line.  Expressions are polynomial: names, integer
-literals, ``+ - * ^`` and parentheses.  All errors carry line/column.
+literals, ``+ - * ^`` and parentheses nested at most ``MAX_NESTING`` deep.
+All errors carry line/column.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ class PresentationFile:
     n1: dict = field(default_factory=dict)
     max_q_index: int = -1
 
+
+# each level of parentheses costs the recursive-descent parser four stack
+# frames, so this keeps a nested expression well inside the interpreter's
+# recursion limit
+MAX_NESTING = 100
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9']*"  # a generator, alias or flag name
 _TOKEN = re.compile(rf"(\d+)|({_NAME})|([+\-*^()])")
@@ -73,6 +79,7 @@ class _ExprParser:
         self.tokens = tokens
         self.line = line
         self.i = 0
+        self.depth = 0  # parentheses open around the current token
 
     def _peek(self):
         return self.tokens[self.i][0]
@@ -122,10 +129,14 @@ class _ExprParser:
     def _atom(self) -> Element:
         tok, col = self._next()
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.line, col)
+            self.depth += 1
             e = self._expr()
             tok2, col2 = self._next()
             if tok2 != ")":
                 raise ParseError("expected ')'", self.line, col2)
+            self.depth -= 1
             return e
         if tok.isdigit():
             return int(tok) * self.pres.one()

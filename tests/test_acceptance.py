@@ -102,7 +102,7 @@ def test_criterion_3_so_certificates():
             value = _replay(scenario, row.certificate)
             assert not value.is_zero()
     for rank in range(2, 8):
-        ring = SplitRing(rank, so=True, cap=64)
+        ring = SplitRing(rank, cap=64)
         for two_k in range(2, rank + 1, 2):
             value = ring.q_on_w(0, ring.w(two_k))
             expected = ring.w(two_k + 1) if two_k + 1 <= rank else ring.w_pres.zero()

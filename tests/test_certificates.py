@@ -631,9 +631,10 @@ def _same_ring(P, Q, top):
     "key, build, parts",
     [
         ("elementary", lambda: C.elementary_abelian.__wrapped__(2, 3),
-         ["_elementary_stable", "_elementary_aliases"]),
+         ["_exterior", "_elementary_aliases"]),
         ("so", lambda: C.so_odd.__wrapped__(2), ["_so_stable"]),
-        ("extraspecial-d", lambda: C.extraspecial_d.__wrapped__(2), ["_lambda_mod_f"]),
+        ("extraspecial-d", lambda: C.extraspecial_d.__wrapped__(2),
+         ["_lambda_mod_f", "_exterior"]),
     ],
 )
 def test_stable_ring_and_aliases_built_on_first_read(monkeypatch, key, build, parts):
@@ -641,7 +642,7 @@ def test_stable_ring_and_aliases_built_on_first_read(monkeypatch, key, build, pa
     # builders' lru_cache) builds no stable ring and no alpha for them; each
     # part is built once, on its first read, and equals the eager build
     calls = []
-    for name in ("_elementary_stable", "_elementary_aliases", "_so_stable", "_lambda_mod_f"):
+    for name in ("_exterior", "_elementary_aliases", "_so_stable", "_lambda_mod_f"):
         original = getattr(C, name)
         monkeypatch.setattr(C, name, lambda *a, f=original, name=name: calls.append(name) or f(*a))
     s = build()

@@ -484,6 +484,54 @@ def test_list(capsys):
     assert "g2" in names and "so(m=2)" in names
 
 
+def test_deep_nesting_refused_with_position(tmp_path, capsys):
+    # past parser.MAX_NESTING levels a file line or an --element is refused
+    # at the first parenthesis too deep (exit 2), not by a RecursionError
+    path = tmp_path / "deep.pres"
+    path.write_text("prime 2\ncap 4\ngen x 1\nrel " + "(" * 250 + "x" + ")" * 250 + "^2\n")
+    code, body = run_json(capsys, "verify", str(path))
+    assert code == EXIT_USAGE
+    assert body["error"] == "parse error: line 4, column 105: parentheses nested deeper than 100"
+    element = "(" * 400 + "w4" + ")" * 400
+    code, body = run_json(capsys, "qop", "g2", "--I", "0", "--element", element)
+    assert code == EXIT_USAGE
+    assert body["error"] == "parse error: line 1, column 101: parentheses nested deeper than 100"
+
+
+def _fresh_cli(*argv, stdout):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "coniveau.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def _assert_stdout_refusal(code, err, reason):
+    assert code == EXIT_USAGE, err
+    assert b"Traceback" not in err
+    assert err.decode().splitlines() == [f"coniveau: cannot write stdout: {reason}"]
+
+
+def test_closed_pipe_on_stdout_exits_2():
+    # `rost --n 10 | head -c 100`: the reader leaves after 100 bytes
+    with _fresh_cli("rost", "--n", "10", stdout=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    _assert_stdout_refusal(code, err, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_full_device_on_stdout_exits_2():
+    # `rost --n 10 > /dev/full`: every write fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        proc = _fresh_cli("rost", "--n", "10", stdout=full)
+        _, err = proc.communicate(timeout=120)
+    _assert_stdout_refusal(proc.returncode, err, "No space left on device")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "cert.json"
     code = main(["verify", "g2", "--I", "1", "--output", str(target)])

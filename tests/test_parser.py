@@ -2,7 +2,9 @@
 
 import pytest
 
-from coniveau.parser import ParseError, parse_expression, parse_presentation, render_presentation
+from coniveau.parser import (
+    MAX_NESTING, ParseError, parse_expression, parse_presentation, render_presentation,
+)
 
 SAMPLE = """\
 # rank-2 exterior quotient
@@ -206,3 +208,17 @@ def test_unknown_name_error():
     data = parse_presentation("prime 2\ncap 6\ngen x 1\n")
     with pytest.raises(ParseError):
         parse_expression(data.presentation, {"x": data.presentation.gen("x")}, "x * w")
+
+
+def test_nesting_bound():
+    # MAX_NESTING levels of parentheses parse; one more is refused at the
+    # opening parenthesis past the bound, not by the interpreter's recursion
+    data = parse_presentation("prime 2\ncap 6\ngen x 1\n")
+    names = {"x": data.presentation.gen("x")}
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_expression(data.presentation, names, deep) == names["x"]
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}") as info:
+        parse_expression(data.presentation, names, "x + (" + deep + ")", line=4, col0=3)
+    # that parenthesis is character 4 + MAX_NESTING of the text, which starts
+    # after column 3
+    assert (info.value.line, info.value.column) == (4, 3 + (4 + MAX_NESTING) + 1)
